@@ -36,6 +36,7 @@ from .graph import (
     save_graph,
 )
 from .hgmae import (
+    GraphPlan,
     MaskingError,
     MaskPlan,
     ModelParams,
@@ -47,6 +48,8 @@ from .hgmae import (
     infer_embeddings,
     init_params,
     make_step_plans,
+    message_pairs,
+    plan_graph,
     pretrain,
     remask_and_decode,
     sample_mask,

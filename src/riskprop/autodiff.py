@@ -1,10 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
-Covers exactly the op set the attention autoencoder needs: linear maps, row
+Covers the op set the attention autoencoder needs: linear maps, row
 gather/scatter, per-segment softmax pieces, activations, and scalar
-reductions. Every op checks its output for NaN/Inf and raises NumericFault
-naming the op. Reductions use numpy's deterministic accumulation order, so
-repeated runs on equal inputs are bit-identical.
+reductions. The attention head itself is one fused op in gat.py
+(`gat_head`); the generic ops here still compose that head in the
+reference implementation it is tested against, and build the loss.
+
+Every op checks its output for NaN/Inf and raises NumericFault naming the
+op. Reductions use numpy's deterministic accumulation order, so repeated
+runs on equal inputs are bit-identical. A node's gradient is the sum of
+its consumers' contributions in the order backward() visits them, so a
+fused op must add its contributions in the order its generic-op
+composition would to stay bit-identical.
 """
 
 from __future__ import annotations
@@ -201,14 +208,19 @@ def colmul(v: Tensor, a: Tensor) -> Tensor:
 
 
 def _segment_sum(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
-    """Sum rows of `values` into num_rows bins given by idx (bincount is much
-    faster than np.add.at and accumulates in the same element order)."""
+    """Sum rows of `values` into num_rows bins given by idx.
+
+    bincount adds each bin's entries in input order, like np.add.at but much
+    faster. Rows of a 2-D input go through one bincount over the flattened
+    index idx*d + column, which adds in the same order as one bincount per
+    column, so the result is bit-identical to it. np.add.reduceat is not:
+    it re-associates the sums.
+    """
     if values.ndim == 1:
         return np.bincount(idx, weights=values, minlength=num_rows)
-    out = np.empty((num_rows,) + values.shape[1:])
-    for j in range(values.shape[1]):
-        out[:, j] = np.bincount(idx, weights=values[:, j], minlength=num_rows)
-    return out
+    d = values.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=num_rows * d).reshape(num_rows, d)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:

@@ -129,13 +129,11 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
         GATLayerParams(
             weights=[Tensor(arrays[f"encoder.0.head{h}.W"]) for h in range(cfg.hidden_heads)],
             attn=[Tensor(arrays[f"encoder.0.head{h}.a"]) for h in range(cfg.hidden_heads)],
-            head_merge="concat",
             activation="elu",
         ),
         GATLayerParams(
             weights=[Tensor(arrays["encoder.1.head0.W"])],
             attn=[Tensor(arrays["encoder.1.head0.a"])],
-            head_merge="concat",
             activation="identity",
         ),
     ]
@@ -143,7 +141,6 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
         GATLayerParams(
             weights=[Tensor(arrays["decoder.0.head0.W"])],
             attn=[Tensor(arrays["decoder.0.head0.a"])],
-            head_merge="concat",
             activation="identity",
         )
     ]

@@ -16,6 +16,10 @@ autoencoder this model extends.
 
 Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
+
+The graph never changes during training, so pretrain builds a GraphPlan
+once: the full graph's message pairs and every nonempty single-type
+subgraph with its own pairs. Mask draws and loss terms read that plan.
 """
 
 from __future__ import annotations
@@ -28,7 +32,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .gat import GATLayerParams, build_message_pairs, gat_stack_forward, init_gat_layer
+from .gat import (
+    GATLayerParams,
+    MessagePairs,
+    build_message_pairs,
+    gat_stack_forward,
+    init_gat_layer,
+)
 from .graph import HeteroGraph, Subgraph, atomic_write_text, extract_subgraph
 from .optim import AdamState, adam_step
 
@@ -163,10 +173,10 @@ def init_params(d_in: int, cfg: TrainConfig, rng: np.random.Generator) -> ModelP
     """Two-layer encoder (multi-head hidden, single-head output), one-layer
     decoder; tokens start at zero. Layers draw in order, W before a."""
     encoder = [
-        init_gat_layer(rng, d_in, cfg.hidden_head_dim, cfg.hidden_heads, "concat", "elu"),
-        init_gat_layer(rng, cfg.hidden_heads * cfg.hidden_head_dim, cfg.d_emb, 1, "concat", "identity"),
+        init_gat_layer(rng, d_in, cfg.hidden_head_dim, cfg.hidden_heads, "elu"),
+        init_gat_layer(rng, cfg.hidden_heads * cfg.hidden_head_dim, cfg.d_emb, 1, "identity"),
     ]
-    decoder = [init_gat_layer(rng, cfg.d_emb, d_in, 1, "concat", "identity")]
+    decoder = [init_gat_layer(rng, cfg.d_emb, d_in, 1, "identity")]
     return ModelParams(
         encoder=encoder,
         decoder=decoder,
@@ -187,26 +197,45 @@ def apply_mask(x: np.ndarray, plan: MaskPlan, params: ModelParams) -> Tensor:
     return out
 
 
-def _message_edges(g: HeteroGraph | Subgraph) -> np.ndarray:
-    if isinstance(g, HeteroGraph):
-        return g.union_edges()
-    return g.edges
+def message_pairs(g: HeteroGraph | Subgraph) -> MessagePairs:
+    """Message pairs over the graph's adjacency (full graph: union of all types)."""
+    edges = g.union_edges() if isinstance(g, HeteroGraph) else g.edges
+    return build_message_pairs(edges, g.num_nodes)
 
 
-def encode(g: HeteroGraph | Subgraph, corrupted: Tensor, params: ModelParams) -> Tensor:
-    """Encoder stack on the graph's adjacency (full graph: union of all types)."""
-    return gat_stack_forward(params.encoder, corrupted, _message_edges(g))
+@dataclass(frozen=True)
+class GraphPlan:
+    """The full graph and its nonempty single-type subgraphs (ascending type
+    id), each with prebuilt message pairs."""
+
+    graph: HeteroGraph
+    pairs: MessagePairs
+    subs: dict[int, tuple[Subgraph, MessagePairs]]
+
+
+def plan_graph(g: HeteroGraph) -> GraphPlan:
+    subs = {}
+    for k in range(g.num_edge_types):
+        if g.edge_lists[k].shape[0]:
+            sub = extract_subgraph(g, k)
+            subs[k] = (sub, message_pairs(sub))
+    return GraphPlan(graph=g, pairs=message_pairs(g), subs=subs)
+
+
+def encode(pairs: MessagePairs, corrupted: Tensor, params: ModelParams) -> Tensor:
+    """Encoder stack over the given message pairs."""
+    return gat_stack_forward(params.encoder, corrupted, pairs)
 
 
 def remask_and_decode(
-    latent: Tensor, plan: MaskPlan, params: ModelParams, g: HeteroGraph | Subgraph
+    latent: Tensor, plan: MaskPlan, params: ModelParams, pairs: MessagePairs
 ) -> Tensor:
     """Replace masked latent rows with the re-mask token, then run the decoder."""
     if plan.masked_ids.size:
         latent = ad.set_rows(
             latent, plan.masked_ids, ad.repeat_row(params.remask_token, plan.masked_ids.size)
         )
-    return gat_stack_forward(params.decoder, latent, _message_edges(g))
+    return gat_stack_forward(params.decoder, latent, pairs)
 
 
 # Rows whose original or reconstructed vector has exactly zero norm take the
@@ -264,21 +293,13 @@ class StepPlans:
     subs: dict[int, MaskPlan]
 
 
-def nonempty_subgraphs(g: HeteroGraph) -> list[tuple[int, Subgraph]]:
-    out = []
-    for k in range(g.num_edge_types):
-        if g.edge_lists[k].shape[0]:
-            out.append((k, extract_subgraph(g, k)))
-    return out
-
-
-def make_step_plans(g: HeteroGraph, cfg: TrainConfig, rng: np.random.Generator) -> StepPlans:
+def make_step_plans(gplan: GraphPlan, cfg: TrainConfig, rng: np.random.Generator) -> StepPlans:
     """Independent draws: full graph first, then nonempty types ascending.
     With eta == 0 no subgraph plans are drawn."""
-    full = sample_mask(g.num_nodes, cfg, rng)
+    full = sample_mask(gplan.graph.num_nodes, cfg, rng)
     subs: dict[int, MaskPlan] = {}
     if cfg.eta != 0.0:
-        for k, sub in nonempty_subgraphs(g):
+        for k, (sub, _) in gplan.subs.items():
             subs[k] = sample_mask(sub.num_nodes, cfg, rng)
     return StepPlans(full=full, subs=subs)
 
@@ -298,36 +319,30 @@ class LossParts:
 
 def _reconstruction_term(
     graph_like: HeteroGraph | Subgraph,
-    x: np.ndarray,
+    pairs: MessagePairs,
     plan: MaskPlan,
     params: ModelParams,
     cfg: TrainConfig,
 ) -> Tensor:
-    # same computation as encode + remask_and_decode, sharing one message-pair build
-    pairs = build_message_pairs(_message_edges(graph_like), x.shape[0])
-    corrupted = apply_mask(x, plan, params)
-    latent = gat_stack_forward(params.encoder, corrupted, pairs)
-    if plan.masked_ids.size:
-        latent = ad.set_rows(
-            latent, plan.masked_ids, ad.repeat_row(params.remask_token, plan.masked_ids.size)
-        )
-    recon = gat_stack_forward(params.decoder, latent, pairs)
+    x = graph_like.node_features if isinstance(graph_like, HeteroGraph) else graph_like.features
+    latent = encode(pairs, apply_mask(x, plan, params), params)
+    recon = remask_and_decode(latent, plan, params, pairs)
     return sce_loss(x, recon, plan.masked_ids, cfg.gamma)
 
 
 def hgmae_loss(
-    g: HeteroGraph, params: ModelParams, cfg: TrainConfig, plans: StepPlans
+    gplan: GraphPlan, params: ModelParams, cfg: TrainConfig, plans: StepPlans
 ) -> tuple[Tensor, LossParts]:
     """Combined reconstruction loss for given (replayable) mask plans."""
-    full_term = _reconstruction_term(g, g.node_features, plans.full, params, cfg)
+    full_term = _reconstruction_term(gplan.graph, gplan.pairs, plans.full, params, cfg)
     sub_terms: list[Tensor] = []
     sub_values: dict[int, float] = {}
     if cfg.eta != 0.0:
-        subs = dict(nonempty_subgraphs(g))
-        if not subs:
+        if not gplan.subs:
             warnings.warn("no nonempty edge types; training on the full graph only")
         for k in sorted(plans.subs):
-            term = _reconstruction_term(subs[k], subs[k].features, plans.subs[k], params, cfg)
+            sub, pairs = gplan.subs[k]
+            term = _reconstruction_term(sub, pairs, plans.subs[k], params, cfg)
             sub_terms.append(term)
             sub_values[k] = term.item()
     total = merge_losses(full_term, sub_terms, cfg.eta)
@@ -343,12 +358,12 @@ class StepResult:
 
 
 def hgmae_step(
-    g: HeteroGraph, params: ModelParams, cfg: TrainConfig, rng: np.random.Generator
+    gplan: GraphPlan, params: ModelParams, cfg: TrainConfig, rng: np.random.Generator
 ) -> StepResult:
     """Sample fresh masks, evaluate the combined loss, and backpropagate."""
-    plans = make_step_plans(g, cfg, rng)
+    plans = make_step_plans(gplan, cfg, rng)
     params.zero_grads()
-    total, parts = hgmae_loss(g, params, cfg, plans)
+    total, parts = hgmae_loss(gplan, params, cfg, plans)
     ad.backward(total)
     grads = {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data)).copy()
@@ -372,10 +387,11 @@ def pretrain(g: HeteroGraph, cfg: TrainConfig) -> tuple[ModelParams, list[EpochS
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(g.d_in, cfg, rng)
     state = AdamState.for_params(params.named_tensors(), lr=cfg.lr)
+    gplan = plan_graph(g)
     history: list[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         try:
-            res = hgmae_step(g, params, cfg, rng)
+            res = hgmae_step(gplan, params, cfg, rng)
         except ad.NumericFault as fault:
             raise ad.NumericFault(f"epoch {epoch}: {fault}") from fault
         adam_step(state, params.named_tensors(), res.grads)
@@ -385,7 +401,7 @@ def pretrain(g: HeteroGraph, cfg: TrainConfig) -> tuple[ModelParams, list[EpochS
 
 def infer_embeddings(g: HeteroGraph, params: ModelParams) -> np.ndarray:
     """Encoder output on uncorrupted features over the full graph."""
-    latent = encode(g, ad.constant(g.node_features), params)
+    latent = encode(message_pairs(g), ad.constant(g.node_features), params)
     return latent.data.copy()
 
 

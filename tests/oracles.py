@@ -1,14 +1,19 @@
 """Independent reference implementations used to check the library.
 
-Everything here recomputes results from scratch in a deliberately different
+Most of these recompute results from scratch in a deliberately different
 style (dense matrices, per-node loops, level-set BFS) so agreement with the
-library is meaningful. These functions are test fixtures, not product code.
+library is meaningful. The exceptions are the bit-exact references for the
+library's fused kernels: the attention head composed from generic tape ops
+(tape_gat_head) and the one-bincount-per-column segment sum. Those must
+agree with the library bit for bit, not within a tolerance. These functions
+are test fixtures, not product code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from riskprop import autodiff as ad
 from riskprop.graph import DefaultEvent, HeteroGraph
 from riskprop.synthetic import GenConfig
 
@@ -26,10 +31,9 @@ def dense_gat_layer(
     x: np.ndarray,
     adj: np.ndarray,
     slope: float = 0.2,
-    head_merge: str = "concat",
     activation: str = "elu",
 ) -> np.ndarray:
-    """Per-node-loop attention layer over a dense adjacency matrix."""
+    """Per-node-loop attention layer over a dense adjacency matrix; heads concatenate."""
     n = x.shape[0]
     head_outs = []
     for W, a in zip(weights, attns):
@@ -45,21 +49,16 @@ def dense_gat_layer(
             for weight, j in zip(alpha, nbrs):
                 out[i] += weight * z[j]
         head_outs.append(out)
-    if len(head_outs) == 1:
-        merged = head_outs[0]
-    elif head_merge == "concat":
-        merged = np.concatenate(head_outs, axis=1)
-    else:
-        merged = np.mean(head_outs, axis=0)
+    merged = np.concatenate(head_outs, axis=1)
     if activation == "elu":
         merged = np.where(merged > 0, merged, np.expm1(merged))
     return merged
 
 
 def dense_stack(layers: list[tuple], x: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """layers: (weights, attns, slope, merge, activation) tuples."""
-    for weights, attns, slope, merge, activation in layers:
-        x = dense_gat_layer(weights, attns, x, adj, slope, merge, activation)
+    """layers: (weights, attns, slope, activation) tuples."""
+    for weights, attns, slope, activation in layers:
+        x = dense_gat_layer(weights, attns, x, adj, slope, activation)
     return x
 
 
@@ -69,11 +68,53 @@ def layers_as_arrays(stack) -> list[tuple]:
             [w.data.copy() for w in layer.weights],
             [a.data.copy() for a in layer.attn],
             layer.leaky_slope,
-            layer.head_merge,
             layer.activation,
         )
         for layer in stack
     ]
+
+
+def tape_gat_head(x, w, a, dst: np.ndarray, src: np.ndarray, slope: float):
+    """One attention head composed from generic tape ops, one node per step
+    (projection, score halves, gathers, LeakyReLU, shifted exp, segment
+    softmax, weighted aggregation). This is the reference the fused
+    gat.gat_head must match bit for bit, forward and backward.
+    Returns (output tensor, alpha tensor)."""
+    n = x.data.shape[0]
+    d_head = w.data.shape[0]
+    z = ad.matmul(x, ad.transpose(w))
+    score_recv = ad.matvec(z, ad.slice1d(a, 0, d_head))
+    score_send = ad.matvec(z, ad.slice1d(a, d_head, 2 * d_head))
+    e = ad.leaky_relu(
+        ad.add(ad.gather_rows(score_recv, dst), ad.gather_rows(score_send, src)), slope
+    )
+    # max subtraction: the per-neighborhood shift is constant w.r.t. the grad
+    shift = -np.maximum.reduceat(e.data, np.searchsorted(dst, np.arange(n)))
+    ez = ad.exp(ad.add_const(e, shift[dst]))
+    denom = ad.scatter_sum(ez, dst, n)
+    alpha = ad.div(ez, ad.gather_rows(denom, dst))
+    out = ad.scatter_sum(ad.colmul(alpha, ad.gather_rows(z, src)), dst, n)
+    return out, alpha
+
+
+def tape_gat_layer(layer, x, dst: np.ndarray, src: np.ndarray):
+    """A whole layer on the tape_gat_head reference: heads concatenated, then
+    the layer's activation. Returns (output tensor, [alpha array per head])."""
+    heads = [
+        tape_gat_head(x, w, a, dst, src, layer.leaky_slope)
+        for w, a in zip(layer.weights, layer.attn)
+    ]
+    merged = heads[0][0] if len(heads) == 1 else ad.concat_cols([out for out, _ in heads])
+    out = ad.elu(merged) if layer.activation == "elu" else merged
+    return out, [alpha.data for _, alpha in heads]
+
+
+def column_loop_segment_sum(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """Segment sum with one bincount per column."""
+    out = np.empty((num_rows, values.shape[1]))
+    for j in range(values.shape[1]):
+        out[:, j] = np.bincount(idx, weights=values[:, j], minlength=num_rows)
+    return out
 
 
 def dense_sce(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float) -> float:

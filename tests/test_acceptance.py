@@ -26,6 +26,7 @@ from riskprop.hgmae import (
     hgmae_loss,
     hgmae_step,
     make_step_plans,
+    plan_graph,
     pretrain,
     sample_mask,
 )
@@ -73,16 +74,17 @@ def test_criterion_1_gradient_correctness():
     g = twelve_node_two_type_graph()
     cfg = TrainConfig(d_emb=5, hidden_heads=2, hidden_head_dim=4, rng_seed=7)
     params = fresh_params(g, cfg, seed=11)  # tokens moved off zero: generic point
-    plans = make_step_plans(g, cfg, np.random.default_rng(33))
+    gp = plan_graph(g)
+    plans = make_step_plans(gp, cfg, np.random.default_rng(33))
 
     arrays = {name: t.data for name, t in params.named_tensors().items()}
-    loss, _ = hgmae_loss(g, params, cfg, plans)
+    loss, _ = hgmae_loss(gp, params, cfg, plans)
     params.zero_grads()
     backward(loss)
     analytic = {name: t.grad.copy() for name, t in params.named_tensors().items()}
 
     report = grad_check(
-        lambda: hgmae_loss(g, params, cfg, plans)[0].item(), arrays, analytic, h=1e-5, tol=1e-4
+        lambda: hgmae_loss(gp, params, cfg, plans)[0].item(), arrays, analytic, h=1e-5, tol=1e-4
     )
     elapsed = time.monotonic() - start
     assert report.passed, (report.max_rel_err, report.worst_param, report.worst_index)
@@ -96,8 +98,9 @@ def test_criterion_2_loss_formula_oracle():
     for g in graphs:
         cfg = TrainConfig(d_emb=5, hidden_heads=2, hidden_head_dim=4, rng_seed=1)
         params = fresh_params(g, cfg, seed=2)
-        plans = make_step_plans(g, cfg, np.random.default_rng(12))
-        res = hgmae_step(g, params, cfg, np.random.default_rng(12))
+        gp = plan_graph(g)
+        plans = make_step_plans(gp, cfg, np.random.default_rng(12))
+        res = hgmae_step(gp, params, cfg, np.random.default_rng(12))
 
         dense_total, dense_full, dense_subs = dense_hgmae_loss(g, params, cfg, plans)
         recombined = dense_full + cfg.eta / len(dense_subs) * sum(dense_subs.values())
@@ -107,8 +110,9 @@ def test_criterion_2_loss_formula_oracle():
 
         # eta = 0 reproduces the full-graph-only loss exactly
         cfg0 = dataclasses.replace(cfg, eta=0.0)
-        res0 = hgmae_step(g, params, cfg0, np.random.default_rng(12))
-        replay0, _ = hgmae_loss(g, params, cfg0, make_step_plans(g, cfg0, np.random.default_rng(12)))
+        res0 = hgmae_step(gp, params, cfg0, np.random.default_rng(12))
+        plans0 = make_step_plans(gp, cfg0, np.random.default_rng(12))
+        replay0, _ = hgmae_loss(gp, params, cfg0, plans0)
         assert res0.loss == res0.loss_full == replay0.item()
 
 

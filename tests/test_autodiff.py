@@ -5,6 +5,8 @@ from riskprop import autodiff as ad
 from riskprop.autodiff import NumericFault, Tensor, backward, grad_check
 from riskprop.optim import AdamState, adam_step
 
+from oracles import column_loop_segment_sum
+
 
 def run_check(build_loss, params, h=1e-6, tol=1e-6):
     """FD-check the tape gradients of build_loss(dict of Tensors) -> scalar."""
@@ -101,6 +103,17 @@ def test_non_finite_op_output_raises():
             ad.exp(t)
     with pytest.raises(NumericFault):
         Tensor(np.array([np.inf]))
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_segment_sum_bit_identical_to_column_loop(d):
+    rng = np.random.default_rng(d)
+    idx = rng.choice([0, 2, 3, 5, 8], size=200)  # unsorted, bins 1, 4, 6, 7, 9 empty
+    values = rng.standard_normal((200, d)) * 10.0 ** rng.integers(-8, 9, size=(200, d))
+    got = ad._segment_sum(values, idx, 10)
+    assert got.shape == (10, d)
+    assert np.array_equal(got, column_loop_segment_sum(values, idx, 10))
+    assert not got[[1, 4, 6, 7, 9]].any()
 
 
 def test_backward_requires_scalar_root():

@@ -11,13 +11,13 @@ from riskprop.gat import (
     init_gat_layer,
 )
 
-from oracles import dense_adjacency, dense_gat_layer, dense_stack, layers_as_arrays
+from oracles import dense_adjacency, dense_gat_layer, dense_stack, layers_as_arrays, tape_gat_layer
 
 NO_EDGES = np.zeros((0, 2), dtype=np.int64)
 
 
-def random_layer(d_in, d_out, heads=1, merge="concat", activation="elu", seed=0):
-    return init_gat_layer(np.random.default_rng(seed), d_in, d_out, heads, merge, activation)
+def random_layer(d_in, d_out, heads=1, activation="elu", seed=0):
+    return init_gat_layer(np.random.default_rng(seed), d_in, d_out, heads, activation)
 
 
 def test_single_node_softmax_over_self_loop():
@@ -41,15 +41,17 @@ def test_isolated_nodes_independent_and_permutable():
     np.testing.assert_array_equal(out, flipped[::-1])
 
 
+# ids name the head merge, which is always concatenation
 @pytest.mark.parametrize(
-    "heads,merge,activation",
-    [(1, "concat", "identity"), (1, "concat", "elu"), (3, "concat", "elu"), (3, "mean", "elu")],
+    "heads,activation",
+    [(1, "identity"), (1, "elu"), (3, "elu")],
+    ids=["1-concat-identity", "1-concat-elu", "3-concat-elu"],
 )
-def test_matches_dense_reference_on_path_graph(heads, merge, activation):
+def test_matches_dense_reference_on_path_graph(heads, activation):
     rng = np.random.default_rng(4)
     edges = np.array([[0, 1], [1, 2], [2, 3]])
     x = rng.standard_normal((4, 5))
-    params = init_gat_layer(rng, 5, 3, heads, merge, activation)
+    params = init_gat_layer(rng, 5, 3, heads, activation)
     out = gat_layer_forward(params, Tensor(x), edges).data
     expected = dense_gat_layer(
         [w.data for w in params.weights],
@@ -57,7 +59,6 @@ def test_matches_dense_reference_on_path_graph(heads, merge, activation):
         x,
         dense_adjacency(edges, 4),
         params.leaky_slope,
-        merge,
         activation,
     )
     np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
@@ -67,7 +68,7 @@ def test_stack_matches_dense_reference_on_six_node_graph():
     rng = np.random.default_rng(9)
     edges = np.array([[0, 1], [0, 2], [1, 3], [2, 4], [4, 5], [1, 2]])
     x = rng.standard_normal((6, 4))
-    layers = [init_gat_layer(rng, 4, 3, 2, "concat", "elu"), init_gat_layer(rng, 6, 2, 1, "concat", "identity")]
+    layers = [init_gat_layer(rng, 4, 3, 2, "elu"), init_gat_layer(rng, 6, 2, 1, "identity")]
     out = gat_stack_forward(layers, Tensor(x), edges).data
     expected = dense_stack(layers_as_arrays(layers), x, dense_adjacency(edges, 6))
     np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
@@ -106,7 +107,7 @@ def test_edge_removal_is_local_to_receptive_field():
     edges = np.array([[i, i + 1] for i in range(7)])
     pruned = np.array([e for e in edges.tolist() if e != [3, 4]])
     x = rng.standard_normal((8, 3))
-    layers = [init_gat_layer(rng, 3, 4, 2, "concat", "elu"), init_gat_layer(rng, 8, 3, 1, "concat", "identity")]
+    layers = [init_gat_layer(rng, 3, 4, 2, "elu"), init_gat_layer(rng, 8, 3, 1, "identity")]
     full = gat_stack_forward(layers, Tensor(x), edges).data
     cut = gat_stack_forward(layers, Tensor(x), pruned).data
     unaffected = [0, 1, 6, 7]  # min(dist to 3, dist to 4) >= 2
@@ -116,14 +117,13 @@ def test_edge_removal_is_local_to_receptive_field():
 
 
 @pytest.mark.parametrize(
-    "heads,merge,activation",
-    [(1, "concat", "identity"), (2, "concat", "elu"), (2, "mean", "elu")],
+    "heads,activation", [(1, "identity"), (2, "elu")], ids=["1-concat-identity", "2-concat-elu"]
 )
-def test_layer_gradients_pass_finite_difference_check(heads, merge, activation):
+def test_layer_gradients_pass_finite_difference_check(heads, activation):
     rng = np.random.default_rng(21)
     edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
     x = rng.standard_normal((4, 3))
-    params = init_gat_layer(rng, 3, 2, heads, merge, activation)
+    params = init_gat_layer(rng, 3, 2, heads, activation)
     arrays = {}
     for h, (w, a) in enumerate(zip(params.weights, params.attn)):
         arrays[f"W{h}"] = w.data
@@ -147,7 +147,62 @@ def test_layer_gradients_pass_finite_difference_check(heads, merge, activation):
 
 
 def test_build_message_pairs_sorted_with_self_loops():
-    dst, src = build_message_pairs(np.array([[1, 2], [0, 2]]), 3)
-    assert list(zip(dst.tolist(), src.tolist())) == [
+    pairs = build_message_pairs(np.array([[1, 2], [0, 2]]), 3)
+    assert list(zip(pairs.dst.tolist(), pairs.src.tolist())) == [
         (0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
     ]
+    assert pairs.starts.tolist() == [0, 2, 4]
+
+
+def test_layer_rejects_pairs_built_for_another_graph():
+    pairs = build_message_pairs(np.array([[0, 1]]), 2)
+    with pytest.raises(ValueError, match="cover 2 nodes, features have 3"):
+        gat_layer_forward(random_layer(2, 2), Tensor(np.ones((3, 2))), pairs)
+
+
+# -- the fused head against its generic-op composition ----------------------
+
+# 0-1-2-3 path, a triangle 4-5-6 with a chord to 2, and isolated nodes 7 and 8
+FUSED_EDGES = np.array([[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [4, 6], [2, 6]])
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("activation", ["elu", "identity"])
+def test_fused_head_bit_identical_to_tape_composition(heads, activation):
+    rng = np.random.default_rng(40 + heads)
+    x_arr = rng.standard_normal((9, 5))
+    weight = rng.standard_normal((9, 3 * heads))
+    layer = init_gat_layer(rng, 5, 3, heads, activation)
+    pairs = build_message_pairs(FUSED_EDGES, 9)
+
+    def run(forward):
+        x = Tensor(x_arr.copy())
+        for t in layer.weights + layer.attn:
+            t.zero_grad()
+        out, alphas = forward(x)
+        backward(ad.total_sum(ad.mul(out, ad.constant(weight))))
+        grads = [x.grad] + [t.grad.copy() for t in layer.weights + layer.attn]
+        return out.data, alphas, grads
+
+    def fused(x):
+        out, (_, _, alphas) = gat_layer_forward(layer, x, pairs, return_attention=True)
+        return out, alphas
+
+    fused_out, fused_alphas, fused_grads = run(fused)
+    ref_out, ref_alphas, ref_grads = run(lambda x: tape_gat_layer(layer, x, pairs.dst, pairs.src))
+    assert np.array_equal(fused_out, ref_out)
+    assert len(fused_alphas) == heads
+    for got, want in zip(fused_alphas, ref_alphas):
+        assert np.array_equal(got, want)
+    for got, want in zip(fused_grads, ref_grads):
+        assert np.array_equal(got, want)
+    # isolated nodes attend only to themselves
+    isolated = np.isin(pairs.dst, [7, 8])
+    assert all(np.array_equal(alpha[isolated], [1.0, 1.0]) for alpha in fused_alphas)
+
+
+def test_fused_head_names_itself_on_non_finite_weight():
+    layer = random_layer(3, 2, heads=2)
+    layer.weights[1].data[0, 1] = np.nan
+    with pytest.raises(ad.NumericFault, match="gat_head"):
+        gat_layer_forward(layer, Tensor(np.ones((4, 3))), FUSED_EDGES[:3])

@@ -1,10 +1,15 @@
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riskprop import hgmae
-from riskprop.autodiff import Tensor, backward, constant
+from riskprop.autodiff import NumericFault, Tensor, backward, constant
+from riskprop.experiment import ExperimentConfig, build_world
 from riskprop.gat import GATLayerParams
 from riskprop.graph import Subgraph
 from riskprop.hgmae import (
@@ -21,6 +26,8 @@ from riskprop.hgmae import (
     load_embeddings,
     make_step_plans,
     merge_losses,
+    message_pairs,
+    plan_graph,
     pretrain,
     remask_and_decode,
     sample_mask,
@@ -141,8 +148,8 @@ def test_encode_single_node_depends_only_on_its_features():
     g1 = make_graph(1, {0: np.zeros((0, 2))}, d_in=2)
     g2 = make_graph(1, {0: np.zeros((0, 2))}, d_in=2, seed=9)
     params = fresh_params(g1, cfg)
-    h1 = encode(g1, constant(x), params).data
-    h2 = encode(g2, constant(x), params).data
+    h1 = encode(message_pairs(g1), constant(x), params).data
+    h2 = encode(message_pairs(g2), constant(x), params).data
     np.testing.assert_array_equal(h1, h2)
 
 
@@ -173,14 +180,15 @@ def test_remask_with_no_masked_rows_keeps_latent():
     x = np.random.default_rng(0).standard_normal((4, 3))
     params = identity_decoder_params(3)
     latent = constant(x)
-    out = remask_and_decode(latent, manual_plan(4, []), params, edgeless_subgraph(x))
+    out = remask_and_decode(latent, manual_plan(4, []), params, message_pairs(edgeless_subgraph(x)))
     np.testing.assert_array_equal(out.data, x)
 
 
 def test_remask_all_rows_become_token():
     x = np.random.default_rng(0).standard_normal((4, 3))
     params = identity_decoder_params(3)
-    out = remask_and_decode(constant(x), manual_plan(4, [0, 1, 2, 3]), params, edgeless_subgraph(x))
+    pairs = message_pairs(edgeless_subgraph(x))
+    out = remask_and_decode(constant(x), manual_plan(4, [0, 1, 2, 3]), params, pairs)
     np.testing.assert_array_equal(out.data, np.tile(params.remask_token.data, (4, 1)))
 
 
@@ -273,10 +281,11 @@ def test_merge_losses_eta_zero_returns_full_term():
 def test_step_loss_matches_replayed_plans_and_dense_oracle(two_type_graph, tiny_cfg):
     g = two_type_graph
     params = fresh_params(g, tiny_cfg)
-    plans = make_step_plans(g, tiny_cfg, np.random.default_rng(33))
-    res = hgmae_step(g, params, tiny_cfg, np.random.default_rng(33))
+    gp = plan_graph(g)
+    plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(33))
+    res = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(33))
 
-    replayed, parts = hgmae_loss(g, params, tiny_cfg, plans)
+    replayed, parts = hgmae_loss(gp, params, tiny_cfg, plans)
     assert res.loss == replayed.item()
     assert res.loss_full == parts.full
 
@@ -288,12 +297,10 @@ def test_step_loss_matches_replayed_plans_and_dense_oracle(two_type_graph, tiny_
 
 
 def test_step_eta_zero_equals_full_graph_term(two_type_graph, tiny_cfg):
-    import dataclasses
-
     g = two_type_graph
     cfg0 = dataclasses.replace(tiny_cfg, eta=0.0)
     params = fresh_params(g, cfg0)
-    res = hgmae_step(g, params, cfg0, np.random.default_rng(5))
+    res = hgmae_step(plan_graph(g), params, cfg0, np.random.default_rng(5))
     assert res.loss == res.loss_full
     assert math.isnan(res.loss_sub_mean)
 
@@ -301,8 +308,9 @@ def test_step_eta_zero_equals_full_graph_term(two_type_graph, tiny_cfg):
 def test_step_grads_do_not_accumulate_across_calls(two_type_graph, tiny_cfg):
     g = two_type_graph
     params = fresh_params(g, tiny_cfg)
-    a = hgmae_step(g, params, tiny_cfg, np.random.default_rng(7))
-    b = hgmae_step(g, params, tiny_cfg, np.random.default_rng(7))
+    gp = plan_graph(g)
+    a = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(7))
+    b = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(7))
     for name in a.grads:
         np.testing.assert_array_equal(a.grads[name], b.grads[name])
 
@@ -310,8 +318,9 @@ def test_step_grads_do_not_accumulate_across_calls(two_type_graph, tiny_cfg):
 def test_step_skips_empty_edge_types(tiny_cfg):
     g = make_graph(12, {0: [(i, i + 1) for i in range(11)], 1: np.zeros((0, 2))}, d_in=4)
     params = fresh_params(g, tiny_cfg)
-    res = hgmae_step(g, params, tiny_cfg, np.random.default_rng(0))
-    plans = make_step_plans(g, tiny_cfg, np.random.default_rng(0))
+    gp = plan_graph(g)
+    res = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(0))
+    plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(0))
     assert list(plans.subs) == [0]  # only the nonempty type draws a plan
     assert math.isfinite(res.loss)
 
@@ -320,7 +329,7 @@ def test_all_edge_types_empty_warns_and_degenerates(tiny_cfg):
     g = make_graph(10, {0: np.zeros((0, 2))}, d_in=4)
     params = fresh_params(g, tiny_cfg)
     with pytest.warns(UserWarning, match="full graph only"):
-        res = hgmae_step(g, params, tiny_cfg, np.random.default_rng(1))
+        res = hgmae_step(plan_graph(g), params, tiny_cfg, np.random.default_rng(1))
     assert res.loss == res.loss_full
 
 
@@ -328,8 +337,9 @@ def test_eq2_linearity_with_replayed_plans(two_type_graph, tiny_cfg):
     # total with eta=1 equals full + mean of per-type terms computed separately
     g = two_type_graph
     params = fresh_params(g, tiny_cfg)
-    plans = make_step_plans(g, tiny_cfg, np.random.default_rng(2))
-    total, parts = hgmae_loss(g, params, tiny_cfg, plans)
+    gp = plan_graph(g)
+    plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(2))
+    total, parts = hgmae_loss(gp, params, tiny_cfg, plans)
     recombined = parts.full + tiny_cfg.eta * np.mean(list(parts.subs.values()))
     assert total.item() == pytest.approx(recombined, abs=1e-12)
 
@@ -359,6 +369,40 @@ def test_pretrain_loss_decreases(two_type_graph):
     cfg = TrainConfig(epochs=60, d_emb=5, hidden_heads=2, hidden_head_dim=4, lr=0.01, rng_seed=1)
     _, history = pretrain(two_type_graph, cfg)
     assert history[-1].loss_total < history[0].loss_total
+
+
+REFERENCE = json.loads((Path(__file__).parent / "pretrain_reference.json").read_text())
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.0])
+def test_pretrain_bit_identical_to_recorded_reference(eta):
+    # losses and embeddings recorded before the attention head was fused;
+    # any change to the order of a float sum shows here as a changed bit
+    want = REFERENCE["variants"][f"eta={eta!r}"]
+    exp = ExperimentConfig()
+    _, g, _, _ = build_world(exp, 0)
+    cfg = dataclasses.replace(exp.pretrain, rng_seed=0, epochs=20, eta=eta)
+    params, history = pretrain(g, cfg)
+    got = [[repr(h.loss_total), repr(h.loss_full), repr(h.loss_sub_mean)] for h in history]
+    assert got == want["loss_repr"]
+    emb = infer_embeddings(g, params)
+    assert list(emb.shape) == want["embeddings_shape"]
+    assert hashlib.sha256(emb.tobytes()).hexdigest() == want["embeddings_sha256"]
+
+
+def test_pretrain_fault_names_epoch_and_op(monkeypatch, two_type_graph, tiny_cfg):
+    real_adam_step = hgmae.adam_step
+    updates = []
+
+    def poisoning_adam_step(state, tensors, grads):
+        real_adam_step(state, tensors, grads)
+        updates.append(1)
+        if len(updates) == 2:
+            tensors["encoder.0.head1.W"].data[0, 0] = np.nan
+
+    monkeypatch.setattr(hgmae, "adam_step", poisoning_adam_step)
+    with pytest.raises(NumericFault, match=r"^epoch 3: non-finite output from gat_head$"):
+        pretrain(two_type_graph, tiny_cfg)
 
 
 def test_infer_embeddings_deterministic_and_mask_free(two_type_graph, tiny_cfg):
