@@ -57,6 +57,7 @@ from .hgmae import (
 )
 from .optim import AdamState, adam_step
 from .pairs import (
+    CandidatePairs,
     PairConstructionError,
     PairDatasetSplit,
     PropagationPair,

@@ -170,16 +170,10 @@ def binary_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     n_neg = int(np.sum(y_true == 0))
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # tied scores share the mean of their 1-based ranks, an exact half
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    ranks = ((2 * last - counts + 1) / 2.0)[group]
     rank_sum = float(ranks[y_true == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -213,19 +207,49 @@ def save_classifier(model: ClassifierModel, path: Path | str) -> None:
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
+_CLASSIFIER_KEYS = ("kind", "bias", "weights", "feat_mean", "feat_std")
+
+
 def load_classifier(path: Path | str) -> ClassifierModel:
+    """Read a save_classifier file; a malformed one fails with path:line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"classifier file not found: {path}")
-    raw: dict[str, str] = {}
-    for line in path.read_text().splitlines():
-        key, val = line.split("\t", 1)
-        raw[key] = val
-    vec = lambda s: np.array([float(t) for t in s.split(" ")]) if s else np.zeros(0)
-    return ClassifierModel(
-        kind=raw["kind"],
-        weights=vec(raw["weights"]),
-        bias=float(raw["bias"]),
-        feat_mean=vec(raw["feat_mean"]),
-        feat_std=vec(raw["feat_std"]),
-    )
+    lines = path.read_text().splitlines()
+    raw: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        key, tab, val = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{path}:{lineno}: expected key<TAB>value")
+        if key not in _CLASSIFIER_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = (lineno, val)
+    for key in _CLASSIFIER_KEYS:
+        if key not in raw:
+            raise ValueError(f"{path}:{len(lines) + 1}: missing key {key!r}")
+
+    def numbers(key: str) -> np.ndarray:
+        lineno, val = raw[key]
+        try:
+            return np.array([float(t) for t in val.split(" ")]) if val else np.zeros(0)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad number in {key}") from None
+
+    lineno, kind = raw["kind"]
+    if kind not in CLASSIFIER_TRAINERS:
+        raise ValueError(f"{path}:{lineno}: unknown classifier kind {kind!r}")
+    bias = numbers("bias")
+    if bias.shape != (1,):
+        raise ValueError(f"{path}:{raw['bias'][0]}: bias must be one number")
+    weights = numbers("weights")
+    stats = {}
+    for key in ("feat_mean", "feat_std"):
+        stats[key] = numbers(key)
+        if stats[key].shape != weights.shape:
+            raise ValueError(
+                f"{path}:{raw[key][0]}: {key} has {stats[key].size} values, "
+                f"weights has {weights.size}"
+            )
+    return ClassifierModel(kind=kind, weights=weights, bias=float(bias[0]), **stats)

@@ -109,19 +109,27 @@ class HeteroGraph:
         return len(self.edge_type_names)
 
     def union_edges(self) -> np.ndarray:
-        """All edges across types with multi-type duplicates collapsed."""
+        """All edges across types with multi-type duplicates collapsed, rows
+        in lexicographic order."""
         parts = [e for e in self.edge_lists.values() if e.size]
         if not parts:
             return np.zeros((0, 2), dtype=np.int64)
-        return np.unique(np.concatenate(parts, axis=0), axis=0)
+        edges = np.concatenate(parts, axis=0)
+        n = self.num_nodes
+        keys = np.unique(edges[:, 0] * n + edges[:, 1])
+        return np.stack([keys // n, keys % n], axis=1)
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Sorted undirected neighbor array per node over the union of types."""
-        nbrs: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.union_edges():
-            nbrs[u].append(int(v))
-            nbrs[v].append(int(u))
-        return [np.array(sorted(a), dtype=np.int64) for a in nbrs]
+    def union_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Undirected union graph as CSR (indptr, indices): the neighbours of
+        node u are indices[indptr[u]:indptr[u + 1]], ascending."""
+        edges = self.union_edges()
+        n = self.num_nodes
+        src = np.concatenate([edges[:, 0], edges[:, 1]])
+        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        order = np.argsort(src * n + dst)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return indptr, dst[order]
 
 
 @dataclass

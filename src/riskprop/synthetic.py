@@ -38,6 +38,10 @@ DEFAULT_EDGE_TYPE_NAMES = (
 )
 
 
+# unordered node pairs per uniform draw in generate_graph
+_PAIR_CHUNK = 1 << 16
+
+
 class ConfigValidationError(ValueError):
     """Raised with every offending field listed, not just the first."""
 
@@ -125,18 +129,36 @@ def generate_graph(cfg: GenConfig) -> HeteroGraph:
     for each edge type (pairs in np.triu_indices order, types ascending);
     issuer choice (num_issuers ids without replacement); feature noise as a
     single standard-normal block [num_nodes, d_in].
+
+    The pair uniforms are drawn _PAIR_CHUNK at a time, which replays the same
+    stream as one draw per type, so memory stays O(chunk + edges) rather
+    than O(num_nodes^2).
     """
     rng = np.random.default_rng([cfg.rng_seed, 0])
     n = cfg.num_nodes
     comm = rng.permutation(np.arange(n) % cfg.num_communities)
 
-    iu, iv = np.triu_indices(n, k=1)
-    same = comm[iu] == comm[iv]
+    # flat triu index f of pair (u, v), u < v, is row_start[u] + v - u - 1
+    row_start = np.zeros(n, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, 0, -1), out=row_start[1:])
+    num_pairs = n * (n - 1) // 2
     edge_lists: dict[int, np.ndarray] = {}
     for k in range(cfg.num_edge_types):
-        p = np.where(same, cfg.intra_edge_prob[k], cfg.inter_edge_prob[k])
-        keep = rng.random(iu.shape[0]) < p
-        edge_lists[k] = np.stack([iu[keep], iv[keep]], axis=1).astype(np.int64)
+        p_intra, p_inter = cfg.intra_edge_prob[k], cfg.inter_edge_prob[k]
+        # a pair is kept iff its uniform < its probability <= the larger one,
+        # so only uniforms below the larger probability need their pair
+        p_max = max(p_intra, p_inter)
+        hits, draws = [], []
+        for lo in range(0, num_pairs, _PAIR_CHUNK):
+            r = rng.random(min(_PAIR_CHUNK, num_pairs - lo))
+            idx = np.flatnonzero(r < p_max)
+            hits.append(idx + lo)
+            draws.append(r[idx])
+        flat = np.concatenate(hits)
+        u = np.searchsorted(row_start, flat, side="right") - 1
+        v = flat - row_start[u] + u + 1
+        keep = np.concatenate(draws) < np.where(comm[u] == comm[v], p_intra, p_inter)
+        edge_lists[k] = np.stack([u[keep], v[keep]], axis=1)
 
     issuer_ids = rng.choice(n, size=num_issuers(cfg), replace=False)
     flags = np.zeros(n, dtype=bool)
@@ -172,33 +194,37 @@ def simulate_cascade(g: HeteroGraph, cfg: GenConfig) -> list[DefaultEvent]:
         )
     seeds = rng.choice(issuer_ids, size=cfg.num_seed_defaults, replace=False)
 
-    # attempts[u] -> list of (coin, type, neighbor); coins pre-drawn per directed edge
-    attempts: dict[int, list[tuple[float, int, int]]] = {}
+    # coins pre-drawn per directed edge; the attempts that succeed are the
+    # live edges, and a node defaults at its BFS distance from the seeds
+    live_src, live_dst = [], []
     for k in range(g.num_edge_types):
         edges = g.edge_lists[k]
         coins = rng.random((edges.shape[0], 2))
-        for j, (u, v) in enumerate(edges):
-            attempts.setdefault(int(u), []).append((coins[j, 0], k, int(v)))
-            attempts.setdefault(int(v), []).append((coins[j, 1], k, int(u)))
+        live = coins < cfg.transmission_prob[k]
+        live_src += [edges[live[:, 0], 0], edges[live[:, 1], 1]]
+        live_dst += [edges[live[:, 0], 1], edges[live[:, 1], 0]]
+    src = np.concatenate(live_src)
+    dst = np.concatenate(live_dst)
 
-    default_time: dict[int, int] = {int(s): 0 for s in seeds}
-    frontier = sorted(default_time)
+    default_time = np.full(g.num_nodes, -1, dtype=np.int64)
+    default_time[seeds] = 0
+    frontier = np.zeros(g.num_nodes, dtype=bool)
+    frontier[seeds] = True
     for tick in range(1, cfg.max_cascade_hops + 1):
-        infected: set[int] = set()
-        for u in frontier:
-            for coin, k, nbr in attempts.get(u, []):
-                if nbr not in default_time and coin < cfg.transmission_prob[k]:
-                    infected.add(nbr)
-        for v in infected:
-            default_time[v] = tick
-        frontier = sorted(infected)
-        if not frontier:
+        infected = dst[frontier[src]]
+        infected = infected[default_time[infected] < 0]
+        if not infected.size:
             break
+        default_time[infected] = tick
+        frontier[:] = False
+        frontier[infected] = True
 
-    return sorted(
-        (DefaultEvent(node_id=nid, default_time=t) for nid, t in default_time.items()),
-        key=lambda e: (e.default_time, e.node_id),
-    )
+    defaulted = np.flatnonzero(default_time >= 0)
+    defaulted = defaulted[np.argsort(default_time[defaulted], kind="stable")]
+    return [
+        DefaultEvent(node_id=nid, default_time=t)
+        for nid, t in zip(defaulted.tolist(), default_time[defaulted].tolist())
+    ]
 
 
 def attach_task_features(

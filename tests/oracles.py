@@ -5,11 +5,15 @@ style (dense matrices, per-node loops, level-set BFS) so agreement with the
 library is meaningful. The exceptions are the bit-exact references for the
 library's fused kernels: the attention head composed from generic tape ops
 (tape_gat_head) and the one-bincount-per-column segment sum. Those must
-agree with the library bit for bit, not within a tolerance. These functions
-are test fixtures, not product code.
+agree with the library bit for bit, not within a tolerance. The per-source
+dict/deque BFS (bfs_distances over neighbor_lists) is the loop that the
+library's multi-source array BFS replaced; the two must give the same
+distances. These functions are test fixtures, not product code.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -190,6 +194,32 @@ def cascade_by_live_edges(g: HeteroGraph, cfg: GenConfig) -> list[DefaultEvent]:
         (DefaultEvent(node_id=nid, default_time=t) for nid, t in dist.items()),
         key=lambda e: (e.default_time, e.node_id),
     )
+
+
+def neighbor_lists(g: HeteroGraph) -> list[np.ndarray]:
+    """Sorted undirected neighbour array per node over the union of types."""
+    nbrs: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for u, v in g.union_edges():
+        nbrs[u].append(int(v))
+        nbrs[v].append(int(u))
+    return [np.array(sorted(a), dtype=np.int64) for a in nbrs]
+
+
+def bfs_distances(neighbors: list[np.ndarray], start: int, max_hops: int) -> dict[int, int]:
+    """Hop distance to every node within max_hops of start (start included),
+    by a per-source dict/deque BFS."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == max_hops:
+            continue
+        for v in neighbors[u]:
+            v = int(v)
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def level_set_distances(adj: np.ndarray, start: int, max_hops: int) -> dict[int, int]:

@@ -180,6 +180,16 @@ def test_auc_matches_exhaustive_ranking_exactly():
         assert binary_auc(y, scores) == exhaustive_auc(y.tolist(), scores.tolist())
 
 
+def test_auc_matches_exhaustive_ranking_when_most_scores_tie():
+    from oracles import exhaustive_auc
+
+    rng = np.random.default_rng(4)
+    y = rng.integers(0, 2, 300)
+    scores = rng.choice([0.25, 0.5, 0.75], size=300, p=[0.1, 0.8, 0.1])
+    scores[:5] = rng.random(5)  # a few untied scores among the ties
+    assert binary_auc(y, scores) == exhaustive_auc(y.tolist(), scores.tolist())
+
+
 def test_auc_single_class_is_nan():
     assert np.isnan(binary_auc([1, 1], [0.2, 0.4]))
 
@@ -203,3 +213,48 @@ def test_classifier_roundtrip(tmp_path):
     assert loaded.bias == model.bias
     X = np.stack([fusion_fn(p) for p in split.test])
     np.testing.assert_array_equal(loaded.scores(X), model.scores(X))
+
+
+def _saved_classifier_lines(tmp_path):
+    split, fusion_fn = separable_split()
+    save_classifier(train_classifier(split, fusion_fn), tmp_path / "clf.tsv")
+    return (tmp_path / "clf.tsv").read_text().splitlines()
+
+
+def _drop_last_value(line):
+    return line.rsplit(" ", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, where, reason",
+    [
+        (lambda ls: ls[:2] + [ls[2].replace("\t", " ", 1)] + ls[3:], 3, "expected key<TAB>value"),
+        (lambda ls: ls[:1] + ls[2:], 5, "missing key 'bias'"),
+        (lambda ls: ls[:4], 5, "missing key 'feat_std'"),
+        (lambda ls: ["kind\tforest"] + ls[1:], 1, "unknown classifier kind 'forest'"),
+        (lambda ls: ls + ["margin\t0.5"], 6, "unknown key 'margin'"),
+        (lambda ls: ls + [ls[1]], 6, "duplicate key 'bias'"),
+        (lambda ls: ls[:1] + ["bias\tnan?"] + ls[2:], 2, "bad number in bias"),
+        (lambda ls: ls[:1] + ["bias\t1 2"] + ls[2:], 2, "bias must be one number"),
+        (
+            lambda ls: ls[:3] + [_drop_last_value(ls[3])] + ls[4:],
+            4,
+            "feat_mean has 1 values, weights has 2",
+        ),
+        (lambda ls: ls[:4] + [_drop_last_value(ls[4])], 5, "feat_std has 1 values, weights has 2"),
+        (
+            lambda ls: ls[:2] + [_drop_last_value(ls[2])] + ls[3:],
+            4,
+            "feat_mean has 2 values, weights has 1",
+        ),
+    ],
+)
+def test_malformed_classifier_file_names_line_and_reason(tmp_path, corrupt, where, reason):
+    lines = _saved_classifier_lines(tmp_path)
+    keys = [line.split("\t")[0] for line in lines]
+    assert keys == ["kind", "bias", "weights", "feat_mean", "feat_std"]
+    path = tmp_path / "clf.tsv"
+    path.write_text("\n".join(corrupt(lines)) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_classifier(path)
+    assert str(err.value) == f"{path}:{where}: {reason}"

@@ -7,7 +7,6 @@ from riskprop.graph import DefaultEvent
 from riskprop.pairs import (
     PairConstructionError,
     PropagationPair,
-    bfs_distances,
     build_pairs,
     enumerate_candidate_pairs,
     load_pairs,
@@ -17,13 +16,13 @@ from riskprop.pairs import (
 from riskprop.synthetic import GenConfig, generate_graph, simulate_cascade
 
 from conftest import make_graph
-from oracles import brute_force_candidate_pairs
+from oracles import bfs_distances, brute_force_candidate_pairs, neighbor_lists
 
 
 def test_single_black_pair_from_later_default():
     g = make_graph(2, {0: [(0, 1)]}, issuers=[0, 1])
     events = [DefaultEvent(0, 0), DefaultEvent(1, 2)]
-    pairs = enumerate_candidate_pairs(g, events, 3)
+    pairs = enumerate_candidate_pairs(g, events, 3).to_list()
     assert PropagationPair(0, 1, 1, 1) in pairs
     assert PropagationPair(1, 0, 0, 1) in pairs  # reverse direction is white
     assert len(pairs) == 2
@@ -32,14 +31,14 @@ def test_single_black_pair_from_later_default():
 def test_same_tick_default_is_white():
     g = make_graph(2, {0: [(0, 1)]}, issuers=[0, 1])
     events = [DefaultEvent(0, 1), DefaultEvent(1, 1)]
-    pairs = enumerate_candidate_pairs(g, events, 3)
+    pairs = enumerate_candidate_pairs(g, events, 3).to_list()
     assert all(p.label == 0 for p in pairs)
 
 
 def test_earlier_default_is_white():
     g = make_graph(2, {0: [(0, 1)]}, issuers=[0, 1])
     events = [DefaultEvent(0, 3), DefaultEvent(1, 1)]
-    pairs = enumerate_candidate_pairs(g, events, 3)
+    pairs = enumerate_candidate_pairs(g, events, 3).to_list()
     assert PropagationPair(0, 1, 0, 1) in pairs
     assert PropagationPair(1, 0, 1, 1) in pairs
 
@@ -48,14 +47,14 @@ def test_targets_restricted_to_issuers_within_hops():
     # path 0-1-2-3-4; issuers 0, 2, 4; only node 0 defaults
     g = make_graph(5, {0: [(i, i + 1) for i in range(4)]}, issuers=[0, 2, 4])
     events = [DefaultEvent(0, 0), DefaultEvent(1, 1)]  # node 1 is a carrier, not an issuer
-    pairs = enumerate_candidate_pairs(g, events, 3)
+    pairs = enumerate_candidate_pairs(g, events, 3).to_list()
     assert pairs == [PropagationPair(0, 2, 0, 2)]  # node 4 is 4 hops away, node 1 not an issuer
 
 
 def test_non_issuer_default_never_a_source():
     g = make_graph(3, {0: [(0, 1), (1, 2)]}, issuers=[0, 2])
     events = [DefaultEvent(1, 0), DefaultEvent(2, 1)]
-    pairs = enumerate_candidate_pairs(g, events, 2)
+    pairs = enumerate_candidate_pairs(g, events, 2).to_list()
     assert all(p.source_id == 2 for p in pairs)
 
 
@@ -66,7 +65,7 @@ def test_candidates_match_brute_force_join_on_generated_worlds():
         events = simulate_cascade(g, cfg)
         got = [
             (p.source_id, p.target_id, p.label, p.hop_distance)
-            for p in enumerate_candidate_pairs(g, events, 3)
+            for p in enumerate_candidate_pairs(g, events, 3).to_list()
         ]
         assert got == brute_force_candidate_pairs(g, events, 3)
 
@@ -75,8 +74,8 @@ def test_hop_distances_verified_by_bfs():
     cfg = GenConfig(num_nodes=80, rng_seed=4)
     g = generate_graph(cfg)
     events = simulate_cascade(g, cfg)
-    neighbors = g.neighbor_lists()
-    for p in enumerate_candidate_pairs(g, events, 3):
+    neighbors = neighbor_lists(g)
+    for p in enumerate_candidate_pairs(g, events, 3).to_list():
         dist = bfs_distances(neighbors, p.source_id, 3)
         assert p.hop_distance == dist[p.target_id] <= 3
 
@@ -85,7 +84,7 @@ def test_balancing_keeps_blacks_and_downsamples_whites():
     cfg = GenConfig(num_nodes=120, rng_seed=1)
     g = generate_graph(cfg)
     events = simulate_cascade(g, cfg)
-    candidates = enumerate_candidate_pairs(g, events, 3)
+    candidates = enumerate_candidate_pairs(g, events, 3).to_list()
     balanced = build_pairs(g, events, 3, seed=0)
     blacks = [p for p in candidates if p.label == 1]
     n_black = len(blacks)
@@ -107,7 +106,7 @@ def test_no_duplicate_directed_pairs():
     cfg = GenConfig(num_nodes=100, rng_seed=3)
     g = generate_graph(cfg)
     events = simulate_cascade(g, cfg)
-    pairs = enumerate_candidate_pairs(g, events, 3)
+    pairs = enumerate_candidate_pairs(g, events, 3).to_list()
     keys = [(p.source_id, p.target_id) for p in pairs]
     assert len(keys) == len(set(keys))
     # both directions appear only when both endpoints defaulted

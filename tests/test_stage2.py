@@ -1,0 +1,212 @@
+"""Stage-2 outputs pinned by SHA-256, and the array paths against their loop
+references.
+
+stage2_reference.json holds digests of the generated graph, the cascade
+events, build_pairs and split_pairs for the 4k worlds 0-2 (the default
+config scaled to 4000 nodes at constant mean degree) and for the default
+world. They were recorded with the dict/deque implementations, so any
+change to a draw, an ordering or a label shows here as a changed digest.
+Re-record only for a change that is meant to change the worlds:
+
+    PYTHONPATH=src:tests python -c "import test_stage2; test_stage2.record('<commit>')"
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from riskprop import pairs as pairs_mod
+from riskprop import synthetic
+from riskprop.experiment import ExperimentConfig
+from riskprop.graph import DefaultEvent
+from riskprop.pairs import (
+    PropagationPair,
+    bfs_hops,
+    build_pairs,
+    enumerate_candidate_pairs,
+    split_pairs,
+)
+from riskprop.synthetic import GenConfig, generate_graph, simulate_cascade
+
+from conftest import make_graph
+from oracles import (
+    bfs_distances,
+    brute_force_candidate_pairs,
+    cascade_by_live_edges,
+    neighbor_lists,
+)
+
+REFERENCE_PATH = Path(__file__).parent / "stage2_reference.json"
+WORLD_4K_NODES = 4000
+WORLD_4K_SEEDS = (0, 1, 2)
+DEFAULT_WORLD_SEEDS = (0, 1, 2, 3, 4)
+PAIR_SEEDS = (0, 17)
+
+
+def world_4k_config(world_seed: int) -> GenConfig:
+    gen = ExperimentConfig().gen
+    scale = gen.num_nodes / WORLD_4K_NODES
+    return dataclasses.replace(
+        gen,
+        num_nodes=WORLD_4K_NODES,
+        intra_edge_prob=tuple(p * scale for p in gen.intra_edge_prob),
+        inter_edge_prob=tuple(p * scale for p in gen.inter_edge_prob),
+        rng_seed=world_seed,
+    )
+
+
+def _sha(parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _pair_lines(pairs) -> list[str]:
+    return [f"{p.source_id}\t{p.target_id}\t{p.label}\t{p.hop_distance}" for p in pairs]
+
+
+def graph_digest(g) -> str:
+    parts = [g.edge_lists[k].tobytes() for k in range(g.num_edge_types)]
+    return _sha(parts + [g.node_features.tobytes(), g.issuer_flags.tobytes()])
+
+
+def events_digest(events) -> str:
+    return _sha(f"{e.node_id}\t{e.default_time}" for e in events)
+
+
+def world_digests(cfg: GenConfig, pair_seeds=()) -> dict:
+    """Digests of one world and, per pair seed, of its default-config
+    (3 hops, 80/20) pairs and split."""
+    g = generate_graph(cfg)
+    events = simulate_cascade(g, cfg)
+    out = {"graph": graph_digest(g), "events": events_digest(events)}
+    for seed in pair_seeds:
+        pairs = build_pairs(g, events, 3, seed=seed)
+        split = split_pairs(pairs, 0.8, seed=seed)
+        out[f"pairs_seed{seed}"] = _sha(_pair_lines(pairs))
+        out[f"split_seed{seed}"] = _sha(
+            _pair_lines(split.train) + ["--"] + _pair_lines(split.test)
+        )
+    return out
+
+
+def record(recorded_at: str) -> None:
+    ref = {
+        "recorded_at": recorded_at,
+        "environment": "x86-64, numpy 2.4.6",
+        "world_4k": {
+            str(s): world_digests(world_4k_config(s), PAIR_SEEDS) for s in WORLD_4K_SEEDS
+        },
+        "default_world": {
+            str(s): world_digests(dataclasses.replace(GenConfig(), rng_seed=s))
+            for s in DEFAULT_WORLD_SEEDS
+        },
+    }
+    REFERENCE_PATH.write_text(json.dumps(ref, indent=1, sort_keys=True) + "\n")
+
+
+REFERENCE = json.loads(REFERENCE_PATH.read_text()) if REFERENCE_PATH.exists() else {}
+
+
+@pytest.mark.parametrize("world_seed", WORLD_4K_SEEDS)
+def test_world_4k_stage2_matches_recorded_digests(world_seed):
+    got = world_digests(world_4k_config(world_seed), PAIR_SEEDS)
+    assert got == REFERENCE["world_4k"][str(world_seed)]
+
+
+def test_default_worlds_match_recorded_digests():
+    for seed in DEFAULT_WORLD_SEEDS:
+        got = world_digests(dataclasses.replace(GenConfig(), rng_seed=seed))
+        assert got == REFERENCE["default_world"][str(seed)], seed
+
+
+def test_generator_chunk_size_does_not_change_the_world(monkeypatch):
+    # chunks of 7 pairs split rows and types at odd places; the stream must
+    # still be the one recorded with a single draw per type
+    monkeypatch.setattr(synthetic, "_PAIR_CHUNK", 7)
+    cfg = GenConfig(rng_seed=3)
+    assert graph_digest(generate_graph(cfg)) == REFERENCE["default_world"]["3"]["graph"]
+
+
+def _sparse_world(n: int, seed: int) -> GenConfig:
+    # an eighth of the default world's mean degree at every size, so some
+    # nodes are isolated and 4 hops do not reach the whole graph
+    scale = 200 / n / 8
+    gen = GenConfig()
+    return dataclasses.replace(
+        gen,
+        num_nodes=n,
+        intra_edge_prob=tuple(p * scale for p in gen.intra_edge_prob),
+        inter_edge_prob=tuple(p * scale for p in gen.inter_edge_prob),
+        rng_seed=seed,
+    )
+
+
+@pytest.mark.parametrize("n", [120, 500, 1000])
+def test_union_csr_matches_neighbor_lists(n):
+    g = generate_graph(_sparse_world(n, seed=n))
+    indptr, indices = g.union_csr()
+    nbrs = neighbor_lists(g)
+    assert any(a.size == 0 for a in nbrs)  # isolated nodes are covered
+    for u in range(n):
+        assert indices[indptr[u] : indptr[u + 1]].tolist() == nbrs[u].tolist()
+
+
+@pytest.mark.parametrize("n", [120, 500, 1000])
+@pytest.mark.parametrize("max_hops", [1, 2, 3, 4])
+def test_array_bfs_matches_deque_bfs(n, max_hops):
+    g = generate_graph(_sparse_world(n, seed=n + max_hops))
+    nbrs = neighbor_lists(g)
+    isolated = [u for u in range(n) if nbrs[u].size == 0]
+    rng = np.random.default_rng(max_hops)
+    sources = np.unique(np.concatenate([rng.choice(n, size=70, replace=False), isolated[:3]]))
+    hops = bfs_hops(*g.union_csr(), sources, max_hops)
+    assert hops.shape == (sources.size, n)
+    for row, s in zip(hops, sources.tolist()):
+        want = bfs_distances(nbrs, s, max_hops)
+        got = {v: int(d) for v, d in enumerate(row) if d >= 0}
+        assert got == want
+
+
+def test_multi_chunk_enumeration_matches_one_chunk(monkeypatch):
+    cfg = dataclasses.replace(GenConfig(), num_nodes=300, rng_seed=2)
+    g = generate_graph(cfg)
+    events = simulate_cascade(g, cfg)
+    whole = enumerate_candidate_pairs(g, events, 3)
+    monkeypatch.setattr(pairs_mod, "_BFS_CELLS", 5 * cfg.num_nodes)  # 5 sources per chunk
+    chunked = enumerate_candidate_pairs(g, events, 3)
+    for col in ("source", "target", "label", "hop"):
+        assert getattr(whole, col).dtype == np.int64
+        assert np.array_equal(getattr(whole, col), getattr(chunked, col)), col
+
+
+def test_source_with_no_issuer_in_reach_adds_no_pairs():
+    # 0-1-2 and 3-4 plus isolated 5: source 3 reaches only the non-issuer 4,
+    # source 5 reaches nothing
+    g = make_graph(6, {0: [(0, 1), (1, 2)], 1: [(3, 4)]}, issuers=[0, 2, 3, 5])
+    events = [DefaultEvent(0, 0), DefaultEvent(3, 0), DefaultEvent(5, 1), DefaultEvent(2, 2)]
+    got = enumerate_candidate_pairs(g, events, 3)
+    assert len(got) == 2
+    assert got.to_list() == [PropagationPair(0, 2, 1, 2), PropagationPair(2, 0, 0, 2)]
+    assert [tuple(p) for p in brute_force_candidate_pairs(g, events, 3)] == [
+        (0, 2, 1, 2),
+        (2, 0, 0, 2),
+    ]
+
+
+def test_cascade_matches_live_edge_oracle_at_1000_nodes():
+    for seed in range(3):
+        cfg = _sparse_world(1000, seed)
+        cfg = dataclasses.replace(cfg, num_seed_defaults=20, max_cascade_hops=8)
+        g = generate_graph(cfg)
+        events = simulate_cascade(g, cfg)
+        assert len(events) > cfg.num_seed_defaults
+        assert events == cascade_by_live_edges(g, cfg)

@@ -101,9 +101,9 @@ def test_full_transmission_floods_at_bfs_distance():
     times = {e.node_id: e.default_time for e in events}
     seed = next(e.node_id for e in events if e.default_time == 0)
     # per-node BFS over the union graph
-    from riskprop.pairs import bfs_distances
+    from oracles import bfs_distances, neighbor_lists
 
-    dist = bfs_distances(g.neighbor_lists(), seed, cfg.max_cascade_hops)
+    dist = bfs_distances(neighbor_lists(g), seed, cfg.max_cascade_hops)
     assert times == dist
     assert len(times) == 30  # graph this dense is connected
 
