@@ -6,10 +6,9 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .classify import (
     ClassifierConfig,
     ClassifierModel,
-    FusionVector,
     binary_auc,
-    build_fusion,
     evaluate,
+    make_fusion_fn,
     micro_f1,
     train_classifier,
 )

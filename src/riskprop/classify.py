@@ -2,9 +2,9 @@
 
 A pair's classifier input concatenates, for the source then the target, the
 issuer's task features with its pre-trained embedding row. The in-repo model
-is L2-regularized logistic regression on train-standardized inputs (other
-kinds can be registered); headline metric is micro-F1, which equals accuracy
-for single-label binary prediction, with AUC as a rank-based diagnostic.
+is L2-regularized logistic regression on train-standardized inputs. The
+headline metric is micro-F1, which equals accuracy for single-label binary
+prediction, with AUC as a rank-based diagnostic.
 """
 
 from __future__ import annotations
@@ -18,33 +18,36 @@ from .graph import atomic_write_text
 from .pairs import PairDatasetSplit, PropagationPair
 
 
-@dataclass
-class FusionVector:
-    source: np.ndarray
-    target: np.ndarray
-    merged: np.ndarray
-
-
-def build_fusion(
-    pair: PropagationPair, task: dict[int, np.ndarray], embeddings: np.ndarray
-) -> FusionVector:
-    """[task_s | emb_s | task_t | emb_t]; missing rows are hard errors."""
-    halves = []
-    for nid in (pair.source_id, pair.target_id):
-        if nid not in task:
-            raise KeyError(f"no task features for node {nid}")
-        if not 0 <= nid < embeddings.shape[0]:
-            raise KeyError(f"no embedding row for node {nid}")
-        halves.append(np.concatenate([task[nid], embeddings[nid]]))
-    return FusionVector(source=halves[0], target=halves[1], merged=np.concatenate(halves))
-
-
 def make_fusion_fn(task: dict[int, np.ndarray], embeddings: np.ndarray):
-    return lambda pair: build_fusion(pair, task, embeddings).merged
+    """A batch fusion function: pairs -> [m, 2 * (d_task + d_emb)] rows of
+    [task_s | emb_s | task_t | emb_t]. A node with no task row or no
+    embedding row is a hard error naming the node."""
+    ids = np.fromiter(task, dtype=np.int64, count=len(task))
+    rows = np.stack(list(task.values())) if task else np.zeros((0, 0))
+    # row_of[nid]: nid's task row, or -1; only nodes with an embedding row
+    row_of = np.full(embeddings.shape[0], -1, dtype=np.int64)
+    inside = (ids >= 0) & (ids < embeddings.shape[0])
+    row_of[ids[inside]] = np.flatnonzero(inside)
+
+    def fuse(pairs: list[PropagationPair]) -> np.ndarray:
+        nids = np.array([(p.source_id, p.target_id) for p in pairs], dtype=np.int64).reshape(-1, 2)
+        found = (nids >= 0) & (nids < row_of.shape[0])
+        found[found] = row_of[nids[found]] >= 0
+        if not found.all():
+            nid = int(nids.ravel()[np.argmin(found.ravel())])  # first, source before target
+            if nid not in task:
+                raise KeyError(f"no task features for node {nid}")
+            raise KeyError(f"no embedding row for node {nid}")
+        src, dst = nids[:, 0], nids[:, 1]
+        return np.concatenate(
+            [rows[row_of[src]], embeddings[src], rows[row_of[dst]], embeddings[dst]], axis=1
+        )
+
+    return fuse
 
 
 def fusion_inputs(pairs: list[PropagationPair], fusion_fn) -> tuple[np.ndarray, np.ndarray]:
-    X = np.stack([fusion_fn(p) for p in pairs])
+    X = fusion_fn(pairs)
     y = np.array([p.label for p in pairs], dtype=np.float64)
     return X, y
 
@@ -76,12 +79,13 @@ class ClassifierModel:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    return _logistic(t, np.exp(-np.abs(t)))
+
+
+def _logistic(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(t) from e = exp(-|t|), which never overflows: 1/(1+e) where
+    t >= 0 and e/(1+e) elsewhere, chosen without a branch."""
+    return np.maximum(e, t >= 0) / (1.0 + e)
 
 
 def standardization_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,12 +102,13 @@ def logistic_loss_and_grad(
     """Mean log-loss + 0.5*l2*|w|^2 (bias unregularized), with gradients."""
     m = X.shape[0]
     logits = X @ w + b
-    p = _sigmoid(logits)
+    e = np.exp(-np.abs(logits))
     # log(1+exp(-|t|)) form avoids overflow in both tails
-    nll = np.mean(np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0.0) - y * logits)
+    nll = np.mean(np.log1p(e) + np.maximum(logits, 0.0) - y * logits)
     loss = float(nll + 0.5 * l2 * float(w @ w))
-    gw = X.T @ (p - y) / m + l2 * w
-    gb = float(np.mean(p - y))
+    residual = _logistic(logits, e) - y
+    gw = X.T @ residual / m + l2 * w
+    gb = float(np.mean(residual))
     return loss, gw, gb
 
 
@@ -121,21 +126,16 @@ def _train_logistic(X: np.ndarray, y: np.ndarray, cfg: ClassifierConfig) -> Clas
     return ClassifierModel(kind="logistic", weights=w, bias=b, feat_mean=mean, feat_std=std)
 
 
-CLASSIFIER_TRAINERS = {"logistic": _train_logistic}
-
-
 def train_classifier(
     split: PairDatasetSplit, fusion_fn, cfg: ClassifierConfig | None = None
 ) -> ClassifierModel:
     cfg = cfg or ClassifierConfig()
-    if cfg.kind not in CLASSIFIER_TRAINERS:
-        raise ValueError(
-            f"unknown classifier kind {cfg.kind!r}; registered: {sorted(CLASSIFIER_TRAINERS)}"
-        )
+    if cfg.kind != "logistic":
+        raise ValueError(f"unknown classifier kind {cfg.kind!r}; supported: 'logistic'")
     if not split.train:
         raise ValueError("empty train split")
     X, y = fusion_inputs(split.train, fusion_fn)
-    return CLASSIFIER_TRAINERS[cfg.kind](X, y, cfg)
+    return _train_logistic(X, y, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def load_classifier(path: Path | str) -> ClassifierModel:
             raise ValueError(f"{path}:{lineno}: bad number in {key}") from None
 
     lineno, kind = raw["kind"]
-    if kind not in CLASSIFIER_TRAINERS:
+    if kind != "logistic":
         raise ValueError(f"{path}:{lineno}: unknown classifier kind {kind!r}")
     bias = numbers("bias")
     if bias.shape != (1,):

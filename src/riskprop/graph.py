@@ -21,21 +21,20 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed graph/event files; message carries the line number."""
+    """Raised for a malformed table file (graph, events, pairs, task features,
+    embeddings); the message names path:line and the reason."""
 
 
 class EmptyEdgeTypeError(ValueError):
     """Raised when a subgraph is requested for an edge type with no edges."""
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -61,7 +60,11 @@ def _canonical_edges(edges: np.ndarray, type_name: str) -> np.ndarray:
         raise ValueError(f"self-loop edge in type '{type_name}'; self-loops are implicit")
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    order = np.lexsort((hi, lo))
+    rows = np.stack([lo[order], hi[order]], axis=1)
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
 
 
 @dataclass
@@ -185,25 +188,73 @@ def save_graph(g: HeteroGraph, directory: Path | str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
 
     header = ["node_id", "is_issuer"] + [f"f{j}" for j in range(g.d_in)]
-    lines = ["\t".join(header)]
-    for i in range(g.num_nodes):
-        row = [str(i), str(int(g.issuer_flags[i]))]
-        row += [_fmt(x) for x in g.node_features[i]]
-        lines.append("\t".join(row))
+    row = "%d\t%d" + "\t%.17g" * g.d_in
+    rows = zip(range(g.num_nodes), g.issuer_flags.tolist(), g.node_features.tolist())
+    lines = ["\t".join(header)] + [row % (i, flag, *feats) for i, flag, feats in rows]
     atomic_write_text(directory / "nodes.tsv", "\n".join(lines) + "\n")
 
-    lines = ["edge_type\tsrc\tdst"]
+    parts = ["edge_type\tsrc\tdst\n"]
     for k, name in enumerate(g.edge_type_names):
-        for u, v in g.edge_lists[k]:
-            lines.append(f"{name}\t{u}\t{v}")
-    atomic_write_text(directory / "edges.tsv", "\n".join(lines) + "\n")
+        row = name.replace("%", "%%") + "\t%d\t%d\n"
+        parts.append(row * g.edge_lists[k].shape[0] % tuple(g.edge_lists[k].ravel().tolist()))
+    atomic_write_text(directory / "edges.tsv", "".join(parts))
 
 
-def _parse_int(tok: str, what: str, path: Path, lineno: int) -> int:
+def parse_int(tok: str, what: str, path: Path, lineno: int) -> int:
+    """int(tok), or a GraphFormatError naming path:line and the column."""
     try:
         return int(tok)
     except ValueError:
         raise GraphFormatError(f"{path}:{lineno}: bad {what} {tok!r}") from None
+
+
+def parse_floats(toks: list[str], what: str, path: Path, lineno: int) -> list[float]:
+    """float() of each token, or a GraphFormatError naming path:line."""
+    try:
+        return [float(t) for t in toks]
+    except ValueError:
+        raise GraphFormatError(f"{path}:{lineno}: bad {what}") from None
+
+
+def _cells(lines: list[str], ncols: int) -> list[str]:
+    """The tab-separated cells of `lines` in row-major order; ValueError when
+    a line does not have exactly `ncols` cells."""
+    if set(map(str.count, lines, repeat("\t"))) - {ncols - 1}:
+        raise ValueError("ragged rows")
+    return "\t".join(lines).split("\t") if lines else []
+
+
+def _raise_node_row_error(path: Path, lines: list[str], d_in: int) -> NoReturn:
+    """Raise GraphFormatError for the first malformed row of a node table,
+    checking it cell by cell."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        toks = line.split("\t")
+        if len(toks) != 2 + d_in:
+            raise GraphFormatError(f"{path}:{lineno}: expected {2 + d_in} columns, got {len(toks)}")
+        nid = parse_int(toks[0], "node_id", path, lineno)
+        if nid != lineno - 2:
+            raise GraphFormatError(f"{path}:{lineno}: node ids must be dense; got {nid}")
+        if parse_int(toks[1], "is_issuer", path, lineno) not in (0, 1):
+            raise GraphFormatError(f"{path}:{lineno}: is_issuer must be 0 or 1")
+        parse_floats(toks[2:], "feature value", path, lineno)
+    raise GraphFormatError(f"{path}: malformed node table")
+
+
+def _raise_edge_row_error(path: Path, lines: list[str], n: int) -> NoReturn:
+    """Raise GraphFormatError for the first malformed row of an edge table
+    over nodes 0..n-1, checking it cell by cell."""
+    for lineno, line in enumerate(lines[1:], start=2):
+        toks = line.split("\t")
+        if len(toks) != 3:
+            raise GraphFormatError(f"{path}:{lineno}: expected 3 columns, got {len(toks)}")
+        u = parse_int(toks[1], "src", path, lineno)
+        v = parse_int(toks[2], "dst", path, lineno)
+        for nid in (u, v):
+            if not 0 <= nid < n:
+                raise GraphFormatError(f"{path}:{lineno}: edge references unknown node id {nid}")
+        if u == v:
+            raise GraphFormatError(f"{path}:{lineno}: self-loop edge on node {u}")
+    raise GraphFormatError(f"{path}: malformed edge table")
 
 
 def load_graph(directory: Path | str) -> HeteroGraph:
@@ -212,6 +263,10 @@ def load_graph(directory: Path | str) -> HeteroGraph:
     Node ids must be dense and in order; edge rows referencing unknown node
     ids raise GraphFormatError naming the id. An edges file with only the
     header yields a graph with zero edge types.
+
+    Cells are converted a whole table at a time, with int() and float()
+    semantics; only when that fails are the rows checked one by one, to
+    name the first bad line.
     """
     directory = Path(directory)
     nodes_path = directory / "nodes.tsv"
@@ -228,63 +283,46 @@ def load_graph(directory: Path | str) -> HeteroGraph:
     if header[:2] != ["node_id", "is_issuer"]:
         raise GraphFormatError(f"{nodes_path}:1: bad header {node_lines[0]!r}")
     d_in = len(header) - 2
-
-    feats = []
-    flags = []
-    for lineno, line in enumerate(node_lines[1:], start=2):
-        toks = line.split("\t")
-        if len(toks) != 2 + d_in:
-            raise GraphFormatError(
-                f"{nodes_path}:{lineno}: expected {2 + d_in} columns, got {len(toks)}"
-            )
-        nid = _parse_int(toks[0], "node_id", nodes_path, lineno)
-        if nid != lineno - 2:
-            raise GraphFormatError(f"{nodes_path}:{lineno}: node ids must be dense; got {nid}")
-        flag = _parse_int(toks[1], "is_issuer", nodes_path, lineno)
-        if flag not in (0, 1):
-            raise GraphFormatError(f"{nodes_path}:{lineno}: is_issuer must be 0 or 1")
-        flags.append(bool(flag))
-        try:
-            feats.append([float(t) for t in toks[2:]])
-        except ValueError:
-            raise GraphFormatError(f"{nodes_path}:{lineno}: bad feature value") from None
-    n = len(feats)
+    n = len(node_lines) - 1
+    try:
+        cells = _cells(node_lines[1:], 2 + d_in)
+        # float() accepts every token int() does, so a failure here is a
+        # failure of the per-row checks too
+        table = np.array(cells, dtype=np.float64).reshape(n, 2 + d_in)
+        ids = np.array(cells[0 :: 2 + d_in], dtype=np.int64)
+        flags = np.array(cells[1 :: 2 + d_in], dtype=np.int64)
+        valid = np.array_equal(ids, np.arange(n)) and bool(np.all((flags == 0) | (flags == 1)))
+    except (ValueError, OverflowError):
+        valid = False
+    if not valid:
+        _raise_node_row_error(nodes_path, node_lines, d_in)
 
     edge_lines = edges_path.read_text().splitlines()
     if not edge_lines or edge_lines[0].split("\t") != ["edge_type", "src", "dst"]:
         got = edge_lines[0] if edge_lines else ""
         raise GraphFormatError(f"{edges_path}:1: bad header {got!r}")
-    type_names: list[str] = []
+    try:
+        cells = _cells(edge_lines[1:], 3)
+        u = np.array(cells[1::3], dtype=np.int64)
+        v = np.array(cells[2::3], dtype=np.int64)
+        valid = bool(np.all((u >= 0) & (u < n) & (v >= 0) & (v < n) & (u != v)))
+    except (ValueError, OverflowError):
+        valid = False
+    if not valid:
+        _raise_edge_row_error(edges_path, edge_lines, n)
+    # type ids by first appearance
     type_ids: dict[str, int] = {}
-    per_type: dict[int, list[list[int]]] = {}
-    for lineno, line in enumerate(edge_lines[1:], start=2):
-        toks = line.split("\t")
-        if len(toks) != 3:
-            raise GraphFormatError(f"{edges_path}:{lineno}: expected 3 columns, got {len(toks)}")
-        name = toks[0]
-        u = _parse_int(toks[1], "src", edges_path, lineno)
-        v = _parse_int(toks[2], "dst", edges_path, lineno)
-        for nid in (u, v):
-            if not 0 <= nid < n:
-                raise GraphFormatError(
-                    f"{edges_path}:{lineno}: edge references unknown node id {nid}"
-                )
-        if u == v:
-            raise GraphFormatError(f"{edges_path}:{lineno}: self-loop edge on node {u}")
-        if name not in type_ids:
-            type_ids[name] = len(type_names)
-            type_names.append(name)
-            per_type[type_ids[name]] = []
-        per_type[type_ids[name]].append([u, v])
-
+    kinds = np.array(
+        [type_ids.setdefault(name, len(type_ids)) for name in cells[0::3]], dtype=np.int64
+    )
     edge_lists = {
-        k: np.array(rows, dtype=np.int64).reshape(-1, 2) for k, rows in per_type.items()
+        k: np.stack([u[kinds == k], v[kinds == k]], axis=1) for k in range(len(type_ids))
     }
     return HeteroGraph(
-        node_features=np.array(feats, dtype=np.float64).reshape(n, d_in),
+        node_features=np.ascontiguousarray(table[:, 2:]),
         edge_lists=edge_lists,
-        edge_type_names=type_names,
-        issuer_flags=np.array(flags, dtype=bool),
+        edge_type_names=list(type_ids),
+        issuer_flags=flags.astype(bool),
     )
 
 
@@ -310,8 +348,8 @@ def load_events(path: Path | str) -> list[DefaultEvent]:
         toks = line.split("\t")
         if len(toks) != 2:
             raise GraphFormatError(f"{path}:{lineno}: expected 2 columns, got {len(toks)}")
-        nid = _parse_int(toks[0], "node_id", path, lineno)
-        t = _parse_int(toks[1], "default_time", path, lineno)
+        nid = parse_int(toks[0], "node_id", path, lineno)
+        t = parse_int(toks[1], "default_time", path, lineno)
         if t < 0:
             raise GraphFormatError(f"{path}:{lineno}: negative default_time")
         if nid in seen:

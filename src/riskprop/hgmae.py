@@ -39,7 +39,14 @@ from .gat import (
     gat_stack_forward,
     init_gat_layer,
 )
-from .graph import HeteroGraph, Subgraph, atomic_write_text, extract_subgraph
+from .graph import (
+    HeteroGraph,
+    Subgraph,
+    atomic_write_text,
+    extract_subgraph,
+    parse_floats,
+    parse_int,
+)
 from .optim import AdamState, adam_step
 
 
@@ -427,9 +434,9 @@ def load_embeddings(path: Path | str) -> np.ndarray:
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         toks = line.split("\t")
-        if len(toks) != 1 + d or int(toks[0]) != lineno - 2:
+        if len(toks) != 1 + d or parse_int(toks[0], "node_id", path, lineno) != lineno - 2:
             raise ValueError(f"{path}:{lineno}: malformed row")
-        rows.append([float(t) for t in toks[1:]])
+        rows.append(parse_floats(toks[1:], "embedding value", path, lineno))
     return np.array(rows, dtype=np.float64).reshape(len(rows), d)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DefaultEvent, HeteroGraph, atomic_write_text
+from .graph import DefaultEvent, HeteroGraph, atomic_write_text, parse_int
 
 # sources per BFS chunk are capped so a chunk's [sources, num_nodes] hop
 # matrix holds at most this many cells
@@ -158,24 +158,39 @@ def split_pairs(
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    train: list[PropagationPair] = []
-    test: list[PropagationPair] = []
+    cols = np.array(
+        [(p.source_id, p.target_id, p.label, p.hop_distance) for p in pairs], dtype=np.int64
+    ).reshape(-1, 4)
+    train, test = [], []
     for label in (0, 1):
-        group = [p for p in pairs if p.label == label]
-        if len(group) < 5:
+        group = np.flatnonzero(cols[:, 2] == label)
+        if group.size < 5:
             raise PairConstructionError(
-                f"class {label} has only {len(group)} pairs; need at least 5 to split"
+                f"class {label} has only {group.size} pairs; need at least 5 to split"
             )
-        order = rng.permutation(len(group))
-        n_train = int(round(train_frac * len(group)))
-        n_train = min(max(n_train, 1), len(group) - 1)
-        train += [group[i] for i in order[:n_train]]
-        test += [group[i] for i in order[n_train:]]
-    return PairDatasetSplit(train=sorted(train), test=sorted(test), split_seed=seed)
+        order = group[rng.permutation(group.size)]
+        n_train = int(round(train_frac * group.size))
+        n_train = min(max(n_train, 1), group.size - 1)
+        train.append(order[:n_train])
+        test.append(order[n_train:])
+
+    def in_pair_order(rows: np.ndarray) -> list[PropagationPair]:
+        # a stable sort on (source, target, label, hop), as sorted() orders pairs
+        rows = rows[np.lexsort(cols[rows].T[::-1])]
+        return [pairs[i] for i in rows.tolist()]
+
+    return PairDatasetSplit(
+        train=in_pair_order(np.concatenate(train)),
+        test=in_pair_order(np.concatenate(test)),
+        split_seed=seed,
+    )
+
+
+_PAIR_COLUMNS = ("source_id", "target_id", "hop", "label", "split")
 
 
 def save_pairs(split: PairDatasetSplit, path: Path | str) -> None:
-    lines = ["source_id\ttarget_id\thop\tlabel\tsplit"]
+    lines = ["\t".join(_PAIR_COLUMNS)]
     for name, group in (("train", split.train), ("test", split.test)):
         for p in group:
             lines.append(f"{p.source_id}\t{p.target_id}\t{p.hop_distance}\t{p.label}\t{name}")
@@ -187,7 +202,7 @@ def load_pairs(path: Path | str) -> PairDatasetSplit:
     if not path.exists():
         raise FileNotFoundError(f"pairs file not found: {path}")
     lines = path.read_text().splitlines()
-    if not lines or lines[0].split("\t") != ["source_id", "target_id", "hop", "label", "split"]:
+    if not lines or tuple(lines[0].split("\t")) != _PAIR_COLUMNS:
         raise ValueError(f"{path}:1: bad header")
     train: list[PropagationPair] = []
     test: list[PropagationPair] = []
@@ -195,11 +210,9 @@ def load_pairs(path: Path | str) -> PairDatasetSplit:
         toks = line.split("\t")
         if len(toks) != 5 or toks[4] not in ("train", "test"):
             raise ValueError(f"{path}:{lineno}: malformed row")
-        pair = PropagationPair(
-            source_id=int(toks[0]),
-            target_id=int(toks[1]),
-            label=int(toks[3]),
-            hop_distance=int(toks[2]),
+        source, target, hop, label = (
+            parse_int(tok, what, path, lineno) for tok, what in zip(toks[:4], _PAIR_COLUMNS)
         )
+        pair = PropagationPair(source_id=source, target_id=target, label=label, hop_distance=hop)
         (train if toks[4] == "train" else test).append(pair)
     return PairDatasetSplit(train=train, test=test, split_seed=None)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DefaultEvent, HeteroGraph, atomic_write_text
+from .graph import DefaultEvent, HeteroGraph, atomic_write_text, parse_floats, parse_int
 
 DEFAULT_EDGE_TYPE_NAMES = (
     "parent-subsidiary",
@@ -286,7 +286,8 @@ def load_task_features(path: Path | str) -> dict[int, np.ndarray]:
         toks = line.split("\t")
         if len(toks) != 1 + d_task:
             raise ValueError(f"{path}:{lineno}: expected {1 + d_task} columns")
-        table[int(toks[0])] = np.array([float(t) for t in toks[1:]])
+        nid = parse_int(toks[0], "node_id", path, lineno)
+        table[nid] = np.array(parse_floats(toks[1:], "task feature value", path, lineno))
     return table
 
 

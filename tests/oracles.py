@@ -4,8 +4,9 @@ Most of these recompute results from scratch in a deliberately different
 style (dense matrices, per-node loops, level-set BFS) so agreement with the
 library is meaningful. The exceptions are the bit-exact references for the
 library's fused kernels: the attention head composed from generic tape ops
-(tape_gat_head) and the one-bincount-per-column segment sum. Those must
-agree with the library bit for bit, not within a tolerance. The per-source
+(tape_gat_head), the one-bincount-per-column segment sum and the
+sign-masked sigmoid. Those must agree with the library bit for bit, not
+within a tolerance. The per-source
 dict/deque BFS (bfs_distances over neighbor_lists) is the loop that the
 library's multi-source array BFS replaced; the two must give the same
 distances. These functions are test fixtures, not product code.
@@ -265,3 +266,14 @@ def exhaustive_auc(y_true, scores) -> float:
     wins = sum(1 for p in pos for q in neg if p > q)
     ties = sum(1 for p in pos for q in neg if p == q)
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def masked_sigmoid(t: np.ndarray) -> np.ndarray:
+    """Logistic function evaluated separately on each sign, so exp never
+    overflows: 1/(1+exp(-t)) where t >= 0, exp(t)/(1+exp(t)) elsewhere."""
+    out = np.empty_like(t, dtype=np.float64)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out

@@ -3,18 +3,21 @@ import pytest
 
 from riskprop.classify import (
     ClassifierConfig,
+    _sigmoid,
     accuracy,
     binary_auc,
-    build_fusion,
     evaluate,
     load_classifier,
     logistic_loss_and_grad,
+    make_fusion_fn,
     micro_f1,
     save_classifier,
     standardization_stats,
     train_classifier,
 )
 from riskprop.pairs import PairDatasetSplit, PropagationPair
+
+from oracles import masked_sigmoid
 
 
 def toy_pair(s=0, t=1, label=1):
@@ -24,33 +27,32 @@ def toy_pair(s=0, t=1, label=1):
 def test_fusion_length_and_ordering():
     task = {0: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}
     emb = np.array([[5.0, 6.0, 7.0], [8.0, 9.0, 10.0]])
-    fv = build_fusion(toy_pair(0, 1), task, emb)
-    assert fv.merged.shape == (10,)
-    np.testing.assert_array_equal(fv.merged, [1, 2, 5, 6, 7, 3, 4, 8, 9, 10])
-    swapped = build_fusion(toy_pair(1, 0), task, emb)
-    assert not np.array_equal(fv.merged, swapped.merged)
+    merged, swapped = make_fusion_fn(task, emb)([toy_pair(0, 1), toy_pair(1, 0)])
+    assert merged.shape == (10,)
+    np.testing.assert_array_equal(merged, [1, 2, 5, 6, 7, 3, 4, 8, 9, 10])
+    assert not np.array_equal(merged, swapped)
 
 
 def test_fusion_with_zero_width_embeddings():
     task = {0: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}
     emb = np.zeros((2, 0))
-    fv = build_fusion(toy_pair(0, 1), task, emb)
-    np.testing.assert_array_equal(fv.merged, [1, 2, 3, 4])
+    merged = make_fusion_fn(task, emb)([toy_pair(0, 1)])[0]
+    np.testing.assert_array_equal(merged, [1, 2, 3, 4])
 
 
 def test_fusion_zero_embeddings_reduce_to_task_and_zeros():
     task = {0: np.array([1.0]), 1: np.array([2.0])}
     emb = np.zeros((2, 2))
-    fv = build_fusion(toy_pair(0, 1), task, emb)
-    np.testing.assert_array_equal(fv.merged, [1, 0, 0, 2, 0, 0])
+    merged = make_fusion_fn(task, emb)([toy_pair(0, 1)])[0]
+    np.testing.assert_array_equal(merged, [1, 0, 0, 2, 0, 0])
 
 
 def test_fusion_missing_rows_error_names_node():
     task = {0: np.array([1.0])}
     with pytest.raises(KeyError, match="task features for node 7"):
-        build_fusion(toy_pair(0, 7), task, np.zeros((10, 2)))
+        make_fusion_fn(task, np.zeros((10, 2)))([toy_pair(0, 7)])
     with pytest.raises(KeyError, match="embedding row for node 3"):
-        build_fusion(toy_pair(0, 3), {0: np.array([1.0]), 3: np.array([1.0])}, np.zeros((2, 2)))
+        make_fusion_fn({0: np.array([1.0]), 3: np.array([1.0])}, np.zeros((2, 2)))([toy_pair(0, 3)])
 
 
 def separable_split(n=40):
@@ -62,13 +64,13 @@ def separable_split(n=40):
         vectors[i] = base + 0.3 * rng.standard_normal(2)
         pairs.append(PropagationPair(source_id=i, target_id=i, label=label, hop_distance=1))
     split = PairDatasetSplit(train=pairs[: n - 10], test=pairs[n - 10 :], split_seed=0)
-    return split, lambda p: vectors[p.source_id]
+    return split, lambda ps: np.stack([vectors[p.source_id] for p in ps])
 
 
 def test_logistic_separable_reaches_full_train_accuracy():
     split, fusion_fn = separable_split()
     model = train_classifier(split, fusion_fn)
-    X = np.stack([fusion_fn(p) for p in split.train])
+    X = fusion_fn(split.train)
     y = np.array([p.label for p in split.train])
     assert accuracy(y, model.predict(X)) == 1.0
 
@@ -107,7 +109,7 @@ def test_unknown_classifier_kind_rejected():
 
 def test_standardization_from_train_only():
     split, fusion_fn = separable_split()
-    X_train = np.stack([fusion_fn(p) for p in split.train])
+    X_train = fusion_fn(split.train)
     mean, std = standardization_stats(X_train)
     model = train_classifier(split, fusion_fn)
     np.testing.assert_array_equal(model.feat_mean, mean)
@@ -128,12 +130,22 @@ def test_decisions_invariant_to_positive_feature_rescaling():
     split, fusion_fn = separable_split()
     scale = np.array([5.0, 0.25])
     model = train_classifier(split, fusion_fn)
-    scaled_model = train_classifier(split, lambda p: fusion_fn(p) * scale)
-    X = np.stack([fusion_fn(p) for p in split.test])
+    scaled_model = train_classifier(split, lambda ps: fusion_fn(ps) * scale)
+    X = fusion_fn(split.test)
     np.testing.assert_allclose(
         scaled_model.scores(X * scale), model.scores(X), rtol=0, atol=1e-12
     )
     np.testing.assert_array_equal(scaled_model.predict(X * scale), model.predict(X))
+
+
+def test_sigmoid_bit_identical_to_masked_reference():
+    rng = np.random.default_rng(5)
+    scales = [0.1, 1.0, 10.0, 100.0, 800.0]
+    edges = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, np.inf, -np.inf, np.nan]
+    t = np.concatenate([s * rng.standard_normal(4000) for s in scales] + [np.array(edges)])
+    got = _sigmoid(t)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, masked_sigmoid(t), equal_nan=True)
 
 
 def test_constant_dim_standardizes_to_zero():
@@ -211,7 +223,7 @@ def test_classifier_roundtrip(tmp_path):
     assert loaded.kind == model.kind
     assert loaded.weights.tobytes() == model.weights.tobytes()
     assert loaded.bias == model.bias
-    X = np.stack([fusion_fn(p) for p in split.test])
+    X = fusion_fn(split.test)
     np.testing.assert_array_equal(loaded.scores(X), model.scores(X))
 
 

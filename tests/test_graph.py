@@ -136,6 +136,18 @@ def test_graph_roundtrip_bit_identical(tmp_path):
     assert (tmp_path / "again" / "edges.tsv").read_bytes() == (tmp_path / "edges.tsv").read_bytes()
 
 
+def test_edge_type_names_with_format_characters_roundtrip(tmp_path):
+    names = ["50% owned", "%d {0} %%s"]
+    edges = {0: np.array([[0, 1], [1, 2]]), 1: np.array([[0, 2]])}
+    g = HeteroGraph(np.zeros((3, 1)), edges, names, np.zeros(3, dtype=bool))
+    save_graph(g, tmp_path)
+    assert (tmp_path / "edges.tsv").read_text().splitlines()[1] == "50% owned\t0\t1"
+    g2 = load_graph(tmp_path)
+    assert g2.edge_type_names == names
+    for k in range(2):
+        np.testing.assert_array_equal(g2.edge_lists[k], g.edge_lists[k])
+
+
 def test_load_dangling_node_id(tmp_path):
     g = make_graph(10, {0: [(0, 1)]})
     save_graph(g, tmp_path)
@@ -154,6 +166,67 @@ def test_load_malformed_row_names_line(tmp_path):
     nodes.write_text("\n".join(lines) + "\n")
     with pytest.raises(GraphFormatError, match="nodes.tsv:3"):
         load_graph(tmp_path)
+
+
+def _set_line(lines, lineno, text):
+    return lines[: lineno - 1] + [text] + lines[lineno:]
+
+
+# (file, corruption of its lines, expected "line: reason"); the graph has
+# nodes 0..4 with 2 features (nodes.tsv lines 2..6) and edges.tsv rows
+# rel-0 0 1 / rel-0 1 2 / rel-0 3 4 / rel-1 0 4 on lines 2..5
+_GRAPH_FAULTS = [
+    ("nodes.tsv", lambda ls: [], "1: empty file"),
+    ("nodes.tsv", lambda ls: ["id\tis_issuer"] + ls[1:], "1: bad header 'id\\tis_issuer'"),
+    ("nodes.tsv", lambda ls: _set_line(ls, 3, "1\t0\t0.5"), "3: expected 4 columns, got 3"),
+    ("nodes.tsv", lambda ls: _set_line(ls, 3, "x\t0\t0.5\t1"), "3: bad node_id 'x'"),
+    ("nodes.tsv", lambda ls: _set_line(ls, 3, "5\t0\t0.5\t1"), "3: node ids must be dense; got 5"),
+    ("nodes.tsv", lambda ls: _set_line(ls, 3, "1\ty\t0.5\t1"), "3: bad is_issuer 'y'"),
+    ("nodes.tsv", lambda ls: _set_line(ls, 3, "1\t2\t0.5\t1"), "3: is_issuer must be 0 or 1"),
+    ("nodes.tsv", lambda ls: _set_line(ls, 3, "1\t0\t0.5\tabc"), "3: bad feature value"),
+    ("nodes.tsv", lambda ls: ls + [""], "7: expected 4 columns, got 1"),
+    # the first bad line is reported, whatever is wrong further down
+    (
+        "nodes.tsv",
+        lambda ls: _set_line(_set_line(ls, 5, "x\t0\t0\t0"), 3, "1\t0\t0\t1e999x"),
+        "3: bad feature value",
+    ),
+    # within a line, the id is checked before the features
+    ("nodes.tsv", lambda ls: _set_line(ls, 4, "7\t0\tabc\t0"), "4: node ids must be dense; got 7"),
+    ("edges.tsv", lambda ls: ["type\tsrc\tdst"] + ls[1:], "1: bad header 'type\\tsrc\\tdst'"),
+    ("edges.tsv", lambda ls: [], "1: bad header ''"),
+    ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\t1"), "3: expected 3 columns, got 2"),
+    ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\tx\t2"), "3: bad src 'x'"),
+    ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\t1\t2.0"), "3: bad dst '2.0'"),
+    ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\t-1\t2"), "3: edge references unknown node id -1"),
+    ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\t1\t5"), "3: edge references unknown node id 5"),
+    ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\t2\t2"), "3: self-loop edge on node 2"),
+    (
+        "edges.tsv",
+        lambda ls: _set_line(_set_line(ls, 4, "rel-0\tx\t4"), 3, "rel-1\t2\t2"),
+        "3: self-loop edge on node 2",
+    ),
+    (
+        "edges.tsv",
+        lambda ls: ls + ["rel-2\t0\t99999999999999999999999"],
+        "6: edge references unknown node id 99999999999999999999999",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, where",
+    _GRAPH_FAULTS,
+    ids=[f"{name}:{where.split(':')[0]}-{i}" for i, (name, _, where) in enumerate(_GRAPH_FAULTS)],
+)
+def test_malformed_graph_file_names_line_and_reason(tmp_path, name, corrupt, where):
+    g = make_graph(5, {0: [(0, 1), (1, 2), (3, 4)], 1: [(0, 4)]}, d_in=2, issuers=[0, 2])
+    save_graph(g, tmp_path)
+    path = tmp_path / name
+    path.write_text("".join(line + "\n" for line in corrupt(path.read_text().splitlines())))
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(tmp_path)
+    assert str(err.value) == f"{path}:{where}"
 
 
 def test_load_empty_edges_file(tmp_path):

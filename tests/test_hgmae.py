@@ -453,3 +453,20 @@ def test_embeddings_roundtrip(tmp_path, two_type_graph, tiny_cfg):
     lines = (tmp_path / "pretrain_log.tsv").read_text().splitlines()
     assert lines[0] == "epoch\tloss_total\tloss_o\tloss_sub_mean"
     assert len(lines) == len(history) + 1
+
+
+@pytest.mark.parametrize(
+    "col, bad, reason",
+    [(0, "x", "bad node_id 'x'"), (0, "0", "malformed row"), (2, "x", "bad embedding value")],
+)
+def test_load_embeddings_bad_cell_names_line(tmp_path, col, bad, reason):
+    path = tmp_path / "embeddings.tsv"
+    save_embeddings(np.arange(6.0).reshape(3, 2), path)
+    lines = path.read_text().splitlines()
+    toks = lines[2].split("\t")
+    toks[col] = bad
+    lines[2] = "\t".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_embeddings(path)
+    assert str(err.value) == f"{path}:3: {reason}"

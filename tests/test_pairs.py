@@ -6,6 +6,7 @@ import pytest
 from riskprop.graph import DefaultEvent
 from riskprop.pairs import (
     PairConstructionError,
+    PairDatasetSplit,
     PropagationPair,
     build_pairs,
     enumerate_candidate_pairs,
@@ -163,3 +164,19 @@ def test_pairs_roundtrip(tmp_path):
     loaded = load_pairs(tmp_path / "pairs.tsv")
     assert loaded.train == split.train
     assert loaded.test == split.test
+
+
+@pytest.mark.parametrize("col, what", [(0, "source_id"), (1, "target_id"), (2, "hop"), (3, "label")])
+def test_load_pairs_bad_cell_names_line_and_column(tmp_path, col, what):
+    train = [PropagationPair(0, 1, 1, 2), PropagationPair(2, 1, 0, 1)]
+    split = PairDatasetSplit(train=train, test=[PropagationPair(1, 0, 0, 2)], split_seed=0)
+    path = tmp_path / "pairs.tsv"
+    save_pairs(split, path)
+    lines = path.read_text().splitlines()
+    toks = lines[2].split("\t")
+    toks[col] = "x"
+    lines[2] = "\t".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_pairs(path)
+    assert str(err.value) == f"{path}:3: bad {what} 'x'"

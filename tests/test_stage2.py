@@ -6,9 +6,14 @@ events, build_pairs and split_pairs for the 4k worlds 0-2 (the default
 config scaled to 4000 nodes at constant mean degree) and for the default
 world. They were recorded with the dict/deque implementations, so any
 change to a draw, an ordering or a label shows here as a changed digest.
-Re-record only for a change that is meant to change the worlds:
+stage2_tail_reference.json pins the rest of stage 2 on the same worlds: the
+saved nodes.tsv and edges.tsv bytes, the fused classifier inputs, the
+task_only classifier and its evaluate() dict. It was recorded with the
+per-row codec, the per-pair fusion and the masked sigmoid. Re-record only
+for a change that is meant to change these outputs:
 
     PYTHONPATH=src:tests python -c "import test_stage2; test_stage2.record('<commit>')"
+    PYTHONPATH=src:tests python -c "import test_stage2; test_stage2.record_tail('<commit>')"
 """
 
 from __future__ import annotations
@@ -16,15 +21,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from riskprop import classify
 from riskprop import pairs as pairs_mod
 from riskprop import synthetic
 from riskprop.experiment import ExperimentConfig
-from riskprop.graph import DefaultEvent
+from riskprop.graph import DefaultEvent, load_graph, save_graph
 from riskprop.pairs import (
     PropagationPair,
     bfs_hops,
@@ -43,6 +50,7 @@ from oracles import (
 )
 
 REFERENCE_PATH = Path(__file__).parent / "stage2_reference.json"
+TAIL_REFERENCE_PATH = Path(__file__).parent / "stage2_tail_reference.json"
 WORLD_4K_NODES = 4000
 WORLD_4K_SEEDS = (0, 1, 2)
 DEFAULT_WORLD_SEEDS = (0, 1, 2, 3, 4)
@@ -116,6 +124,64 @@ def record(recorded_at: str) -> None:
 REFERENCE = json.loads(REFERENCE_PATH.read_text()) if REFERENCE_PATH.exists() else {}
 
 
+def _array_parts(*arrays) -> list:
+    return [part for a in arrays for part in (str(a.dtype), str(a.shape), a.tobytes())]
+
+
+def tail_digests(cfg: GenConfig, pair_seeds, directory: Path) -> tuple[dict, str]:
+    """Digests of one world's saved graph files and, per pair seed, of its
+    fused inputs (task only, and with a 3-wide random embedding), the
+    task_only classifier and its evaluate() dict on the test split. Also
+    returns the digest of the graph loaded back from the saved files."""
+    g = generate_graph(cfg)
+    events = simulate_cascade(g, cfg)
+    task = synthetic.task_feature_table(g, synthetic.attach_task_features(g, events, cfg))
+    save_graph(g, directory)
+    out = {
+        "nodes_tsv": _sha([(directory / "nodes.tsv").read_bytes()]),
+        "edges_tsv": _sha([(directory / "edges.tsv").read_bytes()]),
+    }
+    loaded = graph_digest(load_graph(directory))
+    emb = np.random.default_rng(cfg.rng_seed).standard_normal((g.num_nodes, 3))
+    task_only = classify.make_fusion_fn(task, np.zeros((g.num_nodes, 0)))
+    with_emb = classify.make_fusion_fn(task, emb)
+    for seed in pair_seeds:
+        split = split_pairs(build_pairs(g, events, 3, seed=seed), 0.8, seed=seed)
+        for key, fusion_fn in (("fusion", task_only), ("fusion_emb", with_emb)):
+            parts = []
+            for group in (split.train, split.test):
+                parts += _array_parts(*classify.fusion_inputs(group, fusion_fn))
+            out[f"{key}_seed{seed}"] = _sha(parts)
+        model = classify.train_classifier(split, task_only, classify.ClassifierConfig())
+        out[f"model_seed{seed}"] = _sha(_array_parts(model.weights, np.float64(model.bias)))
+        out[f"evaluate_seed{seed}"] = _sha([repr(classify.evaluate(model, split.test, task_only))])
+    return out, loaded
+
+
+# key -> (config, pair seeds): the 4k worlds with both pair seeds, and the
+# default worlds with the pipeline's pair seed, which is the world seed
+TAIL_WORLDS = {
+    **{f"world_4k/{s}": (world_4k_config(s), PAIR_SEEDS) for s in WORLD_4K_SEEDS},
+    **{
+        f"default_world/{s}": (dataclasses.replace(GenConfig(), rng_seed=s), (s,))
+        for s in DEFAULT_WORLD_SEEDS
+    },
+}
+
+
+def record_tail(recorded_at: str) -> None:
+    ref = {"recorded_at": recorded_at, "environment": "x86-64, numpy 2.4.6"}
+    for key, (cfg, pair_seeds) in TAIL_WORLDS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            ref[key], _ = tail_digests(cfg, pair_seeds, Path(tmp))
+    TAIL_REFERENCE_PATH.write_text(json.dumps(ref, indent=1, sort_keys=True) + "\n")
+
+
+TAIL_REFERENCE = (
+    json.loads(TAIL_REFERENCE_PATH.read_text()) if TAIL_REFERENCE_PATH.exists() else {}
+)
+
+
 @pytest.mark.parametrize("world_seed", WORLD_4K_SEEDS)
 def test_world_4k_stage2_matches_recorded_digests(world_seed):
     got = world_digests(world_4k_config(world_seed), PAIR_SEEDS)
@@ -126,6 +192,15 @@ def test_default_worlds_match_recorded_digests():
     for seed in DEFAULT_WORLD_SEEDS:
         got = world_digests(dataclasses.replace(GenConfig(), rng_seed=seed))
         assert got == REFERENCE["default_world"][str(seed)], seed
+
+
+@pytest.mark.parametrize("key", list(TAIL_WORLDS))
+def test_stage2_tail_matches_recorded_digests(tmp_path, key):
+    got, loaded = tail_digests(*TAIL_WORLDS[key], tmp_path)
+    assert got == TAIL_REFERENCE[key]
+    # loading the saved files gives back the generated graph, bit for bit
+    world, seed = key.split("/")
+    assert loaded == REFERENCE[world][seed]["graph"]
 
 
 def test_generator_chunk_size_does_not_change_the_world(monkeypatch):

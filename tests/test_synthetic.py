@@ -188,6 +188,21 @@ def test_task_feature_table_and_roundtrip(tmp_path):
         assert loaded[nid].tobytes() == table[nid].tobytes()
 
 
+@pytest.mark.parametrize("col, reason", [(0, "bad node_id 'x'"), (2, "bad task feature value")])
+def test_load_task_features_bad_cell_names_line(tmp_path, col, reason):
+    table = {3: np.array([0.5, -1.0]), 7: np.array([2.0, 0.25])}
+    path = tmp_path / "task_features.tsv"
+    save_task_features(table, path)
+    lines = path.read_text().splitlines()
+    toks = lines[2].split("\t")
+    toks[col] = "x"
+    lines[2] = "\t".join(toks)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_task_features(path)
+    assert str(err.value) == f"{path}:3: {reason}"
+
+
 def test_gen_config_roundtrip(tmp_path):
     cfg = GenConfig(num_nodes=123, noise_std=0.37, rng_seed=42)
     save_gen_config(cfg, tmp_path / "gen.config")
