@@ -6,8 +6,26 @@ node's neighborhood (self-loop included, max-subtracted for stability), and
 aggregate the projected neighbor rows. Heads merge by concatenation; hidden
 layers apply ELU, output layers are linear.
 
-Message pairs are sorted by (receiver, sender), and scatter reductions follow
-that order, so outputs are bit-reproducible.
+Message pairs are the pairs (receiver, sender) of every edge in both
+directions plus one self-loop per node. The head stores them in the
+jagged-diagonal (JDS) layout (Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., 2003): receivers are ordered by descending degree, and
+slot j holds the j-th sender (ascending) of every receiver with more than j
+pairs. Because the order puts larger degrees first, the receivers of each
+slot are a contiguous prefix of that order, so a d-wide step updates
+acc[:count_j] of a degree-permuted [n, d] array once per slot and never
+builds a [pairs, d] array.
+
+The layout does not change any float sum. numpy's bincount starts every bin
+at +0.0 and adds its entries in input order; a receiver's entries in slot
+order come in sender-ascending order, the order of the (receiver,
+sender)-sorted pairs. The per-slot loop starts each row at +0.0 too and
+adds the receiver's j-th term at slot j, the same rounded products in the
+same order. Sender-keyed sums read each entry's mirror, the slot of the
+reversed pair (s, r), so they also run in ascending order of the other end.
+The per-pair row dots of the backward multiply the same two factors and sum
+each d-wide row with numpy's row sum, whatever rows share the call.
+Outputs are bit-reproducible.
 
 Each head is a single tape node, `gat_head`, with a hand-written backward.
 It is bit-identical to the same head composed from generic autodiff ops
@@ -84,63 +102,186 @@ def init_gat_layer(
 
 @dataclass(frozen=True)
 class MessagePairs:
-    """Both directions of every edge plus one self-loop per node, as
-    (receiver dst, sender src) arrays lexsorted by (dst, src). starts[i] is
-    the index of receiver i's first pair; self-loops make every run nonempty."""
+    """Both directions of every edge plus one self-loop per node.
+
+    dst, src: the pairs as (receiver, sender) arrays lexsorted by (dst, src);
+    starts[i] is the index of receiver i's first pair. Self-loops make every
+    run nonempty. This is the order `return_attention` reports alphas in.
+
+    The attention head reads the jagged-diagonal layout of the same pairs.
+    order lists the receivers by descending pair count (stable, so ties keep
+    ascending node id). Slot j holds the j-th pair of the receivers
+    order[:counts[j]], so counts never increases and counts[0] = n. Slot
+    entries are concatenated slot after slot; for entry k, recv[k] and
+    nbr[k] are its receiver and sender, pair_index[k] is its index in the
+    sorted pairs and mirror[k] is the entry holding the reversed pair
+    (nbr[k], recv[k]). mirror is an involution, because the pair set is
+    symmetric and free of duplicates.
+    """
 
     dst: np.ndarray
     src: np.ndarray
     starts: np.ndarray
+    order: np.ndarray
+    counts: np.ndarray
+    recv: np.ndarray
+    nbr: np.ndarray
+    pair_index: np.ndarray
+    mirror: np.ndarray
 
     @property
     def num_nodes(self) -> int:
         return self.starts.shape[0]
 
+    def in_pair_order(self, values: np.ndarray) -> np.ndarray:
+        """Per-entry values (slot order) rearranged to the sorted (dst, src) order."""
+        out = np.empty_like(values)
+        out[self.pair_index] = values
+        return out
+
+
+def _check_edges(edges: np.ndarray, num_nodes: int) -> None:
+    bad = (edges < 0) | (edges >= num_nodes)
+    if bad.any():
+        row = int(np.flatnonzero(bad.any(axis=1))[0])
+        raise ValueError(
+            f"edge row {row} {edges[row].tolist()}: node id outside [0, {num_nodes})"
+        )
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        row = int(np.flatnonzero(loops)[0])
+        raise ValueError(
+            f"edge row {row} {edges[row].tolist()}: self-loop; every node already has one"
+        )
+
 
 def build_message_pairs(edges: np.ndarray, num_nodes: int) -> MessagePairs:
+    """Message pairs of an undirected edge list over nodes 0..num_nodes-1.
+
+    An edge listed more than once, in either direction, gives one pair each
+    way. Self-loop edges and node ids outside [0, num_nodes) raise
+    ValueError naming the first such row.
+    """
+    n = num_nodes
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    loops = np.arange(num_nodes, dtype=np.int64)
-    dst = np.concatenate([edges[:, 0], edges[:, 1], loops])
-    src = np.concatenate([edges[:, 1], edges[:, 0], loops])
-    order = np.lexsort((src, dst))
-    dst, src = dst[order], src[order]
-    return MessagePairs(dst=dst, src=src, starts=np.searchsorted(dst, loops))
+    _check_edges(edges, n)
+    u, v = edges[:, 0], edges[:, 1]
+    loops = np.arange(n, dtype=np.int64)
+    keys = np.sort(np.concatenate([u * n + v, v * n + u, loops * (n + 1)]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]  # np.unique is 20x slower
+    dst, src = keys // n, keys % n
+    deg = np.bincount(dst, minlength=n)
+    starts = np.cumsum(deg) - deg
+
+    order = np.argsort(-deg, kind="stable")
+    counts = n - np.cumsum(np.bincount(deg))[:-1]
+    slot = np.repeat(np.arange(counts.shape[0]), counts)
+    position = np.arange(keys.shape[0]) - (np.cumsum(counts) - counts)[slot]
+    recv = order[position]
+    pair_index = starts[recv] + slot
+    slot_of_pair = np.empty_like(pair_index)
+    slot_of_pair[pair_index] = np.arange(pair_index.shape[0])
+    # keys are unique and reversal permutes them, so sorting the reversed
+    # keys finds each pair's reverse
+    reverse = np.argsort(src * n + dst)
+    return MessagePairs(
+        dst=dst,
+        src=src,
+        starts=starts,
+        order=order,
+        counts=counts,
+        recv=recv,
+        nbr=src[pair_index],
+        pair_index=pair_index,
+        mirror=slot_of_pair[reverse[pair_index]],
+    )
+
+
+def _jagged_matmul(
+    pairs: MessagePairs, weights: np.ndarray, rows: np.ndarray, dot_with: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(out, dots): out[r] is the sum over r's slot entries k, in slot
+    order, of weights[k] * rows[nbr[k]], for [n, d] rows, in node order.
+
+    With dot_with [n, d], dots[k] is the row dot rows[nbr[k]] .
+    dot_with[recv[k]], summed the way numpy's row sum adds a [pairs, d]
+    array of those products; otherwise dots is None.
+    """
+    n, d = pairs.num_nodes, rows.shape[1]
+    acc = np.zeros((n, d))
+    gathered = np.empty((n, d))
+    dots = None
+    if dot_with is not None:
+        dot_sorted = dot_with[pairs.order]
+        products = np.empty((n, d))
+        dots = np.empty(pairs.nbr.shape[0])
+    lo = 0
+    for c in pairs.counts.tolist():
+        hi = lo + c
+        np.take(rows, pairs.nbr[lo:hi], axis=0, out=gathered[:c])
+        if dot_with is not None:
+            np.multiply(gathered[:c], dot_sorted[:c], out=products[:c])
+            np.sum(products[:c], axis=1, out=dots[lo:hi])
+        gathered[:c] *= weights[lo:hi, None]
+        acc[:c] += gathered[:c]
+        lo = hi
+    out = np.empty_like(acc)
+    out[pairs.order] = acc
+    return out, dots
+
+
+def _receiver_max(pairs: MessagePairs, values: np.ndarray) -> np.ndarray:
+    """Per receiver, the max of its entries' values, in node order."""
+    n = pairs.num_nodes
+    top = values[:n].copy()  # slot 0 holds every receiver's first pair
+    lo = n
+    for c in pairs.counts[1:].tolist():
+        np.maximum(top[:c], values[lo : lo + c], out=top[:c])
+        lo += c
+    out = np.empty_like(top)
+    out[pairs.order] = top
+    return out
 
 
 def gat_head(
     x: Tensor, w: Tensor, a: Tensor, pairs: MessagePairs, slope: float
 ) -> tuple[Tensor, np.ndarray]:
-    """One attention head as one tape node: (output [n, d_head], alpha per pair).
+    """One attention head as one tape node: (output [n, d_head], alpha per
+    pair in slot order; `pairs.in_pair_order` sorts it by (dst, src)).
 
-    alpha grouped by receiver sums to 1. The backward recomputes the gathered
-    rows z[src] instead of keeping them, so the tape holds O(n*d + pairs)
-    floats per head.
+    alpha grouped by receiver sums to 1. Per-pair arrays are 1-D; every
+    d-wide step runs slot by slot on [n, d] arrays, so the tape holds
+    O(n*d + pairs) floats per head.
     """
-    dst, src, n = pairs.dst, pairs.src, pairs.num_nodes
+    recv, nbr, n = pairs.recv, pairs.nbr, pairs.num_nodes
     d = w.data.shape[0]
     a_recv, a_send = a.data[:d].copy(), a.data[d:].copy()
     z = x.data @ w.data.T
-    s = (z @ a_recv)[dst] + (z @ a_send)[src]
+    s = (z @ a_recv)[recv] + (z @ a_send)[nbr]
     positive = s > 0
     e = np.where(positive, s, slope * s)
     # max subtraction: the per-neighborhood shift is constant w.r.t. the grad
-    ez = np.exp(e + (-np.maximum.reduceat(e, pairs.starts))[dst])
-    denom = ad._segment_sum(ez, dst, n)
-    alpha = ez / denom[dst]
-    out = ad._segment_sum(alpha[:, None] * z[src], dst, n)
+    ez = np.exp(e + (-_receiver_max(pairs, e))[recv])
+    denom = np.bincount(recv, weights=ez, minlength=n)
+    alpha = ez / denom[recv]
+    out, _ = _jagged_matmul(pairs, alpha, z)
 
     def bwd(g):
-        g_pairs = g[dst]
-        g_alpha = (g_pairs * z[src]).sum(axis=1)
-        d_pairs = denom[dst]
-        g_denom = ad._segment_sum(-g_alpha * alpha / d_pairs, dst, n)
-        g_e = (g_alpha / d_pairs + g_denom[dst]) * ez * np.where(positive, 1.0, slope)
-        g_recv = ad._segment_sum(g_e, dst, n)
-        g_send = ad._segment_sum(g_e, src, n)
+        # one pass over g[nbr] gives the transposed aggregation and, at each
+        # entry's mirror, the row dot g[recv] . z[nbr] with its factors in
+        # the same order
+        g_agg, mirrored_dots = _jagged_matmul(pairs, alpha[pairs.mirror], g, dot_with=z)
+        g_alpha = mirrored_dots[pairs.mirror]
+        d_pairs = denom[recv]
+        g_denom = np.bincount(recv, weights=-g_alpha * alpha / d_pairs, minlength=n)
+        g_e = (g_alpha / d_pairs + g_denom[recv]) * ez * np.where(positive, 1.0, slope)
+        g_recv = np.bincount(recv, weights=g_e, minlength=n)
+        # sender-keyed: bin s reads its entries' mirrors, i.e. the pairs (r, s)
+        g_send = np.bincount(recv, weights=g_e[pairs.mirror], minlength=n)
         g_z = (
             g_recv[:, None] * a_recv[None, :]
             + g_send[:, None] * a_send[None, :]
-            + ad._segment_sum(alpha[:, None] * g_pairs, src, n)
+            + g_agg
         )
         ad._acc(a, np.concatenate([z.T @ g_recv, z.T @ g_send]))
         ad._acc(w, (x.data.T @ g_z).T)
@@ -172,7 +313,7 @@ def gat_layer_forward(
     merged = heads[0][0] if len(heads) == 1 else ad.concat_cols([h for h, _ in heads])
     out = ad.elu(merged) if params.activation == "elu" else merged
     if return_attention:
-        return out, (pairs.dst, pairs.src, [alpha.copy() for _, alpha in heads])
+        return out, (pairs.dst, pairs.src, [pairs.in_pair_order(alpha) for _, alpha in heads])
     return out
 
 

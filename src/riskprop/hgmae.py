@@ -19,7 +19,9 @@ no masking, no subgraphs.
 
 The graph never changes during training, so pretrain builds a GraphPlan
 once: the full graph's message pairs and every nonempty single-type
-subgraph with its own pairs. Mask draws and loss terms read that plan.
+subgraph with its own pairs, each with the jagged-diagonal layout the
+attention heads run on (see gat.py). Mask draws and loss terms read that
+plan.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import pytest
 
 from riskprop import autodiff as ad
 from riskprop.autodiff import Tensor, backward, grad_check
+from riskprop.experiment import ExperimentConfig, build_world
 from riskprop.gat import (
     GATLayerParams,
     build_message_pairs,
@@ -10,6 +11,8 @@ from riskprop.gat import (
     gat_stack_forward,
     init_gat_layer,
 )
+from riskprop.graph import extract_subgraph
+from riskprop.hgmae import message_pairs
 
 from oracles import dense_adjacency, dense_gat_layer, dense_stack, layers_as_arrays, tape_gat_layer
 
@@ -154,6 +157,51 @@ def test_build_message_pairs_sorted_with_self_loops():
     assert pairs.starts.tolist() == [0, 2, 4]
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [[[0, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1], [1, 0]]],
+    ids=["repeated", "reversed", "both"],
+)
+def test_build_message_pairs_collapses_duplicate_edges(edges):
+    pairs = build_message_pairs(np.array(edges), 3)
+    single = build_message_pairs(np.array([[0, 1]]), 3)
+    for name in ("dst", "src", "starts", "order", "counts", "recv", "nbr", "pair_index", "mirror"):
+        assert np.array_equal(getattr(pairs, name), getattr(single, name)), name
+
+
+def test_duplicate_edges_match_dense_reference():
+    rng = np.random.default_rng(8)
+    edges = np.array([[0, 1], [1, 0], [0, 1], [1, 2], [2, 3], [3, 2]])
+    x = rng.standard_normal((4, 3))
+    params = init_gat_layer(rng, 3, 2, 2, "elu")
+    out = gat_layer_forward(params, Tensor(x), edges).data
+    expected = dense_gat_layer(
+        [w.data for w in params.weights],
+        [a.data for a in params.attn],
+        x,
+        dense_adjacency(edges, 4),
+        params.leaky_slope,
+        "elu",
+    )
+    np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize(
+    "edges,reason",
+    [
+        ([[0, 1], [2, 2]], r"edge row 1 \[2, 2\]: self-loop"),
+        ([[0, 1], [1, 2], [3, 1]], r"edge row 2 \[3, 1\]: node id outside \[0, 3\)"),
+        ([[0, 1], [-1, 2]], r"edge row 1 \[-1, 2\]: node id outside \[0, 3\)"),
+    ],
+    ids=["self-loop", "id-too-large", "negative-id"],
+)
+def test_build_message_pairs_rejects_bad_rows(edges, reason):
+    with pytest.raises(ValueError, match=reason):
+        build_message_pairs(np.array(edges), 3)
+    with pytest.raises(ValueError, match=reason):
+        gat_layer_forward(random_layer(2, 2), Tensor(np.ones((3, 2))), np.array(edges))
+
+
 def test_layer_rejects_pairs_built_for_another_graph():
     pairs = build_message_pairs(np.array([[0, 1]]), 2)
     with pytest.raises(ValueError, match="cover 2 nodes, features have 3"):
@@ -166,14 +214,9 @@ def test_layer_rejects_pairs_built_for_another_graph():
 FUSED_EDGES = np.array([[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [4, 6], [2, 6]])
 
 
-@pytest.mark.parametrize("heads", [1, 4])
-@pytest.mark.parametrize("activation", ["elu", "identity"])
-def test_fused_head_bit_identical_to_tape_composition(heads, activation):
-    rng = np.random.default_rng(40 + heads)
-    x_arr = rng.standard_normal((9, 5))
-    weight = rng.standard_normal((9, 3 * heads))
-    layer = init_gat_layer(rng, 5, 3, heads, activation)
-    pairs = build_message_pairs(FUSED_EDGES, 9)
+def assert_fused_matches_tape(layer, x_arr, pairs, weight):
+    """Layer output, alphas and the gradients of x, W and a, fused against
+    the generic-op composition, under np.array_equal. Returns the alphas."""
 
     def run(forward):
         x = Tensor(x_arr.copy())
@@ -191,14 +234,86 @@ def test_fused_head_bit_identical_to_tape_composition(heads, activation):
     fused_out, fused_alphas, fused_grads = run(fused)
     ref_out, ref_alphas, ref_grads = run(lambda x: tape_gat_layer(layer, x, pairs.dst, pairs.src))
     assert np.array_equal(fused_out, ref_out)
-    assert len(fused_alphas) == heads
+    assert len(fused_alphas) == layer.num_heads
     for got, want in zip(fused_alphas, ref_alphas):
         assert np.array_equal(got, want)
     for got, want in zip(fused_grads, ref_grads):
         assert np.array_equal(got, want)
+    return fused_alphas
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("activation", ["elu", "identity"])
+def test_fused_head_bit_identical_to_tape_composition(heads, activation):
+    rng = np.random.default_rng(40 + heads)
+    x_arr = rng.standard_normal((9, 5))
+    weight = rng.standard_normal((9, 3 * heads))
+    layer = init_gat_layer(rng, 5, 3, heads, activation)
+    pairs = build_message_pairs(FUSED_EDGES, 9)
+    fused_alphas = assert_fused_matches_tape(layer, x_arr, pairs, weight)
     # isolated nodes attend only to themselves
     isolated = np.isin(pairs.dst, [7, 8])
     assert all(np.array_equal(alpha[isolated], [1.0, 1.0]) for alpha in fused_alphas)
+
+
+def shaped_graph(shape):
+    """(features, message pairs) for graphs whose slot layouts differ most
+    from the 9-node fixture: one hub of degree n-1, all degrees tied, no
+    edges at all, and a subgraph of the default world."""
+    if shape == "default-subgraph":
+        _, g, _, _ = build_world(ExperimentConfig(), 0)
+        sub = extract_subgraph(g, 2)  # the densest relation type
+        return sub.features, message_pairs(sub)
+    rng = np.random.default_rng(len(shape))
+    n = {"star": 40, "ring": 30, "edgeless": 6}[shape]
+    edges = {
+        "star": [[0, i] for i in range(1, n)],
+        "ring": [[i, (i + 1) % n] for i in range(n)],
+        "edgeless": NO_EDGES,
+    }[shape]
+    return rng.standard_normal((n, 5)), build_message_pairs(np.array(edges), n)
+
+
+GRAPH_SHAPES = ["star", "ring", "edgeless", "default-subgraph"]
+
+
+@pytest.mark.parametrize("shape", GRAPH_SHAPES)
+def test_fused_head_bit_identical_on_graph_shapes(shape):
+    x_arr, pairs = shaped_graph(shape)
+    rng = np.random.default_rng(7)
+    layer = init_gat_layer(rng, x_arr.shape[1], 16, 2, "elu")
+    weight = rng.standard_normal((x_arr.shape[0], 32))
+    assert_fused_matches_tape(layer, x_arr, pairs, weight)
+
+
+@pytest.mark.parametrize("shape", GRAPH_SHAPES + ["fixture"])
+def test_jagged_layout_invariants(shape):
+    if shape == "fixture":
+        pairs = build_message_pairs(FUSED_EDGES, 9)
+    else:
+        _, pairs = shaped_graph(shape)
+    n, total = pairs.num_nodes, pairs.dst.shape[0]
+    deg = np.bincount(pairs.dst, minlength=n)
+    # receivers by descending degree, ties in ascending id
+    assert np.array_equal(pairs.order, np.lexsort((np.arange(n), -deg)))
+    # counts never increase and cover every pair once
+    assert pairs.counts[0] == n and np.all(np.diff(pairs.counts) <= 0)
+    assert pairs.counts.sum() == total
+    assert np.array_equal(np.sort(pairs.pair_index), np.arange(total))
+    assert np.array_equal(pairs.recv, pairs.dst[pairs.pair_index])
+    assert np.array_equal(pairs.nbr, pairs.src[pairs.pair_index])
+    # slot j covers the prefix order[:counts[j]], its j-th pair
+    lo = 0
+    for j, c in enumerate(pairs.counts.tolist()):
+        assert np.array_equal(pairs.recv[lo : lo + c], pairs.order[:c])
+        assert np.array_equal(pairs.pair_index[lo : lo + c], pairs.starts[pairs.order[:c]] + j)
+        lo += c
+    # the mirror maps (r, s) to (s, r) and is an involution
+    assert np.array_equal(pairs.recv[pairs.mirror], pairs.nbr)
+    assert np.array_equal(pairs.nbr[pairs.mirror], pairs.recv)
+    assert np.array_equal(pairs.mirror[pairs.mirror], np.arange(total))
+    # in_pair_order undoes the slot order
+    assert np.array_equal(pairs.in_pair_order(pairs.recv), pairs.dst)
 
 
 def test_fused_head_names_itself_on_non_finite_weight():

@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +391,76 @@ def test_pretrain_bit_identical_to_recorded_reference(eta):
     emb = infer_embeddings(g, params)
     assert list(emb.shape) == want["embeddings_shape"]
     assert hashlib.sha256(emb.tobytes()).hexdigest() == want["embeddings_sha256"]
+
+
+# The 1k world is the default config scaled to 1000 nodes at constant mean
+# degree: 19,368 full-graph message pairs in 35 slots, against 29 slots and
+# n = 200 in the default world, so it pins the attention kernel's summation
+# order on five times the receivers. At n = 1000, OpenBLAS splits the weight
+# gradient's matmul by thread count and the embeddings move in the last bit,
+# so the digests are computed in a child process with BLAS on one thread.
+# Re-record only for a change meant to move these bits:
+#     PYTHONPATH=src:tests python -c "import test_hgmae; test_hgmae.record_1k('<commit>')"
+REFERENCE_1K_PATH = Path(__file__).parent / "pretrain_1k_reference.json"
+WORLD_1K_NODES = 1000
+WORLD_1K_EPOCHS = 2
+ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def pretrain_1k_digests(eta: float) -> dict:
+    exp = ExperimentConfig()
+    scale = exp.gen.num_nodes / WORLD_1K_NODES
+    gen = dataclasses.replace(
+        exp.gen,
+        num_nodes=WORLD_1K_NODES,
+        intra_edge_prob=tuple(p * scale for p in exp.gen.intra_edge_prob),
+        inter_edge_prob=tuple(p * scale for p in exp.gen.inter_edge_prob),
+        rng_seed=0,
+    )
+    g = generate_graph(gen)
+    cfg = dataclasses.replace(exp.pretrain, rng_seed=0, epochs=WORLD_1K_EPOCHS, eta=eta)
+    params, history = pretrain(g, cfg)
+    emb = infer_embeddings(g, params)
+    return {
+        "loss_repr": [
+            [repr(h.loss_total), repr(h.loss_full), repr(h.loss_sub_mean)] for h in history
+        ],
+        "embeddings_sha256": hashlib.sha256(emb.tobytes()).hexdigest(),
+        "embeddings_shape": list(emb.shape),
+    }
+
+
+def one_thread_1k_digests(eta: float) -> dict:
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    code = f"import json, test_hgmae; print(json.dumps(test_hgmae.pretrain_1k_digests({eta!r})))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, **ONE_THREAD, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def record_1k(recorded_at: str) -> None:
+    ref = {
+        "recorded_at": recorded_at,
+        "environment": "x86-64, numpy 2.4.6 with OpenBLAS 0.3.31 on one thread; "
+        "other BLAS builds may differ in the last bit",
+        "world": f"ExperimentConfig().gen scaled to {WORLD_1K_NODES} nodes "
+        "at constant mean degree, rng_seed=0",
+        "pretrain": f"ExperimentConfig().pretrain with rng_seed=0, epochs={WORLD_1K_EPOCHS}",
+        "variants": {f"eta={eta!r}": one_thread_1k_digests(eta) for eta in (1.0, 0.0)},
+    }
+    REFERENCE_1K_PATH.write_text(json.dumps(ref, indent=1) + "\n")
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.0])
+def test_pretrain_1k_world_bit_identical_to_recorded_reference(eta):
+    want = json.loads(REFERENCE_1K_PATH.read_text())["variants"][f"eta={eta!r}"]
+    assert one_thread_1k_digests(eta) == want
 
 
 def test_pretrain_fault_names_epoch_and_op(monkeypatch, two_type_graph, tiny_cfg):
