@@ -15,31 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
-from .gat import GATLayerParams
-from .graph import atomic_write_text
-from .hgmae import ModelParams, TrainConfig
+from .hgmae import ModelParams, TrainConfig, init_params
+from .table import atomic_write_text
 
 FORMAT_TAG = "riskprop-checkpoint v1"
 
 
 class CheckpointError(ValueError):
     pass
-
-
-def _expected_shapes(d_in: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
-    hidden = cfg.hidden_heads * cfg.hidden_head_dim
-    shapes: dict[str, tuple[int, ...]] = {}
-    for h in range(cfg.hidden_heads):
-        shapes[f"encoder.0.head{h}.W"] = (cfg.hidden_head_dim, d_in)
-        shapes[f"encoder.0.head{h}.a"] = (2 * cfg.hidden_head_dim,)
-    shapes["encoder.1.head0.W"] = (cfg.d_emb, hidden)
-    shapes["encoder.1.head0.a"] = (2 * cfg.d_emb,)
-    shapes["decoder.0.head0.W"] = (d_in, cfg.d_emb)
-    shapes["decoder.0.head0.a"] = (2 * d_in,)
-    shapes["mask_token"] = (d_in,)
-    shapes["remask_token"] = (cfg.d_emb,)
-    return shapes
 
 
 def save_checkpoint(params: ModelParams, cfg: TrainConfig, path: Path | str) -> None:
@@ -101,7 +84,9 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
             cfg_kwargs[f.name] = float(raw) if f.type == "float" else int(raw)
     cfg = TrainConfig(**cfg_kwargs)
 
-    expected = _expected_shapes(d_in, cfg)
+    # the architecture implied by the config: names, shapes and layer structure
+    params = init_params(d_in, cfg, np.random.default_rng(0))
+    expected = {name: t.data.shape for name, t in params.named_tensors().items()}
     if set(manifest) != set(expected):
         missing = sorted(set(expected) - set(manifest))
         extra = sorted(set(manifest) - set(expected))
@@ -118,6 +103,8 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
         if name not in manifest:
             raise CheckpointError(f"{path}: data for unknown tensor {name!r}")
         arr = np.array([float(v) for v in values.split(" ")], dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
         want = manifest[name]
         if arr.size != int(np.prod(want)):
             raise CheckpointError(f"{path}: tensor {name!r} has {arr.size} values, wants {want}")
@@ -125,29 +112,6 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
     if set(arrays) != set(manifest):
         raise CheckpointError(f"{path}: data lines missing for {sorted(set(manifest) - set(arrays))}")
 
-    encoder = [
-        GATLayerParams(
-            weights=[Tensor(arrays[f"encoder.0.head{h}.W"]) for h in range(cfg.hidden_heads)],
-            attn=[Tensor(arrays[f"encoder.0.head{h}.a"]) for h in range(cfg.hidden_heads)],
-            activation="elu",
-        ),
-        GATLayerParams(
-            weights=[Tensor(arrays["encoder.1.head0.W"])],
-            attn=[Tensor(arrays["encoder.1.head0.a"])],
-            activation="identity",
-        ),
-    ]
-    decoder = [
-        GATLayerParams(
-            weights=[Tensor(arrays["decoder.0.head0.W"])],
-            attn=[Tensor(arrays["decoder.0.head0.a"])],
-            activation="identity",
-        )
-    ]
-    params = ModelParams(
-        encoder=encoder,
-        decoder=decoder,
-        mask_token=Tensor(arrays["mask_token"]),
-        remask_token=Tensor(arrays["remask_token"]),
-    )
+    for name, t in params.named_tensors().items():
+        t.data = arrays[name]
     return params, cfg

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import atomic_write_text
 from .pairs import PairDatasetSplit, PropagationPair
+from .table import atomic_write_text
 
 
 def make_fusion_fn(task: dict[int, np.ndarray], embeddings: np.ndarray):

@@ -17,6 +17,7 @@ per condition) and summary.txt at the top level.
 from __future__ import annotations
 
 import dataclasses
+import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -25,9 +26,9 @@ import numpy as np
 from . import classify, graph, hgmae, pairs as pairs_mod, synthetic
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classify import ClassifierConfig
-from .graph import HeteroGraph, atomic_write_text
 from .hgmae import TrainConfig
 from .synthetic import GenConfig
+from .table import atomic_write_text, write_table
 
 CONDITIONS = ("task_only", "hgmae", "eta0")
 
@@ -164,7 +165,7 @@ def write_experiment_config(cfg: ExperimentConfig, path: Path | str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# in-memory pipeline
+# worlds and results
 
 
 def _seeded(cfg, seed: int):
@@ -179,17 +180,6 @@ def build_world(exp: ExperimentConfig, seed: int):
     task_values = synthetic.attach_task_features(g, events, gen_cfg)
     task = synthetic.task_feature_table(g, task_values)
     return gen_cfg, g, events, task
-
-
-def pretrain_variants(exp: ExperimentConfig, seed: int, g: HeteroGraph):
-    """Pre-train the subgraph-aware model and the eta=0 ablation on one graph."""
-    cfg_main = _seeded(exp.pretrain, seed)
-    cfg_eta0 = dataclasses.replace(cfg_main, eta=0.0)
-    out = {}
-    for name, cfg in (("hgmae", cfg_main), ("eta0", cfg_eta0)):
-        params, history = hgmae.pretrain(g, cfg)
-        out[name] = (cfg, params, history)
-    return out
 
 
 @dataclass
@@ -213,53 +203,24 @@ class ConditionResults:
 
     def summary(self) -> dict[str, tuple[float, float]]:
         """condition -> (mean, sample std) of micro-F1 across seeds."""
-        out = {}
-        for cond in CONDITIONS:
-            vals = [r.micro_f1 for r in self.rows if r.condition == cond]
-            if vals:
-                mean = float(np.mean(vals))
-                std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-                out[cond] = (mean, std)
-        return out
+        vals = {cond: [r.micro_f1 for r in self.rows if r.condition == cond] for cond in CONDITIONS}
+        return {cond: _mean_std(v) for cond, v in vals.items() if v}
 
 
-def run_seed_conditions(exp: ExperimentConfig, seed: int) -> dict[str, dict[str, float]]:
-    """Full pipeline for one seed; metrics per condition on the test split."""
-    _, g, events, task = build_world(exp, seed)
-    pair_list = pairs_mod.build_pairs(g, events, exp.pairs.n_hops, seed=seed)
-    split = pairs_mod.split_pairs(pair_list, exp.pairs.train_frac, seed=seed)
-    variants = pretrain_variants(exp, seed, g)
-
-    embeddings = {
-        "task_only": np.zeros((g.num_nodes, 0)),
-        "hgmae": hgmae.infer_embeddings(g, variants["hgmae"][1]),
-        "eta0": hgmae.infer_embeddings(g, variants["eta0"][1]),
-    }
-    metrics = {}
-    for cond in CONDITIONS:
-        fusion_fn = classify.make_fusion_fn(task, embeddings[cond])
-        model = classify.train_classifier(split, fusion_fn, exp.classifier)
-        metrics[cond] = classify.evaluate(model, split.test, fusion_fn)
-    return metrics
+def _mean_std(values: list[float]) -> tuple[float, float]:
+    """Mean and sample std (0 for a single value)."""
+    return float(np.mean(values)), float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def run_conditions(exp: ExperimentConfig) -> ConditionResults:
-    """The comparison table: every condition for every pipeline seed."""
-    rows = []
-    for seed in exp.seeds:
-        metrics = run_seed_conditions(exp, seed)
-        for cond in CONDITIONS:
-            m = metrics[cond]
-            rows.append(ResultRow(cond, seed, m["micro_f1"], m["accuracy"], m["auc"]))
-    return ConditionResults(rows=rows)
+    """The comparison table: every condition for every pipeline seed, from
+    run_all in a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_all(exp, Path(tmp), exp.seeds)
 
 
 # ---------------------------------------------------------------------------
 # file-based stages (the CLI surface)
-
-
-def _missing(path: Path, what: str) -> FileNotFoundError:
-    return FileNotFoundError(f"{what} not found: {path}")
 
 
 def run_generate(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> None:
@@ -274,12 +235,13 @@ def run_generate(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
 
 
 def run_pretrain(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> None:
+    """Pre-train the subgraph-aware model and the eta=0 ablation on each world."""
     for seed in seeds:
         sdir = seed_dir(out_dir, seed)
-        if not (sdir / "nodes.tsv").exists():
-            raise _missing(sdir / "nodes.tsv", "graph artifact")
         g = graph.load_graph(sdir)
-        for name, (cfg, params, history) in pretrain_variants(exp, seed, g).items():
+        main = _seeded(exp.pretrain, seed)
+        for name, cfg in (("hgmae", main), ("eta0", dataclasses.replace(main, eta=0.0))):
+            params, history = hgmae.pretrain(g, cfg)
             save_checkpoint(params, cfg, sdir / f"checkpoint_{name}.tsv")
             hgmae.save_pretrain_log(history, sdir / f"pretrain_log_{name}.tsv")
 
@@ -287,22 +249,15 @@ def run_pretrain(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
 def run_embed(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> None:
     for seed in seeds:
         sdir = seed_dir(out_dir, seed)
-        if not (sdir / "nodes.tsv").exists():
-            raise _missing(sdir / "nodes.tsv", "graph artifact")
         g = graph.load_graph(sdir)
         for name in ("hgmae", "eta0"):
-            ckpt = sdir / f"checkpoint_{name}.tsv"
-            if not ckpt.exists():
-                raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-            params, _ = load_checkpoint(ckpt)
+            params, _ = load_checkpoint(sdir / f"checkpoint_{name}.tsv")
             hgmae.save_embeddings(hgmae.infer_embeddings(g, params), sdir / f"embeddings_{name}.tsv")
 
 
 def run_pairs(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> None:
     for seed in seeds:
         sdir = seed_dir(out_dir, seed)
-        if not (sdir / "events.tsv").exists():
-            raise _missing(sdir / "events.tsv", "events artifact")
         g = graph.load_graph(sdir)
         events = graph.load_events(sdir / "events.tsv")
         pair_list = pairs_mod.build_pairs(g, events, exp.pairs.n_hops, seed=seed)
@@ -310,29 +265,23 @@ def run_pairs(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> N
         pairs_mod.save_pairs(split, sdir / "pairs.tsv")
 
 
-def _load_condition_inputs(sdir: Path, cond: str):
+def _fusion_fn(sdir: Path, cond: str):
+    """The condition's fusion function over the seed's task features and embeddings."""
     task = synthetic.load_task_features(sdir / "task_features.tsv")
     if cond == "task_only":
         num_nodes = len((sdir / "nodes.tsv").read_text().splitlines()) - 1
         emb = np.zeros((num_nodes, 0))
     else:
-        emb_path = sdir / f"embeddings_{cond}.tsv"
-        if not emb_path.exists():
-            raise _missing(emb_path, "embeddings artifact")
-        emb = hgmae.load_embeddings(emb_path)
-    return task, emb
+        emb = hgmae.load_embeddings(sdir / f"embeddings_{cond}.tsv")
+    return classify.make_fusion_fn(task, emb)
 
 
 def run_train(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> None:
     for seed in seeds:
         sdir = seed_dir(out_dir, seed)
-        if not (sdir / "pairs.tsv").exists():
-            raise _missing(sdir / "pairs.tsv", "pairs artifact")
         split = pairs_mod.load_pairs(sdir / "pairs.tsv")
         for cond in CONDITIONS:
-            task, emb = _load_condition_inputs(sdir, cond)
-            fusion_fn = classify.make_fusion_fn(task, emb)
-            model = classify.train_classifier(split, fusion_fn, exp.classifier)
+            model = classify.train_classifier(split, _fusion_fn(sdir, cond), exp.classifier)
             classify.save_classifier(model, sdir / f"classifier_{cond}.tsv")
 
 
@@ -340,50 +289,32 @@ def run_evaluate(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
     rows = []
     for seed in seeds:
         sdir = seed_dir(out_dir, seed)
-        if not (sdir / "pairs.tsv").exists():
-            raise _missing(sdir / "pairs.tsv", "pairs artifact")
         split = pairs_mod.load_pairs(sdir / "pairs.tsv")
         for cond in CONDITIONS:
-            clf_path = sdir / f"classifier_{cond}.tsv"
-            if not clf_path.exists():
-                raise _missing(clf_path, "classifier artifact")
-            model = classify.load_classifier(clf_path)
-            task, emb = _load_condition_inputs(sdir, cond)
-            fusion_fn = classify.make_fusion_fn(task, emb)
-            m = classify.evaluate(model, split.test, fusion_fn)
+            model = classify.load_classifier(sdir / f"classifier_{cond}.tsv")
+            m = classify.evaluate(model, split.test, _fusion_fn(sdir, cond))
             rows.append(ResultRow(cond, seed, m["micro_f1"], m["accuracy"], m["auc"]))
     results = ConditionResults(rows=rows)
-    write_results(results, out_dir)
+    write_table(out_dir / "results.tsv", RESULTS, list(zip(*_results_rows(results))))
+    atomic_write_text(out_dir / "summary.txt", summary_text(results))
     return results
 
 
-def results_tsv_text(results: ConditionResults) -> str:
-    lines = ["condition\tseed\tmicro_f1\taccuracy\tauc"]
-    for cond in CONDITIONS:
-        rows = [r for r in results.rows if r.condition == cond]
-        for r in rows:
-            lines.append(
-                "\t".join(
-                    [
-                        cond,
-                        str(r.seed),
-                        format(r.micro_f1, ".17g"),
-                        format(r.accuracy, ".17g"),
-                        format(r.auc, ".17g"),
-                    ]
-                )
-            )
-    for cond in CONDITIONS:
-        rows = [r for r in results.rows if r.condition == cond]
-        if not rows:
-            continue
-        for stat, fn in (("mean", np.mean), ("std", lambda v: np.std(v, ddof=1) if len(v) > 1 else 0.0)):
-            cells = [
-                format(float(fn([getattr(r, m) for r in rows])), ".17g")
-                for m in ("micro_f1", "accuracy", "auc")
-            ]
-            lines.append("\t".join([cond, stat] + cells))
-    return "\n".join(lines) + "\n"
+RESULTS = (
+    ("condition", str), ("seed", str), ("micro_f1", float), ("accuracy", float), ("auc", float)
+)
+
+
+def _results_rows(results: ConditionResults) -> list[tuple]:
+    """Per-seed rows by condition, then a mean and a std row per condition."""
+    metrics = ("micro_f1", "accuracy", "auc")
+    groups = {cond: [r for r in results.rows if r.condition == cond] for cond in CONDITIONS}
+    rows = [(c, str(r.seed), *(getattr(r, m) for m in metrics)) for c in groups for r in groups[c]]
+    for cond, group in groups.items():
+        if group:
+            mean, std = zip(*(_mean_std([getattr(r, m) for r in group]) for m in metrics))
+            rows += [(cond, "mean", *mean), (cond, "std", *std)]
+    return rows
 
 
 def summary_text(results: ConditionResults) -> str:
@@ -399,13 +330,6 @@ def summary_text(results: ConditionResults) -> str:
     if "hgmae" in summ and "eta0" in summ:
         lines.append(f"subgraph-term effect (hgmae - eta0):  {summ['hgmae'][0] - summ['eta0'][0]:+.4f}")
     return "\n".join(lines) + "\n"
-
-
-def write_results(results: ConditionResults, out_dir: Path | str) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "results.tsv", results_tsv_text(results))
-    atomic_write_text(out_dir / "summary.txt", summary_text(results))
 
 
 def run_all(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> ConditionResults:

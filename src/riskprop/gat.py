@@ -47,6 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .graph import sorted_unique
 
 
 @dataclass
@@ -167,8 +168,7 @@ def build_message_pairs(edges: np.ndarray, num_nodes: int) -> MessagePairs:
     _check_edges(edges, n)
     u, v = edges[:, 0], edges[:, 1]
     loops = np.arange(n, dtype=np.int64)
-    keys = np.sort(np.concatenate([u * n + v, v * n + u, loops * (n + 1)]))
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]  # np.unique is 20x slower
+    keys = sorted_unique(np.concatenate([u * n + v, v * n + u, loops * (n + 1)]))
     dst, src = keys // n, keys % n
     deg = np.bincount(dst, minlength=n)
     starts = np.cumsum(deg) - deg

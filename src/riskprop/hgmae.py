@@ -41,15 +41,9 @@ from .gat import (
     gat_stack_forward,
     init_gat_layer,
 )
-from .graph import (
-    HeteroGraph,
-    Subgraph,
-    atomic_write_text,
-    extract_subgraph,
-    parse_floats,
-    parse_int,
-)
+from .graph import HeteroGraph, Subgraph, extract_subgraph
 from .optim import AdamState, adam_step
+from .table import Block, Check, read_table, write_table
 
 
 class MaskingError(ValueError):
@@ -418,41 +412,21 @@ def infer_embeddings(g: HeteroGraph, params: ModelParams) -> np.ndarray:
 # Artifact I/O
 
 
+EMBEDDINGS = (("node_id", int), Block("e", "embedding value"))
+PRETRAIN_LOG = (("epoch", int), ("loss_total", float), ("loss_o", float), ("loss_sub_mean", float))
+
+
 def save_embeddings(emb: np.ndarray, path: Path | str) -> None:
-    lines = ["\t".join(["node_id"] + [f"e{j}" for j in range(emb.shape[1])])]
-    for i, row in enumerate(emb):
-        lines.append("\t".join([str(i)] + [format(x, ".17g") for x in row]))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    write_table(path, EMBEDDINGS, [np.arange(emb.shape[0]), emb])
 
 
 def load_embeddings(path: Path | str) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"embeddings file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("node_id\t"):
-        raise ValueError(f"{path}:1: bad header")
-    d = len(lines[0].split("\t")) - 1
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        toks = line.split("\t")
-        if len(toks) != 1 + d or parse_int(toks[0], "node_id", path, lineno) != lineno - 2:
-            raise ValueError(f"{path}:{lineno}: malformed row")
-        rows.append(parse_floats(toks[1:], "embedding value", path, lineno))
-    return np.array(rows, dtype=np.float64).reshape(len(rows), d)
+    dense = Check(
+        "node_id", lambda c: c["node_id"] != np.arange(len(c["node_id"])), "malformed row"
+    )
+    return read_table(path, EMBEDDINGS, [dense])[1]
 
 
 def save_pretrain_log(history: list[EpochStats], path: Path | str) -> None:
-    lines = ["epoch\tloss_total\tloss_o\tloss_sub_mean"]
-    for st in history:
-        lines.append(
-            "\t".join(
-                [
-                    str(st.epoch),
-                    format(st.loss_total, ".17g"),
-                    format(st.loss_full, ".17g"),
-                    format(st.loss_sub_mean, ".17g"),
-                ]
-            )
-        )
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    names = ("epoch", "loss_total", "loss_full", "loss_sub_mean")
+    write_table(path, PRETRAIN_LOG, [[getattr(st, f) for st in history] for f in names])

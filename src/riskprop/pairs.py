@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DefaultEvent, HeteroGraph, atomic_write_text, parse_int
+from .graph import DefaultEvent, HeteroGraph
+from .table import Check, read_table, write_table
 
 # sources per BFS chunk are capped so a chunk's [sources, num_nodes] hop
 # matrix holds at most this many cells
@@ -186,33 +187,26 @@ def split_pairs(
     )
 
 
-_PAIR_COLUMNS = ("source_id", "target_id", "hop", "label", "split")
+PAIRS = (("source_id", int), ("target_id", int), ("hop", int), ("label", int), ("split", str))
+_PAIR_CHECKS = (
+    Check(
+        "split", lambda c: (c["split"] != "train") & (c["split"] != "test"), "bad split {split!r}"
+    ),
+)
 
 
 def save_pairs(split: PairDatasetSplit, path: Path | str) -> None:
-    lines = ["\t".join(_PAIR_COLUMNS)]
-    for name, group in (("train", split.train), ("test", split.test)):
-        for p in group:
-            lines.append(f"{p.source_id}\t{p.target_id}\t{p.hop_distance}\t{p.label}\t{name}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    pairs = split.train + split.test
+    fields = ("source_id", "target_id", "hop_distance", "label")
+    cols = [[getattr(p, f) for p in pairs] for f in fields]
+    write_table(path, PAIRS, [*cols, ["train"] * len(split.train) + ["test"] * len(split.test)])
 
 
 def load_pairs(path: Path | str) -> PairDatasetSplit:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"pairs file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or tuple(lines[0].split("\t")) != _PAIR_COLUMNS:
-        raise ValueError(f"{path}:1: bad header")
+    *cols, names = read_table(path, PAIRS, _PAIR_CHECKS)
     train: list[PropagationPair] = []
     test: list[PropagationPair] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        toks = line.split("\t")
-        if len(toks) != 5 or toks[4] not in ("train", "test"):
-            raise ValueError(f"{path}:{lineno}: malformed row")
-        source, target, hop, label = (
-            parse_int(tok, what, path, lineno) for tok, what in zip(toks[:4], _PAIR_COLUMNS)
-        )
+    for source, target, hop, label, name in zip(*(c.tolist() for c in cols), names):
         pair = PropagationPair(source_id=source, target_id=target, label=label, hop_distance=hop)
-        (train if toks[4] == "train" else test).append(pair)
+        (train if name == "train" else test).append(pair)
     return PairDatasetSplit(train=train, test=test, split_seed=None)

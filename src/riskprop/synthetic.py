@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DefaultEvent, HeteroGraph, atomic_write_text, parse_floats, parse_int
+from .graph import DefaultEvent, HeteroGraph
+from .table import Block, atomic_write_text, read_table, write_table
 
 DEFAULT_EDGE_TYPE_NAMES = (
     "parent-subsidiary",
@@ -264,31 +265,19 @@ def task_feature_table(g: HeteroGraph, values: np.ndarray) -> dict[int, np.ndarr
 # Artifact I/O
 
 
+TASK_FEATURES = (("node_id", int), Block("t", "task feature value"))
+
+
 def save_task_features(table: dict[int, np.ndarray], path: Path | str) -> None:
     ids = sorted(table)
     d_task = len(table[ids[0]]) if ids else 0
-    lines = ["\t".join(["node_id"] + [f"t{j}" for j in range(d_task)])]
-    for nid in ids:
-        lines.append("\t".join([str(nid)] + [format(x, ".17g") for x in table[nid]]))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    values = np.array([table[nid] for nid in ids], dtype=np.float64).reshape(len(ids), d_task)
+    write_table(path, TASK_FEATURES, [ids, values])
 
 
 def load_task_features(path: Path | str) -> dict[int, np.ndarray]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"task features file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("node_id\t"):
-        raise ValueError(f"{path}:1: bad header")
-    d_task = len(lines[0].split("\t")) - 1
-    table: dict[int, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        toks = line.split("\t")
-        if len(toks) != 1 + d_task:
-            raise ValueError(f"{path}:{lineno}: expected {1 + d_task} columns")
-        nid = parse_int(toks[0], "node_id", path, lineno)
-        table[nid] = np.array(parse_floats(toks[1:], "task feature value", path, lineno))
-    return table
+    ids, values = read_table(path, TASK_FEATURES)
+    return dict(zip(ids.tolist(), values))
 
 
 def save_gen_config(cfg: GenConfig, path: Path | str) -> None:

@@ -1,0 +1,165 @@
+"""The tab-separated table: one file format for every tabular artifact.
+
+A file is one header line of column names, then one line per row. A schema
+is a tuple of `(name, kind)` columns, kind int, float or str, and at most one
+`Block`: float columns prefix0 .. prefix{d-1}, with d taken from the data on
+write and from the header on read. Floats are written with %.17g, so a round
+trip is bit-identical.
+
+Reading converts whole columns with Python's int() and float() semantics and
+applies the caller's row checks as masks. Only when that fails is the file
+scanned again, to raise GraphFormatError for the first bad line. Within a
+line the column count comes first, then each column in order: its cells, its
+checks, and for an int column the int64 range.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+from functools import partial
+from itertools import repeat
+from pathlib import Path
+from typing import Callable, NamedTuple, NoReturn, Sequence
+
+import numpy as np
+
+
+class GraphFormatError(ValueError):
+    """Raised for a malformed table file (graph, events, pairs, task features,
+    embeddings); the message names path:line and the reason."""
+
+
+class Block(NamedTuple):
+    prefix: str
+    what: str  # a bad cell reads "bad <what>"
+
+
+class Check(NamedTuple):
+    """Runs after `column`: `bad` maps the columns by name to a mask of bad
+    rows, and `reason` is a str.format template over the row's cells."""
+
+    column: str
+    bad: Callable[[dict], np.ndarray]
+    reason: str
+
+
+_FORMATS = {int: "%d", float: "%.17g", str: "%s"}
+_DTYPES = {int: np.int64, float: np.float64}
+
+
+def atomic_write_text(path: Path | str, text: str) -> None:
+    """Write via a temp file in the same directory plus rename."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _layout(schema: Sequence, width: int) -> tuple[list[str], list[tuple]]:
+    """The header names, and (name, kind, grid columns) per schema entry."""
+    names, spans = [], []
+    for col in schema:
+        if isinstance(col, Block):
+            spans.append((col.prefix, float, slice(len(names), len(names) + width)))
+            names += [f"{col.prefix}{j}" for j in range(width)]
+        else:
+            spans.append((*col, len(names)))
+            names.append(col[0])
+    return names, spans
+
+
+def write_table(path: Path | str, schema: Sequence, columns: Sequence) -> None:
+    """Atomically write a table from one column per schema entry (a [rows, d]
+    array for the block), formatting it as a whole."""
+    widths = [np.shape(c)[1] for s, c in zip(schema, columns) if isinstance(s, Block)]
+    names, spans = _layout(schema, widths[0] if widths else 0)
+    grid = np.empty((len(columns[0]), len(names)), dtype=object)
+    formats = np.empty(len(names), dtype=object)
+    for (_, kind, span), values in zip(spans, columns):
+        # numeric cells become the Python ints and floats that % formats
+        grid[:, span] = values if kind is str else np.asarray(values, dtype=_DTYPES[kind])
+        formats[span] = _FORMATS[kind]
+    row = "\t".join(formats) + "\n"
+    body = row * len(grid) % tuple(grid.ravel().tolist())
+    atomic_write_text(path, "\t".join(names) + "\n" + body)
+
+
+def read_table(path: Path | str, schema: Sequence, checks: Sequence[Check] = ()) -> list:
+    """The columns in schema order: int64 and float64 arrays, object arrays
+    of str, and a [rows, d] float64 array for the block."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"table file not found: {path}")
+    lines = path.read_text().splitlines() or [""]
+    header = lines[0].split("\t")
+    names, spans = _layout(schema, len(header) - len(schema) + 1)
+    if header != names:
+        raise GraphFormatError(f"{path}:1: bad header {lines[0]!r}")
+    body = lines[1:]
+    try:
+        if set(map(str.count, body, repeat("\t"))) - {len(names) - 1}:
+            raise ValueError("ragged rows")
+        grid = np.array("\t".join(body).split("\t") if body else [], dtype=object)
+        grid = grid.reshape(len(body), len(names))
+        cols = {n: grid[:, s] if k is str else grid[:, s].astype(_DTYPES[k]) for n, k, s in spans}
+        if not any(np.any(check.bad(cols)) for check in checks):
+            return list(cols.values())
+    except (ValueError, OverflowError):
+        pass
+    _raise_first_error(path, body, schema, spans, len(names), checks)
+
+
+def _convert(cells: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
+    """Cell by cell: Python values (0 where bad) and the mask of bad cells."""
+    values = np.zeros(cells.shape, dtype=object)
+    bad = np.zeros(cells.shape, dtype=bool)
+    for idx, tok in np.ndenumerate(cells):
+        try:
+            values[idx] = kind(tok)
+        except ValueError:
+            bad[idx] = True
+    return values, bad
+
+
+def _reason(check: Check, cols: dict, i: int) -> str:
+    return check.reason.format(**{name: values[i] for name, values in cols.items()})
+
+
+def _raise_first_error(path, body, schema, spans, ncols, checks) -> NoReturn:
+    rows = [line.split("\t") for line in body]
+    counts = [len(toks) for toks in rows]
+    grid = np.array([t if len(t) == ncols else [""] * ncols for t in rows], dtype=object)
+    # (mask of bad rows, reason for row i), in the order a line is checked
+    steps = [(np.not_equal(counts, ncols), lambda i: f"expected {ncols} columns, got {counts[i]}")]
+    cols: dict[str, np.ndarray] = {}
+    for col, (name, kind, span) in zip(schema, spans):
+        def bad_cell(i, name=name, j=span):
+            return f"bad {name} {grid[i, j]!r}"
+
+        if isinstance(col, Block):
+            cols[name], bad = _convert(grid[:, span], float)
+            steps.append((bad.any(axis=1), lambda i, what=col.what: f"bad {what}"))
+        elif kind is str:
+            cols[name] = grid[:, span]
+        else:
+            cols[name], bad = _convert(grid[:, span], kind)
+            steps.append((bad, bad_cell))
+        for check in checks:
+            if check.column == name:
+                bad = np.asarray(check.bad(cols), dtype=bool)
+                steps.append((bad, partial(_reason, check, cols)))
+        if kind is int:  # a Python int past int64 passes its checks but not the fast path
+            wide = (cols[name] < -(2**63)) | (cols[name] >= 2**63)
+            steps.append((np.asarray(wide, dtype=bool), bad_cell))
+    first = np.full(len(rows), len(steps))
+    for k in reversed(range(len(steps))):
+        first[steps[k][0]] = k
+    i = int(np.argmax(first < len(steps)))
+    raise GraphFormatError(f"{path}:{i + 2}: {steps[first[i]][1](i)}")

@@ -1,0 +1,189 @@
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from riskprop.experiment import parse_experiment_config, run_all, run_conditions
+from riskprop.graph import (
+    DefaultEvent,
+    load_events,
+    load_graph,
+    save_events,
+    save_graph,
+    sorted_unique,
+)
+from riskprop.hgmae import load_embeddings, save_embeddings
+from riskprop.pairs import PairDatasetSplit, PropagationPair, load_pairs, save_pairs
+from riskprop.synthetic import load_task_features, save_task_features
+from riskprop.table import Block, Check, GraphFormatError, read_table, write_table
+
+from conftest import make_graph
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = (("name", str), ("count", int), ("score", float), Block("x", "x value"))
+
+
+def test_roundtrip_every_kind(tmp_path):
+    path = tmp_path / "t.tsv"
+    names = ["a", "b%d", "c d"]
+    counts = np.array([0, -7, 2**62])
+    scores = np.array([0.1, -0.0, 1e-300])
+    block = np.array([[1 / 3, np.pi], [-2.5, 1e300], [0.0, -1.0]])
+    write_table(path, SCHEMA, [names, counts, scores, block])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "name\tcount\tscore\tx0\tx1"
+    assert lines[2] == "b%d\t-7\t-0\t-2.5\t1.0000000000000001e+300"
+    got_names, got_counts, got_scores, got_block = read_table(path, SCHEMA)
+    assert got_names.tolist() == names
+    assert got_counts.dtype == np.int64 and got_counts.tolist() == counts.tolist()
+    assert got_scores.tobytes() == scores.tobytes()
+    assert got_block.flags.c_contiguous and got_block.tobytes() == block.tobytes()
+
+
+def test_empty_table_and_zero_width_block(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_table(path, SCHEMA, [[], [], [], np.zeros((0, 3))])
+    assert path.read_text() == "name\tcount\tscore\tx0\tx1\tx2\n"
+    assert read_table(path, SCHEMA)[3].shape == (0, 3)
+    write_table(path, (("id", int), Block("e", "e")), [[4, 5], np.zeros((2, 0))])
+    assert path.read_text() == "id\n4\n5\n"
+    assert read_table(path, (("id", int), Block("e", "e")))[1].shape == (2, 0)
+
+
+def test_missing_file(tmp_path):
+    with pytest.raises(FileNotFoundError, match="not found"):
+        read_table(tmp_path / "nope.tsv", SCHEMA)
+
+
+# (file, line, replacement, reason): one fault per case, in a table of rows
+# a 0 1.5 2 3 / b 1 2.5 4 5 / c 2 3.5 6 7 on lines 2..4
+_CODEC_FAULTS = [
+    (1, "name\tcount\tscore\tx1", "bad header 'name\\tcount\\tscore\\tx1'"),
+    (1, "name\tcount\tscore\tx0\ty1", "bad header 'name\\tcount\\tscore\\tx0\\ty1'"),
+    (3, "b\t1\t2.5\t4", "expected 5 columns, got 4"),
+    (3, "b\t1.0\t2.5\t4\t5", "bad count '1.0'"),
+    (3, "b\t1\tnope\t4\t5", "bad score 'nope'"),
+    (3, "b\t1\t2.5\t4\t5x", "bad x value"),
+    # past int64: the column has no check, so the range step reports it
+    (3, "b\t99999999999999999999\t2.5\t4\t5", "bad count '99999999999999999999'"),
+    # within a line, columns are checked in order
+    (3, "b\tx\ty\t4\t5", "bad count 'x'"),
+    (3, "b\t1\ty\tz\t5", "bad score 'y'"),
+]
+
+
+@pytest.mark.parametrize("lineno, text, reason", _CODEC_FAULTS)
+def test_codec_error_names_first_bad_line(tmp_path, lineno, text, reason):
+    path = tmp_path / "t.tsv"
+    block = [[2, 3], [4, 5], [6, 7]]
+    write_table(path, SCHEMA, [["a", "b", "c"], [0, 1, 2], [1.5, 2.5, 3.5], block])
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    lines[3] = "c\tlater\t3.5\t6\t7"  # a fault further down is not the one reported
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError) as err:
+        read_table(path, SCHEMA)
+    assert str(err.value) == f"{path}:{lineno}: {reason}"
+
+
+def test_checks_run_after_their_column_and_in_order(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_table(path, SCHEMA, [["a", "b"], [1, -4], [0.5, 0.5], np.zeros((2, 1))])
+    checks = [
+        Check("score", lambda c: c["count"] < 0, "count {count} is negative ({name})"),
+        Check("name", lambda c: c["name"] == "b", "name {name!r} taken"),
+    ]
+    with pytest.raises(GraphFormatError, match=r"t.tsv:3: name 'b' taken$"):
+        read_table(path, SCHEMA, checks)
+    with pytest.raises(GraphFormatError, match=r"t.tsv:3: count -4 is negative \(b\)$"):
+        read_table(path, SCHEMA, checks[:1])
+    # a bad cell in an earlier column comes before the check
+    path.write_text(path.read_text().replace("b\t-4\t0.5", "b\t-4\tbad"))
+    with pytest.raises(GraphFormatError, match=r"t.tsv:3: bad score 'bad'$"):
+        read_table(path, SCHEMA, checks[:1])
+
+
+def _write_artifacts(tmp_path):
+    """One small file of each loaded table; returns table -> (path, loader)."""
+    g = make_graph(3, {0: [(0, 1), (1, 2)]}, d_in=2, issuers=[0])
+    save_graph(g, tmp_path)
+    save_events([DefaultEvent(1, 0), DefaultEvent(2, 3)], tmp_path / "events.tsv")
+    train = [PropagationPair(0, 1, 1, 2), PropagationPair(2, 1, 0, 1)]
+    split = PairDatasetSplit(train=train, test=[PropagationPair(1, 0, 0, 2)], split_seed=0)
+    save_pairs(split, tmp_path / "pairs.tsv")
+    save_task_features({3: np.array([0.5, -1.0]), 7: np.array([2.0, 0.25])}, tmp_path / "task.tsv")
+    save_embeddings(np.arange(6.0).reshape(3, 2), tmp_path / "emb.tsv")
+    return {
+        "nodes": (tmp_path / "nodes.tsv", lambda: load_graph(tmp_path)),
+        "edges": (tmp_path / "edges.tsv", lambda: load_graph(tmp_path)),
+        "events": (tmp_path / "events.tsv", lambda: load_events(tmp_path / "events.tsv")),
+        "pairs": (tmp_path / "pairs.tsv", lambda: load_pairs(tmp_path / "pairs.tsv")),
+        "task": (tmp_path / "task.tsv", lambda: load_task_features(tmp_path / "task.tsv")),
+        "emb": (tmp_path / "emb.tsv", lambda: load_embeddings(tmp_path / "emb.tsv")),
+    }
+
+
+# (table, line, replacement, reason): a bad header, a short row, a bad int
+# cell and, where the table has one, a bad float cell, for every loader
+_LOADER_FAULTS = [
+    ("nodes", 1, "node_id\tflag\tf0\tf1", "bad header 'node_id\\tflag\\tf0\\tf1'"),
+    ("nodes", 3, "1\t0\t0.5", "expected 4 columns, got 3"),
+    ("nodes", 3, "1\tno\t0.5\t1", "bad is_issuer 'no'"),
+    ("nodes", 3, "1\t0\t0.5\t1..5", "bad feature value"),
+    ("edges", 1, "edge_type\tsrc", "bad header 'edge_type\\tsrc'"),
+    ("edges", 3, "rel-0\t1", "expected 3 columns, got 2"),
+    ("edges", 3, "rel-0\t1\ttwo", "bad dst 'two'"),
+    ("events", 1, "node_id\ttime", "bad header 'node_id\\ttime'"),
+    ("events", 3, "2", "expected 2 columns, got 1"),
+    ("events", 3, "2\tsoon", "bad default_time 'soon'"),
+    ("pairs", 1, "source_id\ttarget_id\thop", "bad header 'source_id\\ttarget_id\\thop'"),
+    ("pairs", 3, "2\t1\t1\t0", "expected 5 columns, got 4"),
+    ("pairs", 3, "2\t1\tfar\t0\ttrain", "bad hop 'far'"),
+    ("pairs", 3, "2\t1\t1\t0\tvalid", "bad split 'valid'"),
+    ("task", 1, "id\tt0\tt1", "bad header 'id\\tt0\\tt1'"),
+    ("task", 3, "7\t2", "expected 3 columns, got 2"),
+    ("task", 3, "7.0\t2\t0.25", "bad node_id '7.0'"),
+    ("task", 3, "7\t2\tquarter", "bad task feature value"),
+    ("emb", 1, "", "bad header ''"),
+    ("emb", 3, "1\t2\t3\t4", "expected 3 columns, got 4"),
+    ("emb", 3, "one\t2\t3", "bad node_id 'one'"),
+    ("emb", 3, "1\t2\t3e", "bad embedding value"),
+]
+
+
+@pytest.mark.parametrize(
+    "table, lineno, text, reason",
+    _LOADER_FAULTS,
+    ids=[f"{t}:{n}-{i}" for i, (t, n, _, _) in enumerate(_LOADER_FAULTS)],
+)
+def test_loader_fault_is_graph_format_error_naming_line(tmp_path, table, lineno, text, reason):
+    path, load = _write_artifacts(tmp_path)[table]
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError) as err:
+        load()
+    assert str(err.value) == f"{path}:{lineno}: {reason}"
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 1000])
+def test_sorted_unique_matches_np_unique(size):
+    values = np.random.default_rng(size).integers(-5, 40, size=(size, 2))
+    assert np.array_equal(sorted_unique(values), np.unique(values))
+
+
+def test_run_all_smoke_tree_matches_recorded_digests(tmp_path):
+    """Every file of the smoke-config run-all tree, pinned by sha256 at the
+    commit recorded in tests/artifact_reference.json."""
+    ref = json.loads((REPO_ROOT / "tests" / "artifact_reference.json").read_text())
+    exp = parse_experiment_config(REPO_ROOT / "configs" / "smoke.config")
+    results = run_all(exp, tmp_path, exp.seeds)
+    got = {
+        str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file()
+    }
+    assert got == ref["sha256"]
+    assert run_conditions(exp).rows == results.rows
