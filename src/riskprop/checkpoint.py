@@ -2,21 +2,20 @@
 
 Layout: comment lines carry a config echo and one manifest entry per tensor
 (name, shape), then a sha256 over the data lines, then one data line per
-tensor with 17-significant-digit values. Loading verifies the checksum,
-every manifest shape, and that the shapes match the architecture implied by
-the config echo.
+tensor with 17-significant-digit values. Loading verifies the checksum, then
+that the echo, manifest and data match the architecture the echo implies; a
+malformed header line raises CheckpointError naming path:line.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .hgmae import ModelParams, TrainConfig, init_params
-from .table import atomic_write_text
+from .table import atomic_write_text, build_record, format_value, read_entries, record_fields
 
 FORMAT_TAG = "riskprop-checkpoint v1"
 
@@ -34,12 +33,11 @@ def save_checkpoint(params: ModelParams, cfg: TrainConfig, path: Path | str) -> 
     digest = hashlib.sha256("\n".join(data_lines).encode()).hexdigest()
 
     head = [f"# {FORMAT_TAG}"]
-    for f in fields(cfg):
-        head.append(f"# config\t{f.name}\t{getattr(cfg, f.name)!r}")
+    for key in record_fields(TrainConfig):
+        head.append(f"# config\t{key}\t{format_value(getattr(cfg, key))}")
     head.append(f"# config\td_in\t{params.d_in}")
     for name, t in tensors.items():
-        shape = ",".join(str(s) for s in t.data.shape)
-        head.append(f"# tensor\t{name}\t{shape}")
+        head.append(f"# tensor\t{name}\t{format_value(t.data.shape)}")
     head.append(f"# checksum\t{digest}")
     atomic_write_text(Path(path), "\n".join(head + data_lines) + "\n")
 
@@ -52,66 +50,55 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
     if not lines or lines[0] != f"# {FORMAT_TAG}":
         raise CheckpointError(f"{path}: not a {FORMAT_TAG} file")
 
-    config_raw: dict[str, str] = {}
-    manifest: dict[str, tuple[int, ...]] = {}
+    # the numbered `key<TAB>value` lines of the config echo, manifest and data
+    sections: dict[str, list[tuple[int, str]]] = {"# config": [], "# tensor": [], "data": []}
     checksum = None
-    data_lines: list[str] = []
-    for line in lines[1:]:
-        if line.startswith("# config\t"):
-            _, key, val = line.split("\t", 2)
-            config_raw[key] = val
-        elif line.startswith("# tensor\t"):
-            _, name, shape = line.split("\t", 2)
-            manifest[name] = tuple(int(s) for s in shape.split(","))
-        elif line.startswith("# checksum\t"):
-            checksum = line.split("\t", 1)[1]
-        elif line.startswith("#"):
-            continue
-        else:
-            data_lines.append(line)
+    for lineno, line in enumerate(lines[1:], start=2):
+        tag, _, rest = line.partition("\t")
+        if tag in ("# config", "# tensor"):
+            sections[tag].append((lineno, rest))
+        elif tag == "# checksum":
+            checksum = rest
+        elif not line.startswith("#"):
+            sections["data"].append((lineno, line))
 
     if checksum is None:
         raise CheckpointError(f"{path}: missing checksum")
-    digest = hashlib.sha256("\n".join(data_lines).encode()).hexdigest()
+    digest = hashlib.sha256("\n".join(line for _, line in sections["data"]).encode()).hexdigest()
     if digest != checksum:
         raise CheckpointError(f"{path}: checksum mismatch; file is corrupt")
 
-    d_in = int(config_raw.pop("d_in"))
-    cfg_kwargs: dict[str, object] = {}
-    for f in fields(TrainConfig):
-        if f.name in config_raw:
-            raw = config_raw[f.name]
-            cfg_kwargs[f.name] = float(raw) if f.type == "float" else int(raw)
-    cfg = TrainConfig(**cfg_kwargs)
+    def read_section(tag: str, kinds: dict) -> dict[str, tuple[int, object]]:
+        """The section's entries; its first problem, an absent key included,
+        raises CheckpointError."""
+        entries, problems = read_entries(path, sections[tag], "\t", kinds, required=True)
+        if problems:
+            raise CheckpointError(problems[0])
+        return entries
+
+    echo = read_section("# config", {**record_fields(TrainConfig), "d_in": int})
+    problems: list[str] = []
+    cfg = build_record(path, TrainConfig, echo, problems)
+    if problems:
+        raise CheckpointError(problems[0])
 
     # the architecture implied by the config: names, shapes and layer structure
-    params = init_params(d_in, cfg, np.random.default_rng(0))
+    params = init_params(echo["d_in"][1], cfg, np.random.default_rng(0))
     expected = {name: t.data.shape for name, t in params.named_tensors().items()}
-    if set(manifest) != set(expected):
-        missing = sorted(set(expected) - set(manifest))
-        extra = sorted(set(manifest) - set(expected))
-        raise CheckpointError(f"{path}: manifest mismatch (missing {missing}, extra {extra})")
-    for name, shape in manifest.items():
+    manifest = read_section("# tensor", dict.fromkeys(expected, tuple[int, ...]))
+    for name, (lineno, shape) in manifest.items():
         if shape != expected[name]:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {shape}, config implies {expected[name]}"
+                f"{path}:{lineno}: tensor {name!r} has shape {shape}, config implies {expected[name]}"
             )
-
-    arrays: dict[str, np.ndarray] = {}
-    for line in data_lines:
-        name, values = line.split("\t", 1)
-        if name not in manifest:
-            raise CheckpointError(f"{path}: data for unknown tensor {name!r}")
-        arr = np.array([float(v) for v in values.split(" ")], dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
-        want = manifest[name]
-        if arr.size != int(np.prod(want)):
-            raise CheckpointError(f"{path}: tensor {name!r} has {arr.size} values, wants {want}")
-        arrays[name] = arr.reshape(want)
-    if set(arrays) != set(manifest):
-        raise CheckpointError(f"{path}: data lines missing for {sorted(set(manifest) - set(arrays))}")
-
+    data = read_section("data", dict.fromkeys(expected, str))
     for name, t in params.named_tensors().items():
-        t.data = arrays[name]
+        lineno, values = data[name]
+        arr = np.array([float(v) for v in values.split(" ")], dtype=np.float64)
+        where = f"{path}:{lineno}: tensor {name!r}"
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{where} has non-finite values")
+        if arr.size != int(np.prod(expected[name])):
+            raise CheckpointError(f"{where} has {arr.size} values, wants {expected[name]}")
+        t.data = arr.reshape(expected[name])
     return params, cfg

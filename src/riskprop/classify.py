@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .pairs import PairDatasetSplit, PropagationPair
-from .table import atomic_write_text
+from .table import ConfigError, atomic_write_text, read_entries
 
 
 def make_fusion_fn(task: dict[int, np.ndarray], embeddings: np.ndarray):
@@ -54,17 +55,27 @@ def fusion_inputs(pairs: list[PropagationPair], fusion_fn) -> tuple[np.ndarray, 
 
 @dataclass
 class ClassifierConfig:
-    kind: str = "logistic"
     iterations: int = 500
     lr: float = 0.1
     l2: float = 1e-3
+
+    def __post_init__(self) -> None:
+        problems = []
+        if self.iterations < 0:
+            problems.append("iterations must be >= 0")
+        if self.lr <= 0:
+            problems.append("lr must be > 0")
+        if self.l2 < 0:
+            problems.append("l2 must be >= 0")
+        if problems:
+            raise ConfigError("invalid ClassifierConfig: " + "; ".join(problems))
 
 
 @dataclass
 class ClassifierModel:
     """Trained model plus the train-split standardization stats it bakes in."""
 
-    kind: str
+    kind: ClassVar[str] = "logistic"
     weights: np.ndarray
     bias: float
     feat_mean: np.ndarray
@@ -123,15 +134,13 @@ def _train_logistic(X: np.ndarray, y: np.ndarray, cfg: ClassifierConfig) -> Clas
             raise FloatingPointError("logistic training diverged: non-finite loss")
         w -= cfg.lr * gw
         b -= cfg.lr * gb
-    return ClassifierModel(kind="logistic", weights=w, bias=b, feat_mean=mean, feat_std=std)
+    return ClassifierModel(weights=w, bias=b, feat_mean=mean, feat_std=std)
 
 
 def train_classifier(
     split: PairDatasetSplit, fusion_fn, cfg: ClassifierConfig | None = None
 ) -> ClassifierModel:
     cfg = cfg or ClassifierConfig()
-    if cfg.kind != "logistic":
-        raise ValueError(f"unknown classifier kind {cfg.kind!r}; supported: 'logistic'")
     if not split.train:
         raise ValueError("empty train split")
     X, y = fusion_inputs(split.train, fusion_fn)
@@ -207,7 +216,7 @@ def save_classifier(model: ClassifierModel, path: Path | str) -> None:
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
-_CLASSIFIER_KEYS = ("kind", "bias", "weights", "feat_mean", "feat_std")
+_CLASSIFIER_KEYS = dict.fromkeys(("kind", "bias", "weights", "feat_mean", "feat_std"), str)
 
 
 def load_classifier(path: Path | str) -> ClassifierModel:
@@ -215,20 +224,10 @@ def load_classifier(path: Path | str) -> ClassifierModel:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"classifier file not found: {path}")
-    lines = path.read_text().splitlines()
-    raw: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        key, tab, val = line.partition("\t")
-        if not tab:
-            raise ValueError(f"{path}:{lineno}: expected key<TAB>value")
-        if key not in _CLASSIFIER_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = (lineno, val)
-    for key in _CLASSIFIER_KEYS:
-        if key not in raw:
-            raise ValueError(f"{path}:{len(lines) + 1}: missing key {key!r}")
+    lines = list(enumerate(path.read_text().splitlines(), start=1))
+    raw, problems = read_entries(path, lines, "\t", _CLASSIFIER_KEYS, required=True)
+    if problems:
+        raise ValueError(problems[0])
 
     def numbers(key: str) -> np.ndarray:
         lineno, val = raw[key]
@@ -238,7 +237,7 @@ def load_classifier(path: Path | str) -> ClassifierModel:
             raise ValueError(f"{path}:{lineno}: bad number in {key}") from None
 
     lineno, kind = raw["kind"]
-    if kind != "logistic":
+    if kind != ClassifierModel.kind:
         raise ValueError(f"{path}:{lineno}: unknown classifier kind {kind!r}")
     bias = numbers("bias")
     if bias.shape != (1,):
@@ -252,4 +251,4 @@ def load_classifier(path: Path | str) -> ClassifierModel:
                 f"{path}:{raw[key][0]}: {key} has {stats[key].size} values, "
                 f"weights has {weights.size}"
             )
-    return ClassifierModel(kind=kind, weights=weights, bias=float(bias[0]), **stats)
+    return ClassifierModel(weights=weights, bias=float(bias[0]), **stats)

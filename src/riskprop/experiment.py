@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +28,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .classify import ClassifierConfig
 from .hgmae import TrainConfig
 from .synthetic import GenConfig
-from .table import atomic_write_text, write_table
+from .table import ConfigError, atomic_write_text, read_record, write_record, write_table
 
 CONDITIONS = ("task_only", "hgmae", "eta0")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -42,15 +38,24 @@ class PairConfig:
     n_hops: int = 3
     train_frac: float = 0.8
 
+    def __post_init__(self) -> None:
+        problems = []
+        if self.n_hops < 1:
+            problems.append("n_hops must be >= 1")
+        if not 0.0 < self.train_frac < 1.0:
+            problems.append("train_frac must be in (0, 1)")
+        if problems:
+            raise ConfigError("invalid PairConfig: " + "; ".join(problems))
+
 
 @dataclass
 class ExperimentConfig:
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    output_dir: str = "out"
     gen: GenConfig = field(default_factory=GenConfig)
     pretrain: TrainConfig = field(default_factory=TrainConfig)
     pairs: PairConfig = field(default_factory=PairConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    output_dir: str = "out"
 
     def __post_init__(self) -> None:
         self.seeds = tuple(int(s) for s in self.seeds)
@@ -65,103 +70,23 @@ def seed_dir(out_dir: Path | str, seed: int) -> Path:
 # ---------------------------------------------------------------------------
 # config file: flat key=value with section prefixes
 
-
-_LIST_KEYS = {"intra_edge_prob", "inter_edge_prob", "transmission_prob"}
-
-
-def _coerce(section: str, name: str, anno: str, raw: str, problems: list[str]):
-    try:
-        if name in _LIST_KEYS:
-            return tuple(float(t) for t in raw.split(","))
-        if anno == "float":
-            return float(raw)
-        if anno == "int":
-            return int(raw)
-        return raw
-    except ValueError:
-        problems.append(f"{section}.{name}: cannot parse {raw!r}")
-        return None
+# keys that no longer set anything, with the reason a config file may not
+# set them
+_REMOVED_KEYS = {
+    "gen.rng_seed": "each world's seed comes from seeds=",
+    "pretrain.rng_seed": "pre-training's seed comes from seeds=",
+    "classifier.kind": "the classifier is always logistic",
+}
 
 
 def parse_experiment_config(path: Path | str) -> ExperimentConfig:
     """Parse, collecting every problem before raising. Omitted keys keep
     their defaults; '#' starts a comment."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    sections = {
-        "gen": GenConfig,
-        "pretrain": TrainConfig,
-        "pairs": PairConfig,
-        "classifier": ClassifierConfig,
-    }
-    kwargs: dict[str, dict[str, object]] = {name: {} for name in sections}
-    top: dict[str, object] = {}
-    problems: list[str] = []
-
-    for lineno, rawline in enumerate(path.read_text().splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            problems.append(f"line {lineno}: expected key=value, got {rawline!r}")
-            continue
-        key, val = (t.strip() for t in line.split("=", 1))
-        if key == "seeds":
-            try:
-                top["seeds"] = tuple(int(t) for t in val.split(","))
-            except ValueError:
-                problems.append(f"seeds: cannot parse {val!r}")
-        elif key == "output_dir":
-            top["output_dir"] = val
-        elif "." in key:
-            section, name = key.split(".", 1)
-            if section not in sections:
-                problems.append(f"line {lineno}: unknown section {section!r}")
-                continue
-            known = {f.name: f for f in fields(sections[section])}
-            if name not in known:
-                problems.append(f"line {lineno}: unknown key {key!r}")
-                continue
-            parsed = _coerce(section, name, str(known[name].type), val, problems)
-            if parsed is not None:
-                kwargs[section][name] = parsed
-        else:
-            problems.append(f"line {lineno}: unknown key {key!r}")
-
-    built: dict[str, object] = {}
-    for section, cls in sections.items():
-        try:
-            built[section] = cls(**kwargs[section])
-        except (ValueError, TypeError) as exc:
-            problems.append(str(exc))
-    if problems:
-        raise ConfigError("invalid experiment config:\n  " + "\n  ".join(problems))
-    return ExperimentConfig(
-        gen=built["gen"],
-        pretrain=built["pretrain"],
-        pairs=built["pairs"],
-        classifier=built["classifier"],
-        **top,
-    )
+    return read_record(path, ExperimentConfig, _REMOVED_KEYS)
 
 
 def write_experiment_config(cfg: ExperimentConfig, path: Path | str) -> None:
-    lines = [
-        "seeds=" + ",".join(str(s) for s in cfg.seeds),
-        f"output_dir={cfg.output_dir}",
-    ]
-    for section in ("gen", "pretrain", "pairs", "classifier"):
-        sub = getattr(cfg, section)
-        for f in fields(sub):
-            val = getattr(sub, f.name)
-            if isinstance(val, tuple):
-                lines.append(f"{section}.{f.name}=" + ",".join(repr(x) for x in val))
-            elif isinstance(val, float):
-                lines.append(f"{section}.{f.name}={val!r}")
-            else:
-                lines.append(f"{section}.{f.name}={val}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    write_record(path, cfg, _REMOVED_KEYS)
 
 
 # ---------------------------------------------------------------------------

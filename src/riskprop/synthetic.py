@@ -22,13 +22,14 @@ it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .graph import DefaultEvent, HeteroGraph
-from .table import Block, atomic_write_text, read_table, write_table
+from .table import Block, read_record, read_table, write_record, write_table
+from .table import ConfigError as ConfigValidationError
 
 DEFAULT_EDGE_TYPE_NAMES = (
     "parent-subsidiary",
@@ -41,10 +42,6 @@ DEFAULT_EDGE_TYPE_NAMES = (
 
 # unordered node pairs per uniform draw in generate_graph
 _PAIR_CHUNK = 1 << 16
-
-
-class ConfigValidationError(ValueError):
-    """Raised with every offending field listed, not just the first."""
 
 
 def edge_type_names(k: int) -> list[str]:
@@ -281,37 +278,10 @@ def load_task_features(path: Path | str) -> dict[int, np.ndarray]:
 
 
 def save_gen_config(cfg: GenConfig, path: Path | str) -> None:
-    """Flat key=value echo of the config (lists comma-joined)."""
-    lines = []
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if isinstance(val, tuple):
-            lines.append(f"{f.name}={','.join(repr(x) for x in val)}")
-        else:
-            lines.append(f"{f.name}={val!r}" if isinstance(val, float) else f"{f.name}={val}")
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    """The config as a `key=value` record (see table.py)."""
+    write_record(path, cfg)
 
 
 def load_gen_config(path: Path | str) -> GenConfig:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    kwargs: dict[str, object] = {}
-    known = {f.name: f for f in fields(GenConfig)}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigValidationError(f"{path}:{lineno}: expected key=value")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        if key not in known:
-            raise ConfigValidationError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in ("intra_edge_prob", "inter_edge_prob", "transmission_prob"):
-            kwargs[key] = tuple(float(t) for t in val.split(","))
-        elif key in ("issuer_fraction", "noise_std", "susceptibility_weight"):
-            kwargs[key] = float(val)
-        else:
-            kwargs[key] = int(val)
-    return GenConfig(**kwargs)
+    """Read a save_gen_config file, collecting every problem before raising."""
+    return read_record(path, GenConfig)

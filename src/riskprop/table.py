@@ -1,6 +1,6 @@
-"""The tab-separated table: one file format for every tabular artifact.
+"""The artifact codecs: the tab-separated table and the key/value record.
 
-A file is one header line of column names, then one line per row. A schema
+A table is one header line of column names, then one line per row. A schema
 is a tuple of `(name, kind)` columns, kind int, float or str, and at most one
 `Block`: float columns prefix0 .. prefix{d-1}, with d taken from the data on
 write and from the header on read. Floats are written with %.17g, so a round
@@ -11,16 +11,24 @@ applies the caller's row checks as masks. Only when that fails is the file
 scanned again, to raise GraphFormatError for the first bad line. Within a
 line the column count comes first, then each column in order: its cells, its
 checks, and for an int column the int64 range.
+
+A record is one `key<sep>value` line per dataclass field, parsed by the
+field's annotation (int, float, str or tuple[X, ...]); a dataclass-valued
+field's fields are keyed `field.name`. The config files, gen.config and the
+checkpoint's config echo are records; the classifier file shares the reader.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from functools import partial
+from dataclasses import fields, is_dataclass
+from functools import partial, reduce
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import (
+    Callable, Mapping, NamedTuple, NoReturn, Sequence, get_args, get_origin, get_type_hints
+)
 
 import numpy as np
 
@@ -28,6 +36,10 @@ import numpy as np
 class GraphFormatError(ValueError):
     """Raised for a malformed table file (graph, events, pairs, task features,
     embeddings); the message names path:line and the reason."""
+
+
+class ConfigError(ValueError):
+    """Raised for an invalid config or config file, every problem listed."""
 
 
 class Block(NamedTuple):
@@ -163,3 +175,109 @@ def _raise_first_error(path, body, schema, spans, ncols, checks) -> NoReturn:
         first[steps[k][0]] = k
     i = int(np.argmax(first < len(steps)))
     raise GraphFormatError(f"{path}:{i + 2}: {steps[first[i]][1](i)}")
+
+
+# ---------------------------------------------------------------------------
+# key/value records
+
+
+def format_value(value) -> str:
+    """A float by repr, which parses back bit for bit; a tuple comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(map(format_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_value(kind, raw: str):
+    """The format_value text of a field annotated `kind`, parsed; ValueError if bad."""
+    if get_origin(kind) is tuple:
+        return tuple(parse_value(get_args(kind)[0], tok) for tok in raw.split(","))
+    return kind(raw)
+
+
+def record_fields(cls, prefix: str = "") -> dict[str, type]:
+    """Each leaf field's key and annotation, in field order."""
+    hints = get_type_hints(cls)
+    kinds: dict[str, type] = {}
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            kinds.update(record_fields(hints[f.name], f"{prefix}{f.name}."))
+        else:
+            kinds[prefix + f.name] = hints[f.name]
+    return kinds
+
+
+def read_entries(
+    path, lines: Sequence[tuple[int, str]], sep: str, kinds: Mapping[str, type],
+    removed: Mapping[str, str] = {}, required: bool = False,
+) -> tuple[dict[str, tuple[int, object]], list[str]]:
+    """Each `key<sep>value` of the numbered lines as key -> (line number,
+    value parsed by its kind), and every problem in line order as
+    'path:line: reason'. With `required`, an absent key is reported at the
+    line after the last."""
+    entries: dict[str, tuple[int, object]] = {}
+    problems = []
+    for n, line in lines:
+        key, found, raw = line.partition(sep)
+        key, raw = key.strip(), raw.strip()
+        if not found:
+            reason = "expected key" + sep.replace("\t", "<TAB>") + "value"
+        elif key in removed:
+            reason = f"key {key!r} is removed: {removed[key]}"
+        elif key not in kinds:
+            reason = f"unknown key {key!r}"
+        elif key in entries:
+            reason = f"duplicate key {key!r}"
+        else:
+            try:
+                entries[key] = (n, parse_value(kinds[key], raw))
+                continue
+            except ValueError:
+                reason = f"{key}: cannot parse {raw!r}"
+        problems.append(f"{path}:{n}: {reason}")
+    if required:
+        end = lines[-1][0] + 1 if lines else 1
+        problems += [f"{path}:{end}: missing key {key!r}" for key in kinds if key not in entries]
+    return entries, problems
+
+
+def build_record(path, cls, entries: Mapping[str, tuple], problems: list[str], prefix: str = ""):
+    """A `cls` from read_entries' entries, keyed as record_fields keys them,
+    an absent field at its default. A constructor's ValueError or TypeError
+    joins problems as 'path: reason', and the result is then None."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key = prefix + f.name
+        if is_dataclass(hints[f.name]):
+            kwargs[f.name] = build_record(path, hints[f.name], entries, problems, key + ".")
+        elif key in entries:
+            kwargs[f.name] = entries[key][1]
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        problems.append(f"{path}: {exc}")
+
+
+def read_record(path: Path | str, cls, removed: Mapping[str, str] = {}):
+    """A `cls` from a `key=value` file; ConfigError lists every problem, the
+    lines' in line order, then the constructors'. Omitted keys keep their
+    defaults, '#' starts a comment, and a key in `removed` fails with its
+    reason."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"config file not found: {path}")
+    numbered = enumerate(path.read_text().splitlines(), start=1)
+    lines = [(n, text) for n, line in numbered if (text := line.split("#", 1)[0]).strip()]
+    entries, problems = read_entries(path, lines, "=", record_fields(cls), removed)
+    record = build_record(path, cls, entries, problems)
+    if problems:
+        raise ConfigError(f"invalid {cls.__name__} file:\n  " + "\n  ".join(problems))
+    return record
+
+
+def write_record(path: Path | str, record, removed: Mapping[str, str] = {}) -> None:
+    """Atomically write one `key=value` line per leaf field not in `removed`."""
+    keys = [key for key in record_fields(type(record)) if key not in removed]
+    values = [reduce(getattr, key.split("."), record) for key in keys]
+    atomic_write_text(path, "".join(f"{k}={format_value(v)}\n" for k, v in zip(keys, values)))

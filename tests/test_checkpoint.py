@@ -62,3 +62,50 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_text("just some text\n")
     with pytest.raises(CheckpointError, match="not a"):
         load_checkpoint(path)
+
+
+def _replace(lineno, text):
+    return lambda ls: ls[: lineno - 1] + [text] + ls[lineno:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, where, reason",
+    [
+        (lambda ls: ls[:11] + ls[12:], 12, "missing key 'd_in'"),
+        (
+            _replace(13, "# tensor\tencoder.0.head0.W\t2,x"),
+            13,
+            "encoder.0.head0.W: cannot parse '2,x'",
+        ),
+        (
+            _replace(13, "# tensor\tencoder.0.head0.W\t3,4"),
+            13,
+            "tensor 'encoder.0.head0.W' has shape (3, 4), config implies (3, 5)",
+        ),
+        (lambda ls: ls[:19] + ls[20:], 20, "missing key 'remask_token'"),
+        (_replace(8, "# config\tlr\tfast"), 8, "lr: cannot parse 'fast'"),
+        (_replace(8, "# config\tlr"), 8, "expected key<TAB>value"),
+        (lambda ls: ls[:11] + ["# config\tbogus\t1"] + ls[11:], 12, "unknown key 'bogus'"),
+        (lambda ls: ls[:11] + [ls[7]] + ls[11:], 12, "duplicate key 'lr'"),
+    ],
+)
+def test_checkpoint_header_fault_names_line_and_reason(tmp_path, corrupt, where, reason):
+    cfg = TrainConfig(d_emb=4, hidden_heads=1, hidden_head_dim=3)
+    path = tmp_path / "checkpoint.tsv"
+    save_checkpoint(trained_ish_params(cfg), cfg, path)
+    lines = path.read_text().splitlines()
+    assert lines[11] == "# config\td_in\t5" and lines[19] == "# tensor\tremask_token\t4"
+    path.write_text("\n".join(corrupt(lines)) + "\n")
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}:{where}: {reason}"
+
+
+def test_checkpoint_invalid_config_echo_names_file(tmp_path):
+    cfg = TrainConfig(d_emb=4, hidden_heads=1, hidden_head_dim=3)
+    path = tmp_path / "checkpoint.tsv"
+    save_checkpoint(trained_ish_params(cfg), cfg, path)
+    path.write_text(path.read_text().replace("# config\tlr\t0.005", "# config\tlr\t-1.0"))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: invalid TrainConfig: lr must be > 0"

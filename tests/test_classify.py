@@ -101,10 +101,12 @@ def test_logistic_gradient_matches_finite_differences():
     assert report.passed
 
 
-def test_unknown_classifier_kind_rejected():
-    split, fusion_fn = separable_split()
-    with pytest.raises(ValueError, match="unknown classifier kind"):
-        train_classifier(split, fusion_fn, ClassifierConfig(kind="boosted-trees"))
+def test_classifier_config_rejects_every_bad_value():
+    with pytest.raises(ValueError) as err:
+        ClassifierConfig(iterations=-3, lr=-0.1, l2=-5)
+    assert str(err.value) == (
+        "invalid ClassifierConfig: iterations must be >= 0; lr must be > 0; l2 must be >= 0"
+    )
 
 
 def test_standardization_from_train_only():

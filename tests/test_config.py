@@ -23,6 +23,13 @@ def test_shipped_default_config_matches_code_defaults():
     assert parsed == ExperimentConfig()
 
 
+@pytest.mark.parametrize("name", ["default.config", "smoke.config"])
+def test_shipped_config_rewrites_to_its_own_bytes(tmp_path, name):
+    path = REPO_ROOT / "configs" / name
+    write_experiment_config(parse_experiment_config(path), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == path.read_bytes()
+
+
 def test_shipped_smoke_config_parses():
     cfg = parse_experiment_config(REPO_ROOT / "configs" / "smoke.config")
     assert cfg.pretrain.epochs < 100  # it must stay cheap
@@ -67,3 +74,57 @@ def test_missing_config_file(tmp_path):
 def test_empty_seed_list_rejected():
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig(seeds=())
+
+
+def _problems(tmp_path, text):
+    path = tmp_path / "exp.config"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as exc:
+        parse_experiment_config(path)
+    head, *problems = str(exc.value).split("\n  ")
+    assert head == "invalid ExperimentConfig file:"
+    return [p.replace(str(path), "exp.config") for p in problems]
+
+
+def test_every_problem_names_its_line_in_line_order(tmp_path):
+    text = (
+        "seeds=1,x\n"
+        "gen.num_nodes=50\n"
+        "# a comment\n"
+        "gen.num_nodes=60\n"
+        "pretrain.lr=fast  # trailing comment\n"
+        "no separator here\n"
+        "gen.noise_std=0.1\n"
+    )
+    assert _problems(tmp_path, text) == [
+        "exp.config:1: seeds: cannot parse '1,x'",
+        "exp.config:4: duplicate key 'gen.num_nodes'",
+        "exp.config:5: pretrain.lr: cannot parse 'fast'",
+        "exp.config:6: expected key=value",
+    ]
+
+
+def test_keys_that_set_nothing_are_rejected_with_the_reason(tmp_path):
+    text = "gen.rng_seed=3\npretrain.rng_seed=3\nclassifier.kind=logistic\n"
+    assert _problems(tmp_path, text) == [
+        "exp.config:1: key 'gen.rng_seed' is removed: each world's seed comes from seeds=",
+        "exp.config:2: key 'pretrain.rng_seed' is removed: pre-training's seed comes from seeds=",
+        "exp.config:3: key 'classifier.kind' is removed: the classifier is always logistic",
+    ]
+
+
+def test_pair_and_classifier_settings_validated_with_the_rest(tmp_path):
+    text = (
+        "gen.bogus=1\n"
+        "pairs.train_frac=1.5\n"
+        "pairs.n_hops=0\n"
+        "classifier.iterations=-3\n"
+        "classifier.lr=-0.1\n"
+        "classifier.l2=-5\n"
+    )
+    assert _problems(tmp_path, text) == [
+        "exp.config:1: unknown key 'gen.bogus'",
+        "exp.config: invalid PairConfig: n_hops must be >= 1; train_frac must be in (0, 1)",
+        "exp.config: invalid ClassifierConfig: iterations must be >= 0; lr must be > 0; "
+        "l2 must be >= 0",
+    ]

@@ -209,6 +209,31 @@ def test_gen_config_roundtrip(tmp_path):
     assert load_gen_config(tmp_path / "gen.config") == cfg
 
 
+@pytest.mark.parametrize(
+    "text, problems",
+    [
+        ("noise_std=abc\n", ["2: noise_std: cannot parse 'abc'"]),
+        ("num_nodes=50\nnum_nodes=60\n", ["3: duplicate key 'num_nodes'"]),
+        (
+            "bogus=1\nd_task\nintra_edge_prob=0.1,x,0.1\n",
+            [
+                "2: unknown key 'bogus'",
+                "3: expected key=value",
+                "4: intra_edge_prob: cannot parse '0.1,x,0.1'",
+            ],
+        ),
+    ],
+)
+def test_malformed_gen_config_names_every_line(tmp_path, text, problems):
+    path = tmp_path / "gen.config"
+    path.write_text("num_communities=3\n" + text)
+    with pytest.raises(ConfigValidationError) as err:
+        load_gen_config(path)
+    head, *got = str(err.value).split("\n  ")
+    assert head == "invalid GenConfig file:"
+    assert got == [f"{path}:{p}" for p in problems]
+
+
 def test_event_with_unknown_node_rejected():
     cfg = GenConfig(num_nodes=10, num_seed_defaults=1)
     g = generate_graph(cfg)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,19 @@ from riskprop.graph import (
 from riskprop.hgmae import load_embeddings, save_embeddings
 from riskprop.pairs import PairDatasetSplit, PropagationPair, load_pairs, save_pairs
 from riskprop.synthetic import load_task_features, save_task_features
-from riskprop.table import Block, Check, GraphFormatError, read_table, write_table
+from riskprop.table import (
+    Block,
+    Check,
+    GraphFormatError,
+    format_value,
+    parse_value,
+    read_entries,
+    read_record,
+    read_table,
+    record_fields,
+    write_record,
+    write_table,
+)
 
 from conftest import make_graph
 
@@ -187,3 +200,72 @@ def test_run_all_smoke_tree_matches_recorded_digests(tmp_path):
     }
     assert got == ref["sha256"]
     assert run_conditions(exp).rows == results.rows
+
+
+@pytest.mark.parametrize(
+    "kind, value, text",
+    [
+        (int, -7, "-7"),
+        (int, 2**70, "1180591620717411303424"),
+        (float, 0.1, "0.1"),
+        (float, -0.0, "-0.0"),
+        (float, 1 / 3, "0.3333333333333333"),
+        (float, 1e-300, "1e-300"),
+        (str, "out dir/x", "out dir/x"),
+        (tuple[int, ...], (0, 1, 2), "0,1,2"),
+        (tuple[float, ...], (0.05, 0.0, 2 / 3), "0.05,0.0,0.6666666666666666"),
+    ],
+)
+def test_value_roundtrip_every_kind(kind, value, text):
+    assert format_value(value) == text
+    got = parse_value(kind, text)
+    assert type(got) is type(value) and repr(got) == repr(value)
+
+
+@pytest.mark.parametrize("kind, text", [(int, "1.5"), (float, "fast"), (tuple[int, ...], "2,x")])
+def test_unparseable_value_raises(kind, text):
+    with pytest.raises(ValueError):
+        parse_value(kind, text)
+
+
+@dataclass
+class Inner:
+    rate: float = 0.5
+    sizes: tuple[int, ...] = (1, 2)
+
+
+@dataclass
+class Outer:
+    name: str = "a"
+    inner: Inner = field(default_factory=Inner)
+    count: int = 3
+
+
+def test_record_keys_nested_fields_by_section(tmp_path):
+    record = Outer(name="b c", inner=Inner(rate=1 / 3, sizes=(4,)), count=-1)
+    assert record_fields(Outer) == {
+        "name": str, "inner.rate": float, "inner.sizes": tuple[int, ...], "count": int
+    }
+    write_record(tmp_path / "r.config", record)
+    text = "name=b c\ninner.rate=0.3333333333333333\ninner.sizes=4\ncount=-1\n"
+    assert (tmp_path / "r.config").read_text() == text
+    assert read_record(tmp_path / "r.config", Outer) == record
+    write_record(tmp_path / "r.config", record, removed={"inner.sizes": "fixed"})
+    assert "sizes" not in (tmp_path / "r.config").read_text()
+
+
+def test_read_entries_reports_problems_in_line_order():
+    lines = [(1, "a\t1"), (3, "b"), (4, "c\t2"), (5, "a\t3"), (6, "d\tx"), (7, "e\t5")]
+    kinds = {"a": int, "b": int, "d": int, "f": str}
+    entries, problems = read_entries("p", lines, "\t", kinds, {"e": "gone"}, required=True)
+    assert entries == {"a": (1, 1)}
+    assert problems == [
+        "p:3: expected key<TAB>value",
+        "p:4: unknown key 'c'",
+        "p:5: duplicate key 'a'",
+        "p:6: d: cannot parse 'x'",
+        "p:7: key 'e' is removed: gone",
+        "p:8: missing key 'b'",
+        "p:8: missing key 'd'",
+        "p:8: missing key 'f'",
+    ]
