@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .hgmae import ModelParams, TrainConfig, init_params
-from .table import atomic_write_text, build_record, format_value, read_entries, record_fields
+from .table import (
+    atomic_write_text, build_record, format_value, parse_floats, read_entries, record_fields
+)
 
 FORMAT_TAG = "riskprop-checkpoint v1"
 
@@ -94,8 +96,11 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
     data = read_section("data", dict.fromkeys(expected, str))
     for name, t in params.named_tensors().items():
         lineno, values = data[name]
-        arr = np.array([float(v) for v in values.split(" ")], dtype=np.float64)
         where = f"{path}:{lineno}: tensor {name!r}"
+        try:
+            arr = parse_floats(values)
+        except ValueError as exc:
+            raise CheckpointError(f"{where}: {exc}") from None
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{where} has non-finite values")
         if arr.size != int(np.prod(expected[name])):

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .pairs import PairDatasetSplit, PropagationPair
-from .table import ConfigError, atomic_write_text, read_entries
+from .table import ConfigError, atomic_write_text, parse_floats, read_entries
 
 
 def make_fusion_fn(task: dict[int, np.ndarray], embeddings: np.ndarray):
@@ -232,9 +232,12 @@ def load_classifier(path: Path | str) -> ClassifierModel:
     def numbers(key: str) -> np.ndarray:
         lineno, val = raw[key]
         try:
-            return np.array([float(t) for t in val.split(" ")]) if val else np.zeros(0)
+            values = parse_floats(val)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad number in {key}") from None
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}:{lineno}: non-finite number in {key}")
+        return values
 
     lineno, kind = raw["kind"]
     if kind != ClassifierModel.kind:

@@ -14,18 +14,24 @@ slot j holds the j-th sender (ascending) of every receiver with more than j
 pairs. Because the order puts larger degrees first, the receivers of each
 slot are a contiguous prefix of that order, so a d-wide step updates
 acc[:count_j] of a degree-permuted [n, d] array once per slot and never
-builds a [pairs, d] array.
+builds a [pairs, d] array. The work that does not depend on slot order runs
+once per block of consecutive slots, at most max(2**14, n*d) floats: one
+row gather, one multiply by the pair weights and, in the backward, one row
+sum for the per-pair dots. Only the add into the prefix runs per slot.
+Blocks live only inside one call, so a head's tape holds O(n*d + pairs)
+floats.
 
 The layout does not change any float sum. numpy's bincount starts every bin
 at +0.0 and adds its entries in input order; a receiver's entries in slot
 order come in sender-ascending order, the order of the (receiver,
-sender)-sorted pairs. The per-slot loop starts each row at +0.0 too and
-adds the receiver's j-th term at slot j, the same rounded products in the
-same order. Sender-keyed sums read each entry's mirror, the slot of the
+sender)-sorted pairs. The slot loop starts each row at +0.0 too and adds
+the receiver's j-th term at slot j, the same rounded products in the same
+order; a block only decides how many of those products one numpy call
+forms. Sender-keyed sums read each entry's mirror, the slot of the
 reversed pair (s, r), so they also run in ascending order of the other end.
 The per-pair row dots of the backward multiply the same two factors and sum
-each d-wide row with numpy's row sum, whatever rows share the call.
-Outputs are bit-reproducible.
+each d-wide row with numpy's row sum, which gives a row the same bits
+however many rows share the call. Outputs are bit-reproducible.
 
 Each head is a single tape node, `gat_head`, with a hand-written backward.
 It is bit-identical to the same head composed from generic autodiff ops
@@ -41,6 +47,7 @@ Any other order drifts by an ulp per step.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +124,8 @@ class MessagePairs:
     nbr[k] are its receiver and sender, pair_index[k] is its index in the
     sorted pairs and mirror[k] is the entry holding the reversed pair
     (nbr[k], recv[k]). mirror is an involution, because the pair set is
-    symmetric and free of duplicates.
+    symmetric and free of duplicates. slot_bounds[j] is the index of slot
+    j's first entry, and slot_bounds[-1] the number of entries.
     """
 
     dst: np.ndarray
@@ -129,6 +137,7 @@ class MessagePairs:
     nbr: np.ndarray
     pair_index: np.ndarray
     mirror: np.ndarray
+    slot_bounds: tuple[int, ...]
 
     @property
     def num_nodes(self) -> int:
@@ -194,7 +203,14 @@ def build_message_pairs(edges: np.ndarray, num_nodes: int) -> MessagePairs:
         nbr=src[pair_index],
         pair_index=pair_index,
         mirror=slot_of_pair[reverse[pair_index]],
+        slot_bounds=(0, *np.cumsum(counts).tolist()),
     )
+
+
+# A gathered block holds at most max(_BLOCK_FLOATS, n * d) floats: enough
+# slots per gather to amortise numpy's per-call overhead, few enough to keep
+# the transient small. A block never splits a slot.
+_BLOCK_FLOATS = 1 << 14
 
 
 def _jagged_matmul(
@@ -206,25 +222,42 @@ def _jagged_matmul(
     With dot_with [n, d], dots[k] is the row dot rows[nbr[k]] .
     dot_with[recv[k]], summed the way numpy's row sum adds a [pairs, d]
     array of those products; otherwise dots is None.
+
+    A block of consecutive slots, at most max(_BLOCK_FLOATS // d, n)
+    entries, shares one np.take of its rows, one multiply by its weights
+    and one row sum of its dot products. Per slot remain the add
+    acc[:c] += block[slot] and the products against dot_with's contiguous
+    degree-ordered prefix. The bits match a slot-by-slot loop: every
+    product is the same two factors, every receiver adds its products in
+    slot order, and numpy's row sum does not depend on the row count.
     """
     n, d = pairs.num_nodes, rows.shape[1]
+    bounds = pairs.slot_bounds
+    cap = max(_BLOCK_FLOATS // d, n)
     acc = np.zeros((n, d))
-    gathered = np.empty((n, d))
     dots = None
     if dot_with is not None:
         dot_sorted = dot_with[pairs.order]
-        products = np.empty((n, d))
         dots = np.empty(pairs.nbr.shape[0])
-    lo = 0
-    for c in pairs.counts.tolist():
-        hi = lo + c
-        np.take(rows, pairs.nbr[lo:hi], axis=0, out=gathered[:c])
+    j = 0
+    while j < len(bounds) - 1:
+        lo = bounds[j]
+        # the last slot end within the cap; a slot has at most n <= cap entries
+        k = bisect_right(bounds, lo + cap, j + 1) - 1
+        hi = bounds[k]
+        block = rows.take(pairs.nbr[lo:hi], axis=0)
+        slots = [(a - lo, b - lo) for a, b in zip(bounds[j:k], bounds[j + 1 : k + 1])]
         if dot_with is not None:
-            np.multiply(gathered[:c], dot_sorted[:c], out=products[:c])
-            np.sum(products[:c], axis=1, out=dots[lo:hi])
-        gathered[:c] *= weights[lo:hi, None]
-        acc[:c] += gathered[:c]
-        lo = hi
+            products = np.empty_like(block)
+            for a, b in slots:
+                np.multiply(block[a:b], dot_sorted[: b - a], out=products[a:b])
+            products.sum(axis=1, out=dots[lo:hi])
+            del products
+        block *= weights[lo:hi, None]
+        for a, b in slots:
+            acc[: b - a] += block[a:b]
+        del block  # free it before the next gather: one block alive at a time
+        j = k
     out = np.empty_like(acc)
     out[pairs.order] = acc
     return out, dots
@@ -250,8 +283,8 @@ def gat_head(
     pair in slot order; `pairs.in_pair_order` sorts it by (dst, src)).
 
     alpha grouped by receiver sums to 1. Per-pair arrays are 1-D; every
-    d-wide step runs slot by slot on [n, d] arrays, so the tape holds
-    O(n*d + pairs) floats per head.
+    d-wide step runs on [n, d] arrays and transient blocks of slots, so the
+    tape holds O(n*d + pairs) floats per head.
     """
     recv, nbr, n = pairs.recv, pairs.nbr, pairs.num_nodes
     d = w.data.shape[0]

@@ -195,6 +195,17 @@ def parse_value(kind, raw: str):
     return kind(raw)
 
 
+def parse_floats(raw: str) -> np.ndarray:
+    """Space-separated floats ('' is none); ValueError naming the first bad token."""
+    values = []
+    for token in raw.split(" ") if raw else ():
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"bad number {token!r}") from None
+    return np.array(values, dtype=np.float64)
+
+
 def record_fields(cls, prefix: str = "") -> dict[str, type]:
     """Each leaf field's key and annotation, in field order."""
     hints = get_type_hints(cls)

@@ -4,7 +4,8 @@ Most of these recompute results from scratch in a deliberately different
 style (dense matrices, per-node loops, level-set BFS) so agreement with the
 library is meaningful. The exceptions are the bit-exact references for the
 library's fused kernels: the attention head composed from generic tape ops
-(tape_gat_head), the one-bincount-per-column segment sum and the
+(tape_gat_head), the slot-by-slot jagged-diagonal kernel
+(slot_loop_jagged_matmul), the one-bincount-per-column segment sum and the
 sign-masked sigmoid. Those must agree with the library bit for bit, not
 within a tolerance. The per-source
 dict/deque BFS (bfs_distances over neighbor_lists) is the loop that the
@@ -120,6 +121,32 @@ def column_loop_segment_sum(values: np.ndarray, idx: np.ndarray, num_rows: int) 
     for j in range(values.shape[1]):
         out[:, j] = np.bincount(idx, weights=values[:, j], minlength=num_rows)
     return out
+
+
+def slot_loop_jagged_matmul(pairs, weights: np.ndarray, rows: np.ndarray, dot_with=None):
+    """gat._jagged_matmul one slot at a time: a gather, a weight multiply, a
+    row sum and an accumulation per slot, reused [n, d] buffers."""
+    n, d = pairs.num_nodes, rows.shape[1]
+    acc = np.zeros((n, d))
+    gathered = np.empty((n, d))
+    dots = None
+    if dot_with is not None:
+        dot_sorted = dot_with[pairs.order]
+        products = np.empty((n, d))
+        dots = np.empty(pairs.nbr.shape[0])
+    lo = 0
+    for c in pairs.counts.tolist():
+        hi = lo + c
+        np.take(rows, pairs.nbr[lo:hi], axis=0, out=gathered[:c])
+        if dot_with is not None:
+            np.multiply(gathered[:c], dot_sorted[:c], out=products[:c])
+            np.sum(products[:c], axis=1, out=dots[lo:hi])
+        gathered[:c] *= weights[lo:hi, None]
+        acc[:c] += gathered[:c]
+        lo = hi
+    out = np.empty_like(acc)
+    out[pairs.order] = acc
+    return out, dots
 
 
 def dense_sce(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float) -> float:

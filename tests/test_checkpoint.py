@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from riskprop.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -43,6 +45,24 @@ def test_checkpoint_corruption_detected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match="checksum"):
         load_checkpoint(path)
+
+
+def test_checkpoint_bad_number_names_line_tensor_and_token(tmp_path):
+    # a rewritten file with a fresh checksum passes the checksum, not the parse
+    cfg = TrainConfig(d_emb=4, hidden_heads=1, hidden_head_dim=3)
+    path = tmp_path / "checkpoint.tsv"
+    save_checkpoint(trained_ish_params(cfg), cfg, path)
+    lines = path.read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith("mask_token\t"))
+    name, values = lines[idx].split("\t")
+    lines[idx] = name + "\t" + " ".join(["x"] + values.split(" ")[1:])
+    data = [l for l in lines if not l.startswith("#")]
+    digest = hashlib.sha256("\n".join(data).encode()).hexdigest()
+    lines = [f"# checksum\t{digest}" if l.startswith("# checksum\t") else l for l in lines]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}:{idx + 1}: tensor 'mask_token': bad number 'x'"
 
 
 def test_checkpoint_shape_validated_against_config(tmp_path):

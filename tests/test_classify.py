@@ -249,6 +249,8 @@ def _drop_last_value(line):
         (lambda ls: ls + ["margin\t0.5"], 6, "unknown key 'margin'"),
         (lambda ls: ls + [ls[1]], 6, "duplicate key 'bias'"),
         (lambda ls: ls[:1] + ["bias\tnan?"] + ls[2:], 2, "bad number in bias"),
+        (lambda ls: ls[:2] + ["weights\tnan nan"] + ls[3:], 3, "non-finite number in weights"),
+        (lambda ls: ls[:1] + ["bias\tinf"] + ls[2:], 2, "non-finite number in bias"),
         (lambda ls: ls[:1] + ["bias\t1 2"] + ls[2:], 2, "bias must be one number"),
         (
             lambda ls: ls[:3] + [_drop_last_value(ls[3])] + ls[4:],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from riskprop import autodiff as ad
+from riskprop import gat
 from riskprop.autodiff import Tensor, backward, grad_check
 from riskprop.experiment import ExperimentConfig, build_world
 from riskprop.gat import (
@@ -14,7 +15,14 @@ from riskprop.gat import (
 from riskprop.graph import extract_subgraph
 from riskprop.hgmae import message_pairs
 
-from oracles import dense_adjacency, dense_gat_layer, dense_stack, layers_as_arrays, tape_gat_layer
+from oracles import (
+    dense_adjacency,
+    dense_gat_layer,
+    dense_stack,
+    layers_as_arrays,
+    slot_loop_jagged_matmul,
+    tape_gat_layer,
+)
 
 NO_EDGES = np.zeros((0, 2), dtype=np.int64)
 
@@ -259,9 +267,11 @@ def test_fused_head_bit_identical_to_tape_composition(heads, activation):
 def shaped_graph(shape):
     """(features, message pairs) for graphs whose slot layouts differ most
     from the 9-node fixture: one hub of degree n-1, all degrees tied, no
-    edges at all, and a subgraph of the default world."""
-    if shape == "default-subgraph":
+    edges at all, and the default world or one of its subgraphs."""
+    if shape in ("default-subgraph", "default-world"):
         _, g, _, _ = build_world(ExperimentConfig(), 0)
+        if shape == "default-world":
+            return g.node_features, message_pairs(g)
         sub = extract_subgraph(g, 2)  # the densest relation type
         return sub.features, message_pairs(sub)
     rng = np.random.default_rng(len(shape))
@@ -314,6 +324,31 @@ def test_jagged_layout_invariants(shape):
     assert np.array_equal(pairs.mirror[pairs.mirror], np.arange(total))
     # in_pair_order undoes the slot order
     assert np.array_equal(pairs.in_pair_order(pairs.recv), pairs.dst)
+
+
+@pytest.mark.parametrize("bound", [1, gat._BLOCK_FLOATS, 1 << 40], ids=["tiny", "default", "huge"])
+@pytest.mark.parametrize("d", [1, 16, 32])
+@pytest.mark.parametrize("shape", ["star", "ring", "edgeless", "default-world"])
+def test_blocked_jagged_matmul_bit_identical_to_slot_loop(shape, d, bound, monkeypatch):
+    # tiny: the cap is n, so a slot of n entries (more than bound / d) fills
+    # a block alone and the short tail slots share one; default: several
+    # multi-slot blocks on the default world at d = 16 and 32; huge: one
+    # block per layout
+    monkeypatch.setattr(gat, "_BLOCK_FLOATS", bound)
+    _, pairs = shaped_graph(shape)
+    rng = np.random.default_rng(d)
+    n, entries = pairs.num_nodes, pairs.nbr.shape[0]
+    weights = rng.standard_normal(entries)
+    rows = rng.standard_normal((n, d))
+    dot_with = rng.standard_normal((n, d))
+    out, dots = gat._jagged_matmul(pairs, weights, rows)
+    want_out, _ = slot_loop_jagged_matmul(pairs, weights, rows)
+    assert dots is None
+    assert np.array_equal(out, want_out)
+    out, dots = gat._jagged_matmul(pairs, weights, rows, dot_with=dot_with)
+    want_out, want_dots = slot_loop_jagged_matmul(pairs, weights, rows, dot_with=dot_with)
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(dots, want_dots)
 
 
 def test_fused_head_names_itself_on_non_finite_weight():
