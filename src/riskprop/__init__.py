@@ -1,7 +1,7 @@
 """riskprop: heterogeneous-graph masked-autoencoder pre-training and
 default-risk propagation prediction on synthetic enterprise graphs."""
 
-from .autodiff import GradCheckReport, NumericFault, Tensor, backward, grad_check
+from .autodiff import NumericFault
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .classify import (
     ClassifierConfig,

@@ -27,10 +27,10 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(params: ModelParams, cfg: TrainConfig, path: Path | str) -> None:
-    tensors = params.named_tensors()
+    arrays = params.named_arrays()
     data_lines = []
-    for name, t in tensors.items():
-        values = " ".join(format(x, ".17g") for x in t.data.reshape(-1))
+    for name, arr in arrays.items():
+        values = " ".join(format(x, ".17g") for x in arr.reshape(-1))
         data_lines.append(f"{name}\t{values}")
     digest = hashlib.sha256("\n".join(data_lines).encode()).hexdigest()
 
@@ -38,8 +38,8 @@ def save_checkpoint(params: ModelParams, cfg: TrainConfig, path: Path | str) -> 
     for key in record_fields(TrainConfig):
         head.append(f"# config\t{key}\t{format_value(getattr(cfg, key))}")
     head.append(f"# config\td_in\t{params.d_in}")
-    for name, t in tensors.items():
-        head.append(f"# tensor\t{name}\t{format_value(t.data.shape)}")
+    for name, arr in arrays.items():
+        head.append(f"# tensor\t{name}\t{format_value(arr.shape)}")
     head.append(f"# checksum\t{digest}")
     atomic_write_text(Path(path), "\n".join(head + data_lines) + "\n")
 
@@ -86,7 +86,7 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
 
     # the architecture implied by the config: names, shapes and layer structure
     params = init_params(echo["d_in"][1], cfg, np.random.default_rng(0))
-    expected = {name: t.data.shape for name, t in params.named_tensors().items()}
+    expected = {name: arr.shape for name, arr in params.named_arrays().items()}
     manifest = read_section("# tensor", dict.fromkeys(expected, tuple[int, ...]))
     for name, (lineno, shape) in manifest.items():
         if shape != expected[name]:
@@ -94,7 +94,7 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
                 f"{path}:{lineno}: tensor {name!r} has shape {shape}, config implies {expected[name]}"
             )
     data = read_section("data", dict.fromkeys(expected, str))
-    for name, t in params.named_tensors().items():
+    for name, target in params.named_arrays().items():
         lineno, values = data[name]
         where = f"{path}:{lineno}: tensor {name!r}"
         try:
@@ -105,5 +105,5 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
             raise CheckpointError(f"{where} has non-finite values")
         if arr.size != int(np.prod(expected[name])):
             raise CheckpointError(f"{where} has {arr.size} values, wants {expected[name]}")
-        t.data = arr.reshape(expected[name])
+        target[...] = arr.reshape(expected[name])
     return params, cfg

@@ -18,8 +18,8 @@ builds a [pairs, d] array. The work that does not depend on slot order runs
 once per block of consecutive slots, at most max(2**14, n*d) floats: one
 row gather, one multiply by the pair weights and, in the backward, one row
 sum for the per-pair dots. Only the add into the prefix runs per slot.
-Blocks live only inside one call, so a head's tape holds O(n*d + pairs)
-floats.
+Blocks live only inside one call, so a head's backward closure holds
+O(n*d + pairs) floats.
 
 The layout does not change any float sum. numpy's bincount starts every bin
 at +0.0 and adds its entries in input order; a receiver's entries in slot
@@ -33,14 +33,16 @@ The per-pair row dots of the backward multiply the same two factors and sum
 each d-wide row with numpy's row sum, which gives a row the same bits
 however many rows share the call. Outputs are bit-reproducible.
 
-Each head is a single tape node, `gat_head`, with a hand-written backward.
-It is bit-identical to the same head composed from generic autodiff ops
-(`tape_gat_head` in tests/oracles.py), forward and backward. That fixes
-the order in which its gradient contributions are added:
+Each head computes its forward pass and its gradient by hand: gat_head
+returns the output with a backward closure, and gat_layer_forward and
+gat_stack_forward chain those closures through the concatenation and the
+ELU. The gradients are bit-identical to the same layers composed from
+generic autodiff ops (`tape_gat_head` in tests/tape.py). That fixes the
+order in which contributions are added:
 
     grad z = (receiver-score term + sender-score term) + aggregation term
-    grad W += (x.T @ grad z).T
-    grad x += grad z @ W
+    grad W = (x.T @ grad z).T
+    grad x = grad z @ W, summed over the heads of a layer from head 0 up
 
 Any other order drifts by an ulp per step.
 """
@@ -52,8 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NumericFault
 from .graph import sorted_unique
 
 
@@ -61,8 +62,8 @@ from .graph import sorted_unique
 class GATLayerParams:
     """Per-head projection weights [d_out, d_in] and attention vectors [2*d_out]."""
 
-    weights: list[Tensor]
-    attn: list[Tensor]
+    weights: list[np.ndarray]
+    attn: list[np.ndarray]
     leaky_slope: float = 0.2
     activation: str = "elu"
 
@@ -72,7 +73,7 @@ class GATLayerParams:
         if self.activation not in ("elu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
         for w, a in zip(self.weights, self.attn):
-            if a.data.shape != (2 * w.data.shape[0],):
+            if a.shape != (2 * w.shape[0],):
                 raise ValueError("attention vector must have 2 * d_out entries")
 
     @property
@@ -81,11 +82,11 @@ class GATLayerParams:
 
     @property
     def d_in(self) -> int:
-        return self.weights[0].data.shape[1]
+        return self.weights[0].shape[1]
 
     @property
     def d_out(self) -> int:
-        return self.weights[0].data.shape[0] * len(self.weights)
+        return self.weights[0].shape[0] * len(self.weights)
 
 
 def init_gat_layer(
@@ -100,9 +101,9 @@ def init_gat_layer(
     weights, attn = [], []
     for _ in range(num_heads):
         bw = 1.0 / np.sqrt(d_in)
-        weights.append(Tensor(rng.uniform(-bw, bw, size=(d_out_head, d_in))))
+        weights.append(rng.uniform(-bw, bw, size=(d_out_head, d_in)))
         ba = 1.0 / np.sqrt(2 * d_out_head)
-        attn.append(Tensor(rng.uniform(-ba, ba, size=2 * d_out_head)))
+        attn.append(rng.uniform(-ba, ba, size=2 * d_out_head))
     return GATLayerParams(
         weights=weights, attn=attn, leaky_slope=leaky_slope, activation=activation
     )
@@ -276,20 +277,19 @@ def _receiver_max(pairs: MessagePairs, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def gat_head(
-    x: Tensor, w: Tensor, a: Tensor, pairs: MessagePairs, slope: float
-) -> tuple[Tensor, np.ndarray]:
-    """One attention head as one tape node: (output [n, d_head], alpha per
-    pair in slot order; `pairs.in_pair_order` sorts it by (dst, src)).
+def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs, slope: float):
+    """One attention head: (output [n, d_head], alpha per pair in slot order,
+    backward). `pairs.in_pair_order` sorts alpha by (dst, src).
 
-    alpha grouped by receiver sums to 1. Per-pair arrays are 1-D; every
-    d-wide step runs on [n, d] arrays and transient blocks of slots, so the
-    tape holds O(n*d + pairs) floats per head.
+    backward(g) takes the gradient of the output and returns the gradients
+    of x, w and a. alpha grouped by receiver sums to 1. Per-pair arrays are
+    1-D; every d-wide step runs on [n, d] arrays and transient blocks of
+    slots, so the closure holds O(n*d + pairs) floats.
     """
     recv, nbr, n = pairs.recv, pairs.nbr, pairs.num_nodes
-    d = w.data.shape[0]
-    a_recv, a_send = a.data[:d].copy(), a.data[d:].copy()
-    z = x.data @ w.data.T
+    d = w.shape[0]
+    a_recv, a_send = a[:d].copy(), a[d:].copy()
+    z = x @ w.T
     s = (z @ a_recv)[recv] + (z @ a_send)[nbr]
     positive = s > 0
     e = np.where(positive, s, slope * s)
@@ -298,8 +298,9 @@ def gat_head(
     denom = np.bincount(recv, weights=ez, minlength=n)
     alpha = ez / denom[recv]
     out, _ = _jagged_matmul(pairs, alpha, z)
+    NumericFault.check(out, "gat_head")
 
-    def bwd(g):
+    def backward(g):
         # one pass over g[nbr] gives the transposed aggregation and, at each
         # entry's mirror, the row dot g[recv] . z[nbr] with its factors in
         # the same order
@@ -316,45 +317,72 @@ def gat_head(
             + g_send[:, None] * a_send[None, :]
             + g_agg
         )
-        ad._acc(a, np.concatenate([z.T @ g_recv, z.T @ g_send]))
-        ad._acc(w, (x.data.T @ g_z).T)
-        ad._acc(x, g_z @ w.data)
+        return g_z @ w, (x.T @ g_z).T, np.concatenate([z.T @ g_recv, z.T @ g_send])
 
-    return Tensor(out, (x, w, a), bwd, "gat_head"), alpha
+    return out, alpha, backward
 
 
 def gat_layer_forward(
     params: GATLayerParams,
-    x: Tensor,
-    edges: np.ndarray | MessagePairs,
+    x: np.ndarray,
+    pairs: MessagePairs,
     return_attention: bool = False,
 ):
-    """One attention layer on features x [n, d_in] and an undirected edge list.
+    """One attention layer on features x [n, d_in]: (output, backward).
 
-    `edges` may also be prebuilt MessagePairs, so stacked layers and repeated
-    steps share one construction. With return_attention, also returns
-    (receiver, sender, [alpha per head]); alpha rows grouped by receiver sum
-    to 1.
+    backward(g) takes the gradient of the output and returns (gradient of x,
+    [W gradient, a gradient] of each head in order, flattened). With
+    return_attention, a third item is (receiver, sender, [alpha per head]);
+    alpha rows grouped by receiver sum to 1.
     """
-    n = x.data.shape[0]
-    pairs = edges if isinstance(edges, MessagePairs) else build_message_pairs(edges, n)
+    n = x.shape[0]
     if pairs.num_nodes != n:
         raise ValueError(f"message pairs cover {pairs.num_nodes} nodes, features have {n}")
     heads = [
         gat_head(x, w, a, pairs, params.leaky_slope) for w, a in zip(params.weights, params.attn)
     ]
-    merged = heads[0][0] if len(heads) == 1 else ad.concat_cols([h for h, _ in heads])
-    out = ad.elu(merged) if params.activation == "elu" else merged
+    merged = heads[0][0] if len(heads) == 1 else np.concatenate([o for o, _, _ in heads], axis=1)
+    elu = params.activation == "elu"
+    out = merged
+    if elu:
+        out = NumericFault.check(np.where(merged > 0, merged, np.expm1(merged)), "elu")
+
+    def backward(g):
+        if elu:
+            g = g * np.where(merged > 0, 1.0, out + 1.0)
+        width = merged.shape[1] // len(heads)
+        g_x, grads = None, []
+        for h, (_, _, head_backward) in enumerate(heads):
+            # the head gathers rows of its slice, faster from a contiguous copy
+            g_head = np.ascontiguousarray(g[:, h * width : (h + 1) * width])
+            g_x_head, g_w, g_a = head_backward(g_head)
+            grads += [g_w, g_a]
+            if g_x is None:
+                g_x = g_x_head
+            else:
+                g_x += g_x_head
+        return g_x, grads
+
     if return_attention:
-        return out, (pairs.dst, pairs.src, [pairs.in_pair_order(alpha) for _, alpha in heads])
-    return out
+        alphas = [pairs.in_pair_order(alpha) for _, alpha, _ in heads]
+        return out, backward, (pairs.dst, pairs.src, alphas)
+    return out, backward
 
 
-def gat_stack_forward(
-    layers: list[GATLayerParams], x: Tensor, edges: np.ndarray | MessagePairs
-) -> Tensor:
-    if not isinstance(edges, MessagePairs):
-        edges = build_message_pairs(edges, x.data.shape[0])
+def gat_stack_forward(layers: list[GATLayerParams], x: np.ndarray, pairs: MessagePairs):
+    """Layers in order: (output, backward). backward(g) returns (gradient of
+    x, every layer's head gradients in layer order, flattened as
+    gat_layer_forward lists them)."""
+    backwards = []
     for layer in layers:
-        x = gat_layer_forward(layer, x, edges)
-    return x
+        x, layer_backward = gat_layer_forward(layer, x, pairs)
+        backwards.append(layer_backward)
+
+    def backward(g):
+        grads = []
+        for layer_backward in reversed(backwards):
+            g, layer_grads = layer_backward(g)
+            grads = layer_grads + grads
+        return g, grads
+
+    return x, backward

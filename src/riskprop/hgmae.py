@@ -14,6 +14,16 @@ where K_eff counts edge types that actually have edges. With eta = 0 only
 the full-graph term is computed, which is the plain homogeneous masked
 autoencoder this model extends.
 
+Each term computes its forward pass and then its gradient by hand: encode
+and remask_and_decode return their outputs with backward closures (the
+heads' closures from gat.py, chained), sce_loss returns the loss with its
+own, and the mask token's gradient sums the gradients of the rows it fills.
+A term runs its backward before the next term starts, so only one term's
+arrays are alive at a time. hgmae_loss adds the
+terms' gradients in a fixed order, full graph first, then the subgraphs by
+ascending type id, which makes them bit-identical to the same model composed
+from generic autodiff ops (tests/tape.py).
+
 Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
 
@@ -32,8 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NumericFault
 from .gat import (
     GATLayerParams,
     MessagePairs,
@@ -125,8 +134,10 @@ def sample_mask(n: int, cfg: TrainConfig, rng: np.random.Generator) -> MaskPlan:
     n_random = int(round(cfg.random_sub_rate * count))
     positions = np.sort(prng.choice(count, size=n_random, replace=False))
     random_ids = masked[positions]
-    token_ids = np.setdiff1d(masked, random_ids)
-    pool = np.setdiff1d(np.arange(n), masked)
+    token_ids = np.delete(masked, positions)
+    unmasked = np.ones(n, dtype=bool)
+    unmasked[masked] = False
+    pool = np.flatnonzero(unmasked)
     random_src = pool[prng.integers(0, pool.size, size=n_random)]
     return MaskPlan(
         num_nodes=n,
@@ -140,24 +151,27 @@ def sample_mask(n: int, cfg: TrainConfig, rng: np.random.Generator) -> MaskPlan:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors: encoder/decoder attention layers plus the two
+    """All trainable arrays: encoder/decoder attention layers plus the two
     learnable corruption tokens."""
 
     encoder: list[GATLayerParams]
     decoder: list[GATLayerParams]
-    mask_token: Tensor
-    remask_token: Tensor
+    mask_token: np.ndarray
+    remask_token: np.ndarray
 
     @property
     def d_in(self) -> int:
-        return self.mask_token.data.shape[0]
+        return self.mask_token.shape[0]
 
     @property
     def d_emb(self) -> int:
-        return self.remask_token.data.shape[0]
+        return self.remask_token.shape[0]
 
-    def named_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        """Every parameter by name: each layer's heads (W, then a), encoder
+        then decoder, then the two tokens. The values are the live arrays, so
+        an in-place update changes the model."""
+        out: dict[str, np.ndarray] = {}
         for stack_name, stack in (("encoder", self.encoder), ("decoder", self.decoder)):
             for li, layer in enumerate(stack):
                 for hi, (w, a) in enumerate(zip(layer.weights, layer.attn)):
@@ -166,10 +180,6 @@ class ModelParams:
         out["mask_token"] = self.mask_token
         out["remask_token"] = self.remask_token
         return out
-
-    def zero_grads(self) -> None:
-        for t in self.named_tensors().values():
-            t.zero_grad()
 
 
 def init_params(d_in: int, cfg: TrainConfig, rng: np.random.Generator) -> ModelParams:
@@ -183,21 +193,19 @@ def init_params(d_in: int, cfg: TrainConfig, rng: np.random.Generator) -> ModelP
     return ModelParams(
         encoder=encoder,
         decoder=decoder,
-        mask_token=Tensor(np.zeros(d_in)),
-        remask_token=Tensor(np.zeros(cfg.d_emb)),
+        mask_token=np.zeros(d_in),
+        remask_token=np.zeros(cfg.d_emb),
     )
 
 
-def apply_mask(x: np.ndarray, plan: MaskPlan, params: ModelParams) -> Tensor:
+def apply_mask(x: np.ndarray, plan: MaskPlan, params: ModelParams) -> np.ndarray:
     """Corrupt feature rows per the plan; unmasked rows are copied bit-for-bit."""
     if x.shape[0] != plan.num_nodes:
         raise ValueError(f"plan built for {plan.num_nodes} nodes, features have {x.shape[0]}")
-    out = ad.constant(x)
-    if plan.token_ids.size:
-        out = ad.set_rows(out, plan.token_ids, ad.repeat_row(params.mask_token, plan.token_ids.size))
-    if plan.random_ids.size:
-        out = ad.set_rows(out, plan.random_ids, ad.constant(x[plan.random_src_ids]))
-    return out
+    out = x.copy()
+    out[plan.token_ids] = params.mask_token
+    out[plan.random_ids] = x[plan.random_src_ids]
+    return NumericFault.check(out, "mask")
 
 
 def message_pairs(g: HeteroGraph | Subgraph) -> MessagePairs:
@@ -225,20 +233,31 @@ def plan_graph(g: HeteroGraph) -> GraphPlan:
     return GraphPlan(graph=g, pairs=message_pairs(g), subs=subs)
 
 
-def encode(pairs: MessagePairs, corrupted: Tensor, params: ModelParams) -> Tensor:
-    """Encoder stack over the given message pairs."""
+def encode(pairs: MessagePairs, corrupted: np.ndarray, params: ModelParams):
+    """Encoder stack over the given message pairs: (latent, backward), with
+    backward as gat_stack_forward returns it."""
     return gat_stack_forward(params.encoder, corrupted, pairs)
 
 
 def remask_and_decode(
-    latent: Tensor, plan: MaskPlan, params: ModelParams, pairs: MessagePairs
-) -> Tensor:
-    """Replace masked latent rows with the re-mask token, then run the decoder."""
-    if plan.masked_ids.size:
-        latent = ad.set_rows(
-            latent, plan.masked_ids, ad.repeat_row(params.remask_token, plan.masked_ids.size)
-        )
-    return gat_stack_forward(params.decoder, latent, pairs)
+    latent: np.ndarray, plan: MaskPlan, params: ModelParams, pairs: MessagePairs
+):
+    """Replace masked latent rows with the re-mask token, then run the
+    decoder: (reconstruction, backward). backward(g) returns (gradient of
+    latent, gradient of the re-mask token, decoder head gradients)."""
+    masked = plan.masked_ids
+    remasked = latent.copy()
+    remasked[masked] = params.remask_token
+    NumericFault.check(remasked, "remask")
+    recon, decoder_backward = gat_stack_forward(params.decoder, remasked, pairs)
+
+    def backward(g):
+        g_latent, grads = decoder_backward(g)
+        g_token = g_latent[masked].sum(axis=0)
+        g_latent[masked] = 0.0
+        return g_latent, g_token, grads
+
+    return recon, backward
 
 
 # Rows whose original or reconstructed vector has exactly zero norm take the
@@ -251,8 +270,11 @@ def zero_norm_row_count() -> int:
     return _zero_norm_rows_seen
 
 
-def sce_loss(x: np.ndarray, z: Tensor, masked_ids: np.ndarray, gamma: float = 1.0) -> Tensor:
-    """Scaled cosine error (1 - cos(x_i, z_i))**gamma averaged over masked rows."""
+def sce_loss(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float = 1.0):
+    """Scaled cosine error (1 - cos(x_i, z_i))**gamma averaged over masked
+    rows: (loss, backward). backward(upstream) returns the gradient of
+    upstream * loss with respect to z. When every masked row has zero norm
+    the loss is the constant 1 and backward is None."""
     global _zero_norm_rows_seen
     masked_ids = np.asarray(masked_ids, dtype=np.int64)
     m = masked_ids.size
@@ -260,32 +282,53 @@ def sce_loss(x: np.ndarray, z: Tensor, masked_ids: np.ndarray, gamma: float = 1.
         raise ValueError("sce_loss needs at least one masked row")
     x_rows = x[masked_ids]
     x_norm = np.linalg.norm(x_rows, axis=1)
-    z_norm = np.linalg.norm(z.data[masked_ids], axis=1)
+    z_norm = np.linalg.norm(z[masked_ids], axis=1)
     good = (x_norm > 0.0) & (z_norm > 0.0)
     n_bad = int(m - good.sum())
     if n_bad:
         _zero_norm_rows_seen += n_bad
     if not good.any():
-        return ad.constant(1.0)
+        return 1.0, None
 
-    zg = ad.gather_rows(z, masked_ids[good])
-    xg = ad.constant(x_rows[good])
-    dots = ad.rowsum(ad.mul(xg, zg))
-    norms = ad.mul(ad.constant(x_norm[good]), ad.sqrt(ad.rowsum(ad.mul(zg, zg))))
-    cos = ad.div(dots, norms)
-    terms = ad.power(ad.scale_shift(cos, -1.0, 1.0), gamma)
+    rows = masked_ids[good]
+    zg, xg, xn = z[rows], x_rows[good], x_norm[good]
+    dots = (xg * zg).sum(axis=1)
+    root = np.sqrt((zg * zg).sum(axis=1))
+    norms = NumericFault.check(xn * root, "sce")
+    cos = dots / norms
+    slack = 1.0 - cos
+    terms = slack if gamma == 1.0 else slack**gamma
     # mean over all masked rows; zero-norm rows contribute the constant 1
-    return ad.scale_shift(ad.total_sum(terms), 1.0 / m, n_bad / m)
+    loss = float(NumericFault.check(1.0 / m * terms.sum() + n_bad / m, "sce"))
+
+    def backward(upstream):
+        g_slack = 1.0 / m * upstream
+        if gamma != 1.0:
+            g_slack = g_slack * gamma * slack ** (gamma - 1.0)
+        # through cos = dots / (|x| * root) and root = sqrt(rowsum(zg * zg)),
+        # each product associated as the tape's op chain does
+        g_dots = -g_slack / norms
+        g_sq = (g_slack * cos / norms * xn * 0.5 / root)[:, None]
+        # zg's gradient adds the dot path first, then the norm path once per
+        # factor of zg * zg
+        g_zg = g_dots[:, None] * xg
+        norm_path = g_sq * zg
+        g_zg += norm_path
+        g_zg += norm_path
+        # added into zeros, not assigned: a -0.0 turns into +0.0 as in a
+        # bincount scatter
+        g_z = np.zeros_like(z)
+        g_z[rows] += g_zg
+        return g_z
+
+    return loss, backward
 
 
-def merge_losses(full_term: Tensor, sub_terms: list[Tensor], eta: float) -> Tensor:
+def merge_losses(full_term: float, sub_terms: list[float], eta: float) -> float:
     """full + (eta / K_eff) * sum of subgraph terms; eta == 0 returns full as is."""
     if eta == 0.0 or not sub_terms:
         return full_term
-    acc = sub_terms[0]
-    for t in sub_terms[1:]:
-        acc = ad.add(acc, t)
-    return ad.add(full_term, ad.scale_shift(acc, eta / len(sub_terms)))
+    return full_term + eta / len(sub_terms) * sum(sub_terms)
 
 
 @dataclass
@@ -326,30 +369,67 @@ def _reconstruction_term(
     plan: MaskPlan,
     params: ModelParams,
     cfg: TrainConfig,
-) -> Tensor:
+    upstream: float,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """One masked reconstruction term, forward and then backward: (loss, the
+    gradient of upstream * loss per parameter name). A parameter the term
+    does not reach has no entry: the mask token when no row gets it, and
+    every parameter when the loss is the constant 1."""
     x = graph_like.node_features if isinstance(graph_like, HeteroGraph) else graph_like.features
-    latent = encode(pairs, apply_mask(x, plan, params), params)
-    recon = remask_and_decode(latent, plan, params, pairs)
-    return sce_loss(x, recon, plan.masked_ids, cfg.gamma)
+    corrupted = apply_mask(x, plan, params)
+    latent, encoder_backward = encode(pairs, corrupted, params)
+    recon, decoder_backward = remask_and_decode(latent, plan, params, pairs)
+    loss, sce_backward = sce_loss(x, recon, plan.masked_ids, cfg.gamma)
+    if sce_backward is None:
+        return loss, {}
+    g_latent, g_remask_token, decoder_grads = decoder_backward(sce_backward(upstream))
+    g_corrupted, encoder_grads = encoder_backward(g_latent)
+    # the head gradients come in named_arrays order, which lists the tokens last
+    grads = dict(zip(params.named_arrays(), encoder_grads + decoder_grads))
+    if plan.token_ids.size:
+        grads["mask_token"] = g_corrupted[plan.token_ids].sum(axis=0)
+    grads["remask_token"] = g_remask_token
+    return loss, grads
 
 
 def hgmae_loss(
     gplan: GraphPlan, params: ModelParams, cfg: TrainConfig, plans: StepPlans
-) -> tuple[Tensor, LossParts]:
-    """Combined reconstruction loss for given (replayable) mask plans."""
-    full_term = _reconstruction_term(gplan.graph, gplan.pairs, plans.full, params, cfg)
-    sub_terms: list[Tensor] = []
+) -> tuple[LossParts, dict[str, np.ndarray]]:
+    """Combined reconstruction loss for given (replayable) mask plans, and
+    its gradient per parameter name.
+
+    Terms run one at a time, full graph first, then the subgraphs by
+    ascending type id, each with upstream gradient 1 or eta / K_eff. The
+    first term to reach a parameter gives a copy of its gradient, and later
+    terms add theirs in place; a parameter no term reaches gets zeros.
+    """
+    grads: dict[str, np.ndarray] = {}
+
+    def add(term_grads: dict[str, np.ndarray]) -> None:
+        for name, g in term_grads.items():
+            if name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g.copy()
+
+    full, term_grads = _reconstruction_term(gplan.graph, gplan.pairs, plans.full, params, cfg, 1.0)
+    add(term_grads)
     sub_values: dict[int, float] = {}
     if cfg.eta != 0.0:
         if not gplan.subs:
             warnings.warn("no nonempty edge types; training on the full graph only")
         for k in sorted(plans.subs):
             sub, pairs = gplan.subs[k]
-            term = _reconstruction_term(sub, pairs, plans.subs[k], params, cfg)
-            sub_terms.append(term)
-            sub_values[k] = term.item()
-    total = merge_losses(full_term, sub_terms, cfg.eta)
-    return total, LossParts(total=total.item(), full=full_term.item(), subs=sub_values)
+            sub_values[k], term_grads = _reconstruction_term(
+                sub, pairs, plans.subs[k], params, cfg, cfg.eta / len(plans.subs)
+            )
+            add(term_grads)
+    total = merge_losses(full, list(sub_values.values()), cfg.eta)
+    grads = {
+        name: grads[name] if name in grads else np.zeros_like(arr)
+        for name, arr in params.named_arrays().items()
+    }
+    return LossParts(total=total, full=full, subs=sub_values), grads
 
 
 @dataclass
@@ -363,15 +443,8 @@ class StepResult:
 def hgmae_step(
     gplan: GraphPlan, params: ModelParams, cfg: TrainConfig, rng: np.random.Generator
 ) -> StepResult:
-    """Sample fresh masks, evaluate the combined loss, and backpropagate."""
-    plans = make_step_plans(gplan, cfg, rng)
-    params.zero_grads()
-    total, parts = hgmae_loss(gplan, params, cfg, plans)
-    ad.backward(total)
-    grads = {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data)).copy()
-        for name, t in params.named_tensors().items()
-    }
+    """Sample fresh masks, then evaluate the combined loss and its gradient."""
+    parts, grads = hgmae_loss(gplan, params, cfg, make_step_plans(gplan, cfg, rng))
     return StepResult(
         loss=parts.total, loss_full=parts.full, loss_sub_mean=parts.sub_mean, grads=grads
     )
@@ -389,23 +462,23 @@ def pretrain(g: HeteroGraph, cfg: TrainConfig) -> tuple[ModelParams, list[EpochS
     """Adam over hgmae_step for cfg.epochs; loss is recorded before each update."""
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(g.d_in, cfg, rng)
-    state = AdamState.for_params(params.named_tensors(), lr=cfg.lr)
+    state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
     gplan = plan_graph(g)
     history: list[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         try:
             res = hgmae_step(gplan, params, cfg, rng)
-        except ad.NumericFault as fault:
-            raise ad.NumericFault(f"epoch {epoch}: {fault}") from fault
-        adam_step(state, params.named_tensors(), res.grads)
+        except NumericFault as fault:
+            raise NumericFault(f"epoch {epoch}: {fault}") from fault
+        adam_step(state, params.named_arrays(), res.grads)
         history.append(EpochStats(epoch, res.loss, res.loss_full, res.loss_sub_mean))
     return params, history
 
 
 def infer_embeddings(g: HeteroGraph, params: ModelParams) -> np.ndarray:
     """Encoder output on uncorrupted features over the full graph."""
-    latent = encode(message_pairs(g), ad.constant(g.node_features), params)
-    return latent.data.copy()
+    latent, _ = encode(message_pairs(g), g.node_features, params)
+    return latent
 
 
 # ---------------------------------------------------------------------------

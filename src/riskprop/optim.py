@@ -1,12 +1,10 @@
-"""Adam with bias correction over named parameter tensors."""
+"""Adam with bias correction over named parameter arrays."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .autodiff import Tensor
 
 
 @dataclass
@@ -20,25 +18,25 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], lr: float, **kwargs) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray], lr: float, **kwargs) -> "AdamState":
         state = cls(lr=lr, **kwargs)
-        for name, t in params.items():
-            state.m[name] = np.zeros_like(t.data)
-            state.v[name] = np.zeros_like(t.data)
+        for name, arr in params.items():
+            state.m[name] = np.zeros_like(arr)
+            state.v[name] = np.zeros_like(arr)
         return state
 
 
 def adam_step(
-    state: AdamState, params: dict[str, Tensor], grads: dict[str, np.ndarray]
-) -> dict[str, Tensor]:
-    """One update in place; returns params for convenience."""
+    state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """One update of the arrays in place; returns params for convenience."""
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, tensor in params.items():
+    for name, arr in params.items():
         g = grads[name]
-        if g.shape != tensor.data.shape:
+        if g.shape != arr.shape:
             raise ValueError(f"gradient shape mismatch for {name!r}")
         m = state.m[name]
         v = state.v[name]
@@ -46,5 +44,5 @@ def adam_step(
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        tensor.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        arr -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params

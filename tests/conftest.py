@@ -44,8 +44,8 @@ def tiny_cfg():
 def randomize_tokens(params: ModelParams, rng: np.random.Generator, scale: float = 0.2) -> None:
     """Move the zero-initialized tokens to a generic point so the loss is
     differentiable everywhere the finite-difference probe lands."""
-    params.mask_token.data += scale * rng.standard_normal(params.mask_token.data.shape)
-    params.remask_token.data += scale * rng.standard_normal(params.remask_token.data.shape)
+    params.mask_token += scale * rng.standard_normal(params.mask_token.shape)
+    params.remask_token += scale * rng.standard_normal(params.remask_token.shape)
 
 
 def fresh_params(g, cfg, seed=11, tokens_randomized=True):

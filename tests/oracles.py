@@ -3,11 +3,11 @@
 Most of these recompute results from scratch in a deliberately different
 style (dense matrices, per-node loops, level-set BFS) so agreement with the
 library is meaningful. The exceptions are the bit-exact references for the
-library's fused kernels: the attention head composed from generic tape ops
-(tape_gat_head), the slot-by-slot jagged-diagonal kernel
+library's fused kernels: the slot-by-slot jagged-diagonal kernel
 (slot_loop_jagged_matmul), the one-bincount-per-column segment sum and the
 sign-masked sigmoid. Those must agree with the library bit for bit, not
-within a tolerance. The per-source
+within a tolerance, as must the model composed from generic tape ops in
+tape.py (the reference for every hand-written gradient). The per-source
 dict/deque BFS (bfs_distances over neighbor_lists) is the loop that the
 library's multi-source array BFS replaced; the two must give the same
 distances. These functions are test fixtures, not product code.
@@ -19,7 +19,6 @@ from collections import deque
 
 import numpy as np
 
-from riskprop import autodiff as ad
 from riskprop.graph import DefaultEvent, HeteroGraph
 from riskprop.synthetic import GenConfig
 
@@ -71,48 +70,13 @@ def dense_stack(layers: list[tuple], x: np.ndarray, adj: np.ndarray) -> np.ndarr
 def layers_as_arrays(stack) -> list[tuple]:
     return [
         (
-            [w.data.copy() for w in layer.weights],
-            [a.data.copy() for a in layer.attn],
+            [w.copy() for w in layer.weights],
+            [a.copy() for a in layer.attn],
             layer.leaky_slope,
             layer.activation,
         )
         for layer in stack
     ]
-
-
-def tape_gat_head(x, w, a, dst: np.ndarray, src: np.ndarray, slope: float):
-    """One attention head composed from generic tape ops, one node per step
-    (projection, score halves, gathers, LeakyReLU, shifted exp, segment
-    softmax, weighted aggregation). This is the reference the fused
-    gat.gat_head must match bit for bit, forward and backward.
-    Returns (output tensor, alpha tensor)."""
-    n = x.data.shape[0]
-    d_head = w.data.shape[0]
-    z = ad.matmul(x, ad.transpose(w))
-    score_recv = ad.matvec(z, ad.slice1d(a, 0, d_head))
-    score_send = ad.matvec(z, ad.slice1d(a, d_head, 2 * d_head))
-    e = ad.leaky_relu(
-        ad.add(ad.gather_rows(score_recv, dst), ad.gather_rows(score_send, src)), slope
-    )
-    # max subtraction: the per-neighborhood shift is constant w.r.t. the grad
-    shift = -np.maximum.reduceat(e.data, np.searchsorted(dst, np.arange(n)))
-    ez = ad.exp(ad.add_const(e, shift[dst]))
-    denom = ad.scatter_sum(ez, dst, n)
-    alpha = ad.div(ez, ad.gather_rows(denom, dst))
-    out = ad.scatter_sum(ad.colmul(alpha, ad.gather_rows(z, src)), dst, n)
-    return out, alpha
-
-
-def tape_gat_layer(layer, x, dst: np.ndarray, src: np.ndarray):
-    """A whole layer on the tape_gat_head reference: heads concatenated, then
-    the layer's activation. Returns (output tensor, [alpha array per head])."""
-    heads = [
-        tape_gat_head(x, w, a, dst, src, layer.leaky_slope)
-        for w, a in zip(layer.weights, layer.attn)
-    ]
-    merged = heads[0][0] if len(heads) == 1 else ad.concat_cols([out for out, _ in heads])
-    out = ad.elu(merged) if layer.activation == "elu" else merged
-    return out, [alpha.data for _, alpha in heads]
 
 
 def column_loop_segment_sum(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
@@ -163,11 +127,11 @@ def dense_reconstruction_term(params, cfg, x: np.ndarray, adj: np.ndarray, plan)
     """Replays one masked-reconstruction term through the dense reference."""
     corrupted = x.copy()
     if plan.token_ids.size:
-        corrupted[plan.token_ids] = params.mask_token.data
+        corrupted[plan.token_ids] = params.mask_token
     if plan.random_ids.size:
         corrupted[plan.random_ids] = x[plan.random_src_ids]
     latent = dense_stack(layers_as_arrays(params.encoder), corrupted, adj)
-    latent[plan.masked_ids] = params.remask_token.data
+    latent[plan.masked_ids] = params.remask_token
     recon = dense_stack(layers_as_arrays(params.decoder), latent, adj)
     return dense_sce(x, recon, plan.masked_ids, cfg.gamma)
 

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from riskprop import hgmae
-from riskprop.autodiff import backward, grad_check
 from riskprop.classify import accuracy, binary_auc, micro_f1
 from riskprop.experiment import ExperimentConfig, run_conditions
 from riskprop.hgmae import (
@@ -35,6 +34,7 @@ from riskprop.synthetic import GenConfig, generate_graph, simulate_cascade
 
 from conftest import fresh_params, make_graph
 from oracles import brute_force_candidate_pairs, dense_hgmae_loss, exhaustive_auc
+from tape import grad_check
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,14 +77,11 @@ def test_criterion_1_gradient_correctness():
     gp = plan_graph(g)
     plans = make_step_plans(gp, cfg, np.random.default_rng(33))
 
-    arrays = {name: t.data for name, t in params.named_tensors().items()}
-    loss, _ = hgmae_loss(gp, params, cfg, plans)
-    params.zero_grads()
-    backward(loss)
-    analytic = {name: t.grad.copy() for name, t in params.named_tensors().items()}
+    arrays = params.named_arrays()
+    _, analytic = hgmae_loss(gp, params, cfg, plans)
 
     report = grad_check(
-        lambda: hgmae_loss(gp, params, cfg, plans)[0].item(), arrays, analytic, h=1e-5, tol=1e-4
+        lambda: hgmae_loss(gp, params, cfg, plans)[0].total, arrays, analytic, h=1e-5, tol=1e-4
     )
     elapsed = time.monotonic() - start
     assert report.passed, (report.max_rel_err, report.worst_param, report.worst_index)
@@ -113,7 +110,7 @@ def test_criterion_2_loss_formula_oracle():
         res0 = hgmae_step(gp, params, cfg0, np.random.default_rng(12))
         plans0 = make_step_plans(gp, cfg0, np.random.default_rng(12))
         replay0, _ = hgmae_loss(gp, params, cfg0, plans0)
-        assert res0.loss == res0.loss_full == replay0.item()
+        assert res0.loss == res0.loss_full == replay0.total
 
 
 @criterion(3, "masking invariants over 10k samples: counts exact, bytes intact, freq in 3 sigma")
@@ -131,7 +128,7 @@ def test_criterion_3_masking_invariants():
         assert plan.masked_ids.size == expect_masked
         assert plan.random_ids.size == round(cfg.random_sub_rate * plan.masked_ids.size)
         frequency[plan.masked_ids] += 1
-        corrupted = apply_mask(g.node_features, plan, params).data
+        corrupted = apply_mask(g.node_features, plan, params)
         untouched = np.setdiff1d(np.arange(n), plan.masked_ids)
         assert corrupted[untouched].tobytes() == g.node_features[untouched].tobytes()
     p = expect_masked / n

@@ -1,11 +1,18 @@
+"""The generic tape of tests/tape.py (the oracle for the hand-written
+gradients), grad_check, and Adam."""
+
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from riskprop import autodiff as ad
-from riskprop.autodiff import NumericFault, Tensor, backward, grad_check
+from riskprop import autodiff
 from riskprop.optim import AdamState, adam_step
 
+import tape as ad
 from oracles import column_loop_segment_sum
+from tape import NumericFault, Tensor, backward, grad_check
 
 
 def run_check(build_loss, params, h=1e-6, tol=1e-6):
@@ -199,31 +206,31 @@ def test_grad_check_subsample_consistent_with_full():
 
 
 def test_adam_zero_gradient_keeps_parameters():
-    params = {"w": Tensor(np.array([1.0, 2.0]))}
+    params = {"w": np.array([1.0, 2.0])}
     state = AdamState.for_params(params, lr=0.1)
-    before = params["w"].data.copy()
+    before = params["w"].copy()
     adam_step(state, params, {"w": np.zeros(2)})
-    np.testing.assert_array_equal(params["w"].data, before)
+    np.testing.assert_array_equal(params["w"], before)
 
 
 def test_adam_first_step_matches_closed_form():
     # at t=1 the bias-corrected update is exactly -lr * g / (|g| + eps)
     g = np.array([0.3, -1.7, 0.0, 2.5])
     lr, eps = 0.05, 1e-8
-    params = {"w": Tensor(np.zeros(4))}
+    params = {"w": np.zeros(4)}
     state = AdamState.for_params(params, lr=lr, eps=eps)
     adam_step(state, params, {"w": g.copy()})
     expected = -lr * g / (np.abs(g) + eps)
-    np.testing.assert_allclose(params["w"].data, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(params["w"], expected, rtol=0, atol=1e-15)
 
 
 def test_adam_matches_reference_formula_over_steps():
     # independent reference: textbook moment recursion in separate variables
     rng = np.random.default_rng(3)
-    w = Tensor(np.array([0.5, -0.5]))
+    w = np.array([0.5, -0.5])
     params = {"w": w}
     state = AdamState.for_params(params, lr=0.01)
-    ref = w.data.copy()
+    ref = w.copy()
     m = np.zeros(2)
     v = np.zeros(2)
     for t in range(1, 6):
@@ -232,16 +239,53 @@ def test_adam_matches_reference_formula_over_steps():
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         ref -= 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-        np.testing.assert_allclose(params["w"].data, ref, atol=1e-14)
+        np.testing.assert_allclose(params["w"], ref, atol=1e-14)
 
 
 def test_adam_bit_deterministic():
     def run():
-        params = {"w": Tensor(np.array([1.0, -1.0, 0.25]))}
+        params = {"w": np.array([1.0, -1.0, 0.25])}
         state = AdamState.for_params(params, lr=0.02)
         rng = np.random.default_rng(11)
         for _ in range(20):
             adam_step(state, params, {"w": rng.standard_normal(3)})
-        return params["w"].data.tobytes()
+        return params["w"].tobytes()
 
     assert run() == run()
+
+
+# -- the package computes gradients by hand only -----------------------------
+
+
+def test_tape_stays_out_of_the_package():
+    def defined_in(module):
+        return {
+            n for n, v in vars(module).items() if getattr(v, "__module__", None) == module.__name__
+        }
+
+    assert defined_in(autodiff) == {"NumericFault"}
+    tape_names = defined_in(ad)
+    assert {"Tensor", "backward", "grad_check", "GradCheckReport", "matmul"} <= tape_names
+    for path in sorted(Path(autodiff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top_level = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        assert not top_level & tape_names, (path.name, top_level & tape_names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                assert node.name != "Tensor", path.name
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in ("tests", "tape", "oracles", "conftest"), (
+                    path.name,
+                    module,
+                )
+

@@ -84,7 +84,7 @@ def test_logistic_training_deterministic():
 
 
 def test_logistic_gradient_matches_finite_differences():
-    from riskprop.autodiff import grad_check
+    from tape import grad_check
 
     rng = np.random.default_rng(2)
     X = rng.standard_normal((12, 4))

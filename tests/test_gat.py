@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from riskprop import autodiff as ad
 from riskprop import gat
-from riskprop.autodiff import Tensor, backward, grad_check
+from riskprop.autodiff import NumericFault
 from riskprop.experiment import ExperimentConfig, build_world
 from riskprop.gat import (
     GATLayerParams,
@@ -15,13 +14,13 @@ from riskprop.gat import (
 from riskprop.graph import extract_subgraph
 from riskprop.hgmae import message_pairs
 
+import tape
 from oracles import (
     dense_adjacency,
     dense_gat_layer,
     dense_stack,
     layers_as_arrays,
     slot_loop_jagged_matmul,
-    tape_gat_layer,
 )
 
 NO_EDGES = np.zeros((0, 2), dtype=np.int64)
@@ -31,24 +30,31 @@ def random_layer(d_in, d_out, heads=1, activation="elu", seed=0):
     return init_gat_layer(np.random.default_rng(seed), d_in, d_out, heads, activation)
 
 
+def layer_out(params, x, edges):
+    """The layer's output on raw edges."""
+    return gat_layer_forward(params, x, build_message_pairs(edges, x.shape[0]))[0]
+
+
+def stack_out(layers, x, edges):
+    return gat_stack_forward(layers, x, build_message_pairs(edges, x.shape[0]))[0]
+
+
 def test_single_node_softmax_over_self_loop():
-    params = GATLayerParams(
-        weights=[Tensor(np.eye(3))], attn=[Tensor(np.zeros(6))], activation="elu"
-    )
+    params = GATLayerParams(weights=[np.eye(3)], attn=[np.zeros(6)], activation="elu")
     x = np.array([[1.5, -0.7, 0.0]])
-    out, (dst, src, alphas) = gat_layer_forward(
-        params, Tensor(x), NO_EDGES, return_attention=True
+    out, _, (dst, src, alphas) = gat_layer_forward(
+        params, x, build_message_pairs(NO_EDGES, 1), return_attention=True
     )
     assert dst.tolist() == [0] and src.tolist() == [0]
     np.testing.assert_array_equal(alphas[0], [1.0])
-    np.testing.assert_allclose(out.data, np.where(x > 0, x, np.expm1(x)), atol=1e-15)
+    np.testing.assert_allclose(out, np.where(x > 0, x, np.expm1(x)), atol=1e-15)
 
 
 def test_isolated_nodes_independent_and_permutable():
     params = random_layer(3, 4, heads=2, seed=1)
     x = np.random.default_rng(2).standard_normal((2, 3))
-    out = gat_layer_forward(params, Tensor(x), NO_EDGES).data
-    flipped = gat_layer_forward(params, Tensor(x[::-1].copy()), NO_EDGES).data
+    out = layer_out(params, x, NO_EDGES)
+    flipped = layer_out(params, x[::-1].copy(), NO_EDGES)
     np.testing.assert_array_equal(out, flipped[::-1])
 
 
@@ -63,10 +69,10 @@ def test_matches_dense_reference_on_path_graph(heads, activation):
     edges = np.array([[0, 1], [1, 2], [2, 3]])
     x = rng.standard_normal((4, 5))
     params = init_gat_layer(rng, 5, 3, heads, activation)
-    out = gat_layer_forward(params, Tensor(x), edges).data
+    out = layer_out(params, x, edges)
     expected = dense_gat_layer(
-        [w.data for w in params.weights],
-        [a.data for a in params.attn],
+        params.weights,
+        params.attn,
         x,
         dense_adjacency(edges, 4),
         params.leaky_slope,
@@ -80,7 +86,7 @@ def test_stack_matches_dense_reference_on_six_node_graph():
     edges = np.array([[0, 1], [0, 2], [1, 3], [2, 4], [4, 5], [1, 2]])
     x = rng.standard_normal((6, 4))
     layers = [init_gat_layer(rng, 4, 3, 2, "elu"), init_gat_layer(rng, 6, 2, 1, "identity")]
-    out = gat_stack_forward(layers, Tensor(x), edges).data
+    out = stack_out(layers, x, edges)
     expected = dense_stack(layers_as_arrays(layers), x, dense_adjacency(edges, 6))
     np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
 
@@ -90,7 +96,8 @@ def test_attention_rows_sum_to_one():
     edges = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [3, 4]])
     params = init_gat_layer(rng, 4, 3, 2)
     x = rng.standard_normal((5, 4))
-    _, (dst, _, alphas) = gat_layer_forward(params, Tensor(x), edges, return_attention=True)
+    pairs = build_message_pairs(edges, 5)
+    _, _, (dst, _, alphas) = gat_layer_forward(params, x, pairs, return_attention=True)
     for alpha in alphas:
         sums = np.bincount(dst, weights=alpha, minlength=5)
         np.testing.assert_allclose(sums, np.ones(5), atol=1e-12, rtol=0)
@@ -101,13 +108,13 @@ def test_permutation_equivariance():
     edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]])
     x = rng.standard_normal((5, 4))
     params = random_layer(4, 3, heads=2, seed=5)
-    out = gat_layer_forward(params, Tensor(x), edges).data
+    out = layer_out(params, x, edges)
 
     perm = np.array([3, 0, 4, 1, 2])  # new id of old node i
     perm_edges = perm[edges]
     perm_x = np.empty_like(x)
     perm_x[perm] = x
-    perm_out = gat_layer_forward(params, Tensor(perm_x), perm_edges).data
+    perm_out = layer_out(params, perm_x, perm_edges)
     np.testing.assert_allclose(perm_out[perm], out, atol=1e-12, rtol=0)
 
 
@@ -119,8 +126,8 @@ def test_edge_removal_is_local_to_receptive_field():
     pruned = np.array([e for e in edges.tolist() if e != [3, 4]])
     x = rng.standard_normal((8, 3))
     layers = [init_gat_layer(rng, 3, 4, 2, "elu"), init_gat_layer(rng, 8, 3, 1, "identity")]
-    full = gat_stack_forward(layers, Tensor(x), edges).data
-    cut = gat_stack_forward(layers, Tensor(x), pruned).data
+    full = stack_out(layers, x, edges)
+    cut = stack_out(layers, x, pruned)
     unaffected = [0, 1, 6, 7]  # min(dist to 3, dist to 4) >= 2
     np.testing.assert_array_equal(full[unaffected], cut[unaffected])
     affected = [2, 3, 4, 5]
@@ -135,25 +142,22 @@ def test_layer_gradients_pass_finite_difference_check(heads, activation):
     edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
     x = rng.standard_normal((4, 3))
     params = init_gat_layer(rng, 3, 2, heads, activation)
+    pairs = build_message_pairs(edges, 4)
     arrays = {}
     for h, (w, a) in enumerate(zip(params.weights, params.attn)):
-        arrays[f"W{h}"] = w.data
-        arrays[f"a{h}"] = a.data
+        arrays[f"W{h}"] = w
+        arrays[f"a{h}"] = a
 
-    def forward():
-        out = gat_layer_forward(params, Tensor(x), edges)
-        return ad.total_sum(ad.mul(out, out))
+    # loss = sum(out * out), so its gradient with respect to out is 2 * out
+    out, backward = gat_layer_forward(params, x, pairs)
+    _, grads = backward(2.0 * out)
+    analytic = dict(zip(arrays, grads))
 
-    loss = forward()
-    backward(loss)
-    analytic = {}
-    for h, (w, a) in enumerate(zip(params.weights, params.attn)):
-        analytic[f"W{h}"] = w.grad.copy()
-        analytic[f"a{h}"] = a.grad.copy()
-        w.zero_grad()
-        a.zero_grad()
+    def loss():
+        out, _ = gat_layer_forward(params, x, pairs)
+        return float((out * out).sum())
 
-    report = grad_check(lambda: forward().item(), arrays, analytic, h=1e-5, tol=1e-4)
+    report = tape.grad_check(loss, arrays, analytic, h=1e-5, tol=1e-4)
     assert report.passed, (report.worst_param, report.max_rel_err)
 
 
@@ -182,10 +186,10 @@ def test_duplicate_edges_match_dense_reference():
     edges = np.array([[0, 1], [1, 0], [0, 1], [1, 2], [2, 3], [3, 2]])
     x = rng.standard_normal((4, 3))
     params = init_gat_layer(rng, 3, 2, 2, "elu")
-    out = gat_layer_forward(params, Tensor(x), edges).data
+    out = layer_out(params, x, edges)
     expected = dense_gat_layer(
-        [w.data for w in params.weights],
-        [a.data for a in params.attn],
+        params.weights,
+        params.attn,
         x,
         dense_adjacency(edges, 4),
         params.leaky_slope,
@@ -206,41 +210,39 @@ def test_duplicate_edges_match_dense_reference():
 def test_build_message_pairs_rejects_bad_rows(edges, reason):
     with pytest.raises(ValueError, match=reason):
         build_message_pairs(np.array(edges), 3)
-    with pytest.raises(ValueError, match=reason):
-        gat_layer_forward(random_layer(2, 2), Tensor(np.ones((3, 2))), np.array(edges))
 
 
 def test_layer_rejects_pairs_built_for_another_graph():
     pairs = build_message_pairs(np.array([[0, 1]]), 2)
     with pytest.raises(ValueError, match="cover 2 nodes, features have 3"):
-        gat_layer_forward(random_layer(2, 2), Tensor(np.ones((3, 2))), pairs)
+        gat_layer_forward(random_layer(2, 2), np.ones((3, 2)), pairs)
 
 
-# -- the fused head against its generic-op composition ----------------------
+# -- the hand-written head against its generic-op composition ----------------
 
 # 0-1-2-3 path, a triangle 4-5-6 with a chord to 2, and isolated nodes 7 and 8
 FUSED_EDGES = np.array([[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [4, 6], [2, 6]])
 
 
 def assert_fused_matches_tape(layer, x_arr, pairs, weight):
-    """Layer output, alphas and the gradients of x, W and a, fused against
-    the generic-op composition, under np.array_equal. Returns the alphas."""
+    """Layer output, alphas and the gradients of x, W and a of the loss
+    sum(weight * out), hand-written against the generic-op composition,
+    under np.array_equal. Returns the alphas."""
+    fused_out, backward, (_, _, fused_alphas) = gat_layer_forward(
+        layer, x_arr, pairs, return_attention=True
+    )
+    g_x, head_grads = backward(weight)
+    # head_grads alternates W and a per head; the tape lists every W first
+    fused_grads = [g_x] + head_grads[0::2] + head_grads[1::2]
 
-    def run(forward):
-        x = Tensor(x_arr.copy())
-        for t in layer.weights + layer.attn:
-            t.zero_grad()
-        out, alphas = forward(x)
-        backward(ad.total_sum(ad.mul(out, ad.constant(weight))))
-        grads = [x.grad] + [t.grad.copy() for t in layer.weights + layer.attn]
-        return out.data, alphas, grads
+    x = tape.Tensor(x_arr.copy())
+    weights = [tape.Tensor(w.copy()) for w in layer.weights]
+    attn = [tape.Tensor(a.copy()) for a in layer.attn]
+    out, ref_alphas = tape.tape_gat_layer(layer, x, pairs.dst, pairs.src, weights, attn)
+    tape.backward(tape.total_sum(tape.mul(out, tape.constant(weight))))
+    ref_out = out.data
+    ref_grads = [x.grad] + [t.grad for t in weights + attn]
 
-    def fused(x):
-        out, (_, _, alphas) = gat_layer_forward(layer, x, pairs, return_attention=True)
-        return out, alphas
-
-    fused_out, fused_alphas, fused_grads = run(fused)
-    ref_out, ref_alphas, ref_grads = run(lambda x: tape_gat_layer(layer, x, pairs.dst, pairs.src))
     assert np.array_equal(fused_out, ref_out)
     assert len(fused_alphas) == layer.num_heads
     for got, want in zip(fused_alphas, ref_alphas):
@@ -353,6 +355,6 @@ def test_blocked_jagged_matmul_bit_identical_to_slot_loop(shape, d, bound, monke
 
 def test_fused_head_names_itself_on_non_finite_weight():
     layer = random_layer(3, 2, heads=2)
-    layer.weights[1].data[0, 1] = np.nan
-    with pytest.raises(ad.NumericFault, match="gat_head"):
-        gat_layer_forward(layer, Tensor(np.ones((4, 3))), FUSED_EDGES[:3])
+    layer.weights[1][0, 1] = np.nan
+    with pytest.raises(NumericFault, match="gat_head"):
+        layer_out(layer, np.ones((4, 3)), FUSED_EDGES[:3])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from riskprop import hgmae
-from riskprop.autodiff import NumericFault, Tensor, backward, constant
+from riskprop.autodiff import NumericFault
 from riskprop.experiment import ExperimentConfig, build_world
 from riskprop.gat import GATLayerParams
 from riskprop.graph import Subgraph
@@ -38,8 +38,10 @@ from riskprop.hgmae import (
     save_pretrain_log,
     sce_loss,
 )
+from riskprop.optim import AdamState, adam_step
 from riskprop.synthetic import GenConfig, generate_graph
 
+import tape
 from conftest import fresh_params, make_graph
 from oracles import dense_hgmae_loss
 
@@ -94,6 +96,27 @@ def test_sample_mask_deterministic_given_rng_state():
     np.testing.assert_array_equal(a.random_src_ids, b.random_src_ids)
 
 
+@pytest.mark.parametrize("random_sub_rate", [0.0, 0.15, 0.5, 1.0])
+def test_sample_mask_matches_setdiff_form(random_sub_rate):
+    # token_ids and the donor pool as two setdiff1d calls would give them
+    cfg = TrainConfig(random_sub_rate=random_sub_rate)
+    rng = np.random.default_rng(4)
+    for n in range(2, 400, 7):
+        plan = sample_mask(n, cfg, rng)
+        prng = np.random.default_rng(plan.rng_seed)
+        masked = np.sort(prng.choice(n, size=plan.masked_ids.size, replace=False))
+        positions = np.sort(prng.choice(masked.size, size=plan.random_ids.size, replace=False))
+        pool = np.setdiff1d(np.arange(n), masked)
+        want_src = pool[prng.integers(0, pool.size, size=positions.size)]
+        for got, want in [
+            (plan.masked_ids, masked),
+            (plan.token_ids, np.setdiff1d(masked, masked[positions])),
+            (plan.random_ids, masked[positions]),
+            (plan.random_src_ids, want_src),
+        ]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_mask_frequency_within_binomial_bounds():
     rng = np.random.default_rng(1)
     cfg = TrainConfig()
@@ -112,9 +135,9 @@ def test_apply_mask_token_rows_and_unmasked_bytes():
     g = make_graph(8, {0: [(0, 1)]}, d_in=3, seed=1)
     params = fresh_params(g, TrainConfig(d_emb=4, hidden_heads=1, hidden_head_dim=2))
     plan = manual_plan(8, masked=[1, 4, 6])
-    out = apply_mask(g.node_features, plan, params).data
+    out = apply_mask(g.node_features, plan, params)
     for i in plan.token_ids:
-        np.testing.assert_array_equal(out[i], params.mask_token.data)
+        np.testing.assert_array_equal(out[i], params.mask_token)
     untouched = np.setdiff1d(np.arange(8), plan.masked_ids)
     assert out[untouched].tobytes() == g.node_features[untouched].tobytes()
 
@@ -125,7 +148,7 @@ def test_apply_mask_random_rows_copy_unmasked_features():
     cfg = TrainConfig(random_sub_rate=0.4)
     plan = sample_mask(30, cfg, rng)
     params = fresh_params(g, TrainConfig(d_emb=4, hidden_heads=1, hidden_head_dim=2))
-    out = apply_mask(g.node_features, plan, params).data
+    out = apply_mask(g.node_features, plan, params)
     unmasked_rows = {
         g.node_features[i].tobytes() for i in np.setdiff1d(np.arange(30), plan.masked_ids)
     }
@@ -151,25 +174,21 @@ def test_encode_single_node_depends_only_on_its_features():
     g1 = make_graph(1, {0: np.zeros((0, 2))}, d_in=2)
     g2 = make_graph(1, {0: np.zeros((0, 2))}, d_in=2, seed=9)
     params = fresh_params(g1, cfg)
-    h1 = encode(message_pairs(g1), constant(x), params).data
-    h2 = encode(message_pairs(g2), constant(x), params).data
+    h1, _ = encode(message_pairs(g1), x, params)
+    h2, _ = encode(message_pairs(g2), x, params)
     np.testing.assert_array_equal(h1, h2)
 
 
 def identity_decoder_params(d: int) -> ModelParams:
     """Decoder is a single identity-weight head, so on an edgeless graph the
     decoder output equals its input row for row."""
-    enc = GATLayerParams(
-        weights=[Tensor(np.eye(d))], attn=[Tensor(np.zeros(2 * d))], activation="identity"
-    )
-    dec = GATLayerParams(
-        weights=[Tensor(np.eye(d))], attn=[Tensor(np.zeros(2 * d))], activation="identity"
-    )
+    enc = GATLayerParams(weights=[np.eye(d)], attn=[np.zeros(2 * d)], activation="identity")
+    dec = GATLayerParams(weights=[np.eye(d)], attn=[np.zeros(2 * d)], activation="identity")
     return ModelParams(
         encoder=[enc],
         decoder=[dec],
-        mask_token=Tensor(np.zeros(d)),
-        remask_token=Tensor(np.arange(1.0, d + 1)),
+        mask_token=np.zeros(d),
+        remask_token=np.arange(1.0, d + 1),
     )
 
 
@@ -182,17 +201,16 @@ def edgeless_subgraph(x: np.ndarray) -> Subgraph:
 def test_remask_with_no_masked_rows_keeps_latent():
     x = np.random.default_rng(0).standard_normal((4, 3))
     params = identity_decoder_params(3)
-    latent = constant(x)
-    out = remask_and_decode(latent, manual_plan(4, []), params, message_pairs(edgeless_subgraph(x)))
-    np.testing.assert_array_equal(out.data, x)
+    out, _ = remask_and_decode(x, manual_plan(4, []), params, message_pairs(edgeless_subgraph(x)))
+    np.testing.assert_array_equal(out, x)
 
 
 def test_remask_all_rows_become_token():
     x = np.random.default_rng(0).standard_normal((4, 3))
     params = identity_decoder_params(3)
     pairs = message_pairs(edgeless_subgraph(x))
-    out = remask_and_decode(constant(x), manual_plan(4, [0, 1, 2, 3]), params, pairs)
-    np.testing.assert_array_equal(out.data, np.tile(params.remask_token.data, (4, 1)))
+    out, _ = remask_and_decode(x, manual_plan(4, [0, 1, 2, 3]), params, pairs)
+    np.testing.assert_array_equal(out, np.tile(params.remask_token, (4, 1)))
 
 
 # -- sce_loss -----------------------------------------------------------------
@@ -200,50 +218,50 @@ def test_remask_all_rows_become_token():
 
 def test_sce_hand_computed_value():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    z = constant(np.array([[1.0, 1.0], [0.0, 2.0]]))
-    loss = sce_loss(x, z, np.array([0, 1]), gamma=1.0)
-    assert loss.item() == pytest.approx((1.0 - 1.0 / math.sqrt(2.0)) / 2.0, abs=1e-15)
+    z = np.array([[1.0, 1.0], [0.0, 2.0]])
+    loss, _ = sce_loss(x, z, np.array([0, 1]), gamma=1.0)
+    assert loss == pytest.approx((1.0 - 1.0 / math.sqrt(2.0)) / 2.0, abs=1e-15)
 
 
 def test_sce_scale_invariance_gives_zero():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 4))
-    z = constant(x * rng.uniform(0.1, 9.0, size=(6, 1)))
-    assert sce_loss(x, z, np.arange(6)).item() == pytest.approx(0.0, abs=1e-15)
+    z = x * rng.uniform(0.1, 9.0, size=(6, 1))
+    assert sce_loss(x, z, np.arange(6))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_sce_orthogonal_rows_give_one():
     x = np.array([[1.0, 0.0], [2.0, 0.0]])
-    z = constant(np.array([[0.0, 3.0], [0.0, -1e-3]]))
-    assert sce_loss(x, z, np.array([0, 1])).item() == pytest.approx(1.0, abs=1e-15)
+    z = np.array([[0.0, 3.0], [0.0, -1e-3]])
+    assert sce_loss(x, z, np.array([0, 1]))[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sce_gamma_sharpening():
     x = np.array([[1.0, 0.0]])
-    z = constant(np.array([[1.0, 1.0]]))
+    z = np.array([[1.0, 1.0]])
     base = 1.0 - 1.0 / math.sqrt(2.0)
-    assert sce_loss(x, z, np.array([0]), gamma=3.0).item() == pytest.approx(base**3, rel=1e-12)
+    assert sce_loss(x, z, np.array([0]), gamma=3.0)[0] == pytest.approx(base**3, rel=1e-12)
 
 
 def test_sce_zero_norm_row_clamped_and_counted():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    z = constant(np.array([[0.0, 0.0], [0.0, 2.0]]))
+    z = np.array([[0.0, 0.0], [0.0, 2.0]])
     before = hgmae.zero_norm_row_count()
-    loss = sce_loss(x, z, np.array([0, 1]))
-    assert loss.item() == pytest.approx(0.5, abs=1e-15)  # (1 + 0) / 2
+    loss, _ = sce_loss(x, z, np.array([0, 1]))
+    assert loss == pytest.approx(0.5, abs=1e-15)  # (1 + 0) / 2
     assert hgmae.zero_norm_row_count() == before + 1
-    # all-bad case pins the loss at the maximum penalty
-    all_bad = sce_loss(x, constant(np.zeros((2, 2))), np.array([0, 1]))
-    assert all_bad.item() == 1.0
+    # all-bad case pins the loss at the maximum penalty, with no gradient
+    all_bad, backward = sce_loss(x, np.zeros((2, 2)), np.array([0, 1]))
+    assert all_bad == 1.0 and backward is None
     assert hgmae.zero_norm_row_count() == before + 3
 
 
 def test_sce_zero_iff_positive_multiples():
     x = np.array([[1.0, 2.0], [3.0, -1.0]])
-    good = constant(x * np.array([[2.0], [0.5]]))
-    assert sce_loss(x, good, np.array([0, 1])).item() == pytest.approx(0.0, abs=1e-15)
-    flipped = constant(x * np.array([[2.0], [-0.5]]))
-    assert sce_loss(x, flipped, np.array([0, 1])).item() > 0.9
+    good = x * np.array([[2.0], [0.5]])
+    assert sce_loss(x, good, np.array([0, 1]))[0] == pytest.approx(0.0, abs=1e-15)
+    flipped = x * np.array([[2.0], [-0.5]])
+    assert sce_loss(x, flipped, np.array([0, 1]))[0] > 0.9
 
 
 def test_sce_gradient_matches_finite_difference():
@@ -251,15 +269,11 @@ def test_sce_gradient_matches_finite_difference():
     x = rng.standard_normal((5, 3))
     z_arr = rng.standard_normal((5, 3))
 
-    z = Tensor(z_arr)
-    loss = sce_loss(x, z, np.array([0, 2, 4]), gamma=2.0)
-    backward(loss)
-    analytic = {"z": z.grad.copy()}
+    _, backward = sce_loss(x, z_arr, np.array([0, 2, 4]), gamma=2.0)
+    analytic = {"z": backward(1.0)}
 
-    from riskprop.autodiff import grad_check
-
-    report = grad_check(
-        lambda: sce_loss(x, Tensor(z_arr), np.array([0, 2, 4]), gamma=2.0).item(),
+    report = tape.grad_check(
+        lambda: sce_loss(x, z_arr, np.array([0, 2, 4]), gamma=2.0)[0],
         {"z": z_arr},
         analytic,
         h=1e-6,
@@ -272,13 +286,13 @@ def test_sce_gradient_matches_finite_difference():
 
 
 def test_merge_losses_arithmetic():
-    total = merge_losses(constant(0.4), [constant(0.2), constant(0.6)], eta=1.0)
-    assert total.item() == pytest.approx(0.8, abs=1e-15)
+    total = merge_losses(0.4, [0.2, 0.6], eta=1.0)
+    assert total == pytest.approx(0.8, abs=1e-15)
 
 
 def test_merge_losses_eta_zero_returns_full_term():
-    full = constant(0.4)
-    assert merge_losses(full, [constant(0.2)], eta=0.0) is full
+    full = 0.4
+    assert merge_losses(full, [0.2], eta=0.0) is full
 
 
 def test_step_loss_matches_replayed_plans_and_dense_oracle(two_type_graph, tiny_cfg):
@@ -288,8 +302,8 @@ def test_step_loss_matches_replayed_plans_and_dense_oracle(two_type_graph, tiny_
     plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(33))
     res = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(33))
 
-    replayed, parts = hgmae_loss(gp, params, tiny_cfg, plans)
-    assert res.loss == replayed.item()
+    parts, _ = hgmae_loss(gp, params, tiny_cfg, plans)
+    assert res.loss == parts.total
     assert res.loss_full == parts.full
 
     dense_total, dense_full, dense_subs = dense_hgmae_loss(g, params, tiny_cfg, plans)
@@ -342,9 +356,82 @@ def test_eq2_linearity_with_replayed_plans(two_type_graph, tiny_cfg):
     params = fresh_params(g, tiny_cfg)
     gp = plan_graph(g)
     plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(2))
-    total, parts = hgmae_loss(gp, params, tiny_cfg, plans)
+    parts, _ = hgmae_loss(gp, params, tiny_cfg, plans)
     recombined = parts.full + tiny_cfg.eta * np.mean(list(parts.subs.values()))
-    assert total.item() == pytest.approx(recombined, abs=1e-12)
+    assert parts.total == pytest.approx(recombined, abs=1e-12)
+
+
+# -- hand-written gradients against the tape ----------------------------------
+
+
+def assert_step_matches_tape(gp, params, cfg, plans):
+    """Loss parts and every gradient of hgmae_loss equal the tape
+    composition's bit for bit (signed zeros included)."""
+    parts, grads = hgmae_loss(gp, params, cfg, plans)
+    total, full, subs, want = tape.tape_hgmae_loss(gp, params, cfg, plans)
+    assert repr((parts.total, parts.full, parts.subs)) == repr((total, full, subs))
+    assert list(grads) == list(want)
+    for name, g in grads.items():
+        assert g.dtype == want[name].dtype and g.shape == want[name].shape, name
+        assert g.tobytes() == want[name].tobytes(), name
+    return grads
+
+
+def steps_match_tape(g, params, cfg, seed=0, steps=3):
+    """assert_step_matches_tape on `steps` Adam steps from params."""
+    gp = plan_graph(g)
+    rng = np.random.default_rng(seed)
+    state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
+    for _ in range(steps):
+        plans = make_step_plans(gp, cfg, rng)
+        adam_step(state, params.named_arrays(), assert_step_matches_tape(gp, params, cfg, plans))
+    return plans
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("eta", [1.0, 0.0])
+@pytest.mark.parametrize("world", [0, 3])
+def test_step_gradients_bit_identical_to_tape(world, eta, gamma):
+    exp = ExperimentConfig()
+    _, g, _, _ = build_world(exp, world)
+    cfg = dataclasses.replace(exp.pretrain, eta=eta, gamma=gamma)
+    steps_match_tape(g, init_params(g.d_in, cfg, np.random.default_rng(world)), cfg, seed=world)
+
+
+@pytest.mark.parametrize(
+    "random_sub_rate, empty", [(0.0, "random_ids"), (1.0, "token_ids")]
+)
+def test_step_gradients_bit_identical_with_empty_plan_parts(random_sub_rate, empty, two_type_graph):
+    cfg = TrainConfig(
+        d_emb=5, hidden_heads=2, hidden_head_dim=4, gamma=2.0, random_sub_rate=random_sub_rate
+    )
+    plans = steps_match_tape(two_type_graph, fresh_params(two_type_graph, cfg), cfg)
+    for plan in [plans.full, *plans.subs.values()]:
+        assert getattr(plan, empty).size == 0
+
+
+def test_step_gradients_bit_identical_with_zero_norm_rows(tiny_cfg):
+    # nodes 8..15 are isolated: with both tokens at zero, as at init, a
+    # masked isolated row reconstructs to zero
+    ring = [(i, (i + 1) % 8) for i in range(8)]
+    g = make_graph(16, {0: ring, 1: [(0, 4), (2, 6)]}, d_in=4, seed=5)
+    params = fresh_params(g, tiny_cfg, tokens_randomized=False)
+    before = hgmae.zero_norm_row_count()
+    steps_match_tape(g, params, tiny_cfg, steps=1)
+    assert hgmae.zero_norm_row_count() > before
+
+
+def test_step_gradients_bit_identical_when_every_masked_row_has_zero_norm(tiny_cfg):
+    # an edgeless graph with the tokens at zero: the loss is the constant 1
+    # and no parameter gets a gradient
+    g = make_graph(6, {0: np.zeros((0, 2))}, d_in=3)
+    params = fresh_params(g, tiny_cfg, tokens_randomized=False)
+    with pytest.warns(UserWarning, match="full graph only"):
+        steps_match_tape(g, params, tiny_cfg, steps=1)
+    with pytest.warns(UserWarning, match="full graph only"):
+        res = hgmae_step(plan_graph(g), params, tiny_cfg, np.random.default_rng(0))
+    assert res.loss == 1.0
+    assert not any(grad.any() for grad in res.grads.values())
 
 
 # -- pretrain / inference -----------------------------------------------------
@@ -356,8 +443,8 @@ def test_pretrain_zero_epochs_returns_initialized_params():
     params, history = pretrain(g, cfg)
     assert history == []
     expected = init_params(g.d_in, cfg, np.random.default_rng(5))
-    for name, t in params.named_tensors().items():
-        np.testing.assert_array_equal(t.data, expected.named_tensors()[name].data)
+    for name, arr in params.named_arrays().items():
+        np.testing.assert_array_equal(arr, expected.named_arrays()[name])
 
 
 def test_pretrain_bit_reproducible(two_type_graph, tiny_cfg):
@@ -475,6 +562,21 @@ def test_pretrain_fault_names_epoch_and_op(monkeypatch, two_type_graph, tiny_cfg
 
     monkeypatch.setattr(hgmae, "adam_step", poisoning_adam_step)
     with pytest.raises(NumericFault, match=r"^epoch 3: non-finite output from gat_head$"):
+        pretrain(two_type_graph, tiny_cfg)
+
+
+def test_pretrain_fault_names_epoch_and_mask_stage(monkeypatch, two_type_graph, tiny_cfg):
+    real_adam_step = hgmae.adam_step
+    updates = []
+
+    def poisoning_adam_step(state, arrays, grads):
+        real_adam_step(state, arrays, grads)
+        updates.append(1)
+        if len(updates) == 2:
+            arrays["mask_token"][0] = np.nan
+
+    monkeypatch.setattr(hgmae, "adam_step", poisoning_adam_step)
+    with pytest.raises(NumericFault, match=r"^epoch 3: non-finite output from mask$"):
         pretrain(two_type_graph, tiny_cfg)
 
 
