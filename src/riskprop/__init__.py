@@ -24,11 +24,8 @@ from .experiment import (
 from .gat import GATLayerParams, gat_layer_forward, init_gat_layer
 from .graph import (
     DefaultEvent,
-    EmptyEdgeTypeError,
     GraphFormatError,
     HeteroGraph,
-    Subgraph,
-    extract_subgraph,
     load_events,
     load_graph,
     save_events,
@@ -47,7 +44,6 @@ from .hgmae import (
     infer_embeddings,
     init_params,
     make_step_plans,
-    message_pairs,
     plan_graph,
     pretrain,
     remask_and_decode,

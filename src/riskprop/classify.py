@@ -85,9 +85,6 @@ class ClassifierModel:
         Xs = (X - self.feat_mean) / self.feat_std
         return _sigmoid(Xs @ self.weights + self.bias)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.scores(X) >= 0.5).astype(np.int64)
-
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     return _logistic(t, np.exp(-np.abs(t)))

@@ -7,7 +7,7 @@ aggregate the projected neighbor rows. Heads merge by concatenation; hidden
 layers apply ELU, output layers are linear.
 
 Message pairs are the pairs (receiver, sender) of every edge in both
-directions plus one self-loop per node. The head stores them in the
+directions plus one self-loop per node. MessagePairs holds them only in the
 jagged-diagonal (JDS) layout (Saad, Iterative Methods for Sparse Linear
 Systems, 2nd ed., 2003): receivers are ordered by descending degree, and
 slot j holds the j-th sender (ascending) of every receiver with more than j
@@ -80,14 +80,6 @@ class GATLayerParams:
     def num_heads(self) -> int:
         return len(self.weights)
 
-    @property
-    def d_in(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.weights[0].shape[0] * len(self.weights)
-
 
 def init_gat_layer(
     rng: np.random.Generator,
@@ -111,44 +103,30 @@ def init_gat_layer(
 
 @dataclass(frozen=True)
 class MessagePairs:
-    """Both directions of every edge plus one self-loop per node.
+    """Both directions of every edge plus one self-loop per node, in the
+    jagged-diagonal layout the attention head reads.
 
-    dst, src: the pairs as (receiver, sender) arrays lexsorted by (dst, src);
-    starts[i] is the index of receiver i's first pair. Self-loops make every
-    run nonempty. This is the order `return_attention` reports alphas in.
-
-    The attention head reads the jagged-diagonal layout of the same pairs.
     order lists the receivers by descending pair count (stable, so ties keep
-    ascending node id). Slot j holds the j-th pair of the receivers
-    order[:counts[j]], so counts never increases and counts[0] = n. Slot
-    entries are concatenated slot after slot; for entry k, recv[k] and
-    nbr[k] are its receiver and sender, pair_index[k] is its index in the
-    sorted pairs and mirror[k] is the entry holding the reversed pair
-    (nbr[k], recv[k]). mirror is an involution, because the pair set is
-    symmetric and free of duplicates. slot_bounds[j] is the index of slot
-    j's first entry, and slot_bounds[-1] the number of entries.
+    ascending node id). Slot j holds the j-th pair, by ascending sender, of
+    the receivers order[:counts[j]], so counts never increases and
+    counts[0] = n. Slot entries are concatenated slot after slot; for entry
+    k, recv[k] and nbr[k] are its receiver and sender, and mirror[k] is the
+    entry holding the reversed pair (nbr[k], recv[k]). mirror is an
+    involution, because the pair set is symmetric and free of duplicates.
+    slot_bounds[j] is the index of slot j's first entry, and slot_bounds[-1]
+    the number of entries.
     """
 
-    dst: np.ndarray
-    src: np.ndarray
-    starts: np.ndarray
     order: np.ndarray
     counts: np.ndarray
     recv: np.ndarray
     nbr: np.ndarray
-    pair_index: np.ndarray
     mirror: np.ndarray
     slot_bounds: tuple[int, ...]
 
     @property
     def num_nodes(self) -> int:
-        return self.starts.shape[0]
-
-    def in_pair_order(self, values: np.ndarray) -> np.ndarray:
-        """Per-entry values (slot order) rearranged to the sorted (dst, src) order."""
-        out = np.empty_like(values)
-        out[self.pair_index] = values
-        return out
+        return self.order.shape[0]
 
 
 def _check_edges(edges: np.ndarray, num_nodes: int) -> None:
@@ -181,29 +159,24 @@ def build_message_pairs(edges: np.ndarray, num_nodes: int) -> MessagePairs:
     keys = sorted_unique(np.concatenate([u * n + v, v * n + u, loops * (n + 1)]))
     dst, src = keys // n, keys % n
     deg = np.bincount(dst, minlength=n)
-    starts = np.cumsum(deg) - deg
-
     order = np.argsort(-deg, kind="stable")
     counts = n - np.cumsum(np.bincount(deg))[:-1]
     slot = np.repeat(np.arange(counts.shape[0]), counts)
     position = np.arange(keys.shape[0]) - (np.cumsum(counts) - counts)[slot]
     recv = order[position]
-    pair_index = starts[recv] + slot
-    slot_of_pair = np.empty_like(pair_index)
-    slot_of_pair[pair_index] = np.arange(pair_index.shape[0])
+    # entry k is the slot[k]-th of its receiver's run in the sorted keys
+    pair = (np.cumsum(deg) - deg)[recv] + slot
+    entry_of_pair = np.empty_like(pair)
+    entry_of_pair[pair] = np.arange(pair.shape[0])
     # keys are unique and reversal permutes them, so sorting the reversed
     # keys finds each pair's reverse
     reverse = np.argsort(src * n + dst)
     return MessagePairs(
-        dst=dst,
-        src=src,
-        starts=starts,
         order=order,
         counts=counts,
         recv=recv,
-        nbr=src[pair_index],
-        pair_index=pair_index,
-        mirror=slot_of_pair[reverse[pair_index]],
+        nbr=src[pair],
+        mirror=entry_of_pair[reverse[pair]],
         slot_bounds=(0, *np.cumsum(counts).tolist()),
     )
 
@@ -278,8 +251,8 @@ def _receiver_max(pairs: MessagePairs, values: np.ndarray) -> np.ndarray:
 
 
 def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs, slope: float):
-    """One attention head: (output [n, d_head], alpha per pair in slot order,
-    backward). `pairs.in_pair_order` sorts alpha by (dst, src).
+    """One attention head: (output [n, d_head], alpha per slot entry,
+    backward).
 
     backward(g) takes the gradient of the output and returns the gradients
     of x, w and a. alpha grouped by receiver sums to 1. Per-pair arrays are
@@ -322,18 +295,11 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs, s
     return out, alpha, backward
 
 
-def gat_layer_forward(
-    params: GATLayerParams,
-    x: np.ndarray,
-    pairs: MessagePairs,
-    return_attention: bool = False,
-):
+def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs):
     """One attention layer on features x [n, d_in]: (output, backward).
 
     backward(g) takes the gradient of the output and returns (gradient of x,
-    [W gradient, a gradient] of each head in order, flattened). With
-    return_attention, a third item is (receiver, sender, [alpha per head]);
-    alpha rows grouped by receiver sum to 1.
+    [W gradient, a gradient] of each head in order, flattened).
     """
     n = x.shape[0]
     if pairs.num_nodes != n:
@@ -363,9 +329,6 @@ def gat_layer_forward(
                 g_x += g_x_head
         return g_x, grads
 
-    if return_attention:
-        alphas = [pairs.in_pair_order(alpha) for _, alpha, _ in heads]
-        return out, backward, (pairs.dst, pairs.src, alphas)
     return out, backward
 
 

@@ -23,10 +23,6 @@ import numpy as np
 from .table import Block, Check, GraphFormatError, read_table, write_table
 
 
-class EmptyEdgeTypeError(ValueError):
-    """Raised when a subgraph is requested for an edge type with no edges."""
-
-
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """np.unique(values): the distinct values, flattened and ascending, by a
     sort plus a neighbour-difference mask; np.unique is several times slower
@@ -118,47 +114,12 @@ class HeteroGraph:
         return indptr, dst[order]
 
 
-@dataclass
-class Subgraph:
-    """Single-edge-type subgraph with local node indexing.
-
-    parent_node_ids maps local index -> global node id, ascending; the node
-    set is exactly the nodes incident to at least one edge of the type.
-    """
-
-    parent_node_ids: np.ndarray
-    features: np.ndarray
-    edges: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return self.parent_node_ids.shape[0]
-
-
 @dataclass(frozen=True, order=True)
 class DefaultEvent:
     """A node's default, recorded at a non-negative integer tick."""
 
     node_id: int
     default_time: int
-
-
-def extract_subgraph(g: HeteroGraph, edge_type_id: int) -> Subgraph:
-    """Restrict `g` to one edge type, reindexing nodes in ascending global order."""
-    if not 0 <= edge_type_id < g.num_edge_types:
-        raise ValueError(f"edge_type_id {edge_type_id} out of range (K={g.num_edge_types})")
-    edges = g.edge_lists[edge_type_id]
-    if edges.shape[0] == 0:
-        raise EmptyEdgeTypeError(
-            f"empty subgraph: edge type '{g.edge_type_names[edge_type_id]}' has no edges"
-        )
-    node_ids = sorted_unique(edges)
-    local_edges = np.searchsorted(node_ids, edges)
-    return Subgraph(
-        parent_node_ids=node_ids,
-        features=g.node_features[node_ids].copy(),
-        edges=local_edges,
-    )
 
 
 # ---------------------------------------------------------------------------

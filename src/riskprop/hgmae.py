@@ -28,9 +28,11 @@ Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
 
 The graph never changes during training, so pretrain builds a GraphPlan
-once: the full graph's message pairs and every nonempty single-type
-subgraph with its own pairs, each with the jagged-diagonal layout the
-attention heads run on (see gat.py). Mask draws and loss terms read that
+once. It holds one Term per reconstruction term: a feature array and its
+message pairs in the jagged-diagonal layout the attention heads run on (see
+gat.py). The full graph's term reads the union of all edge types; each
+nonempty type's term reads the rows of the nodes that type's edges touch,
+renumbered in ascending node id. Mask draws and loss terms read only that
 plan.
 """
 
@@ -50,7 +52,7 @@ from .gat import (
     gat_stack_forward,
     init_gat_layer,
 )
-from .graph import HeteroGraph, Subgraph, extract_subgraph
+from .graph import HeteroGraph, sorted_unique
 from .optim import AdamState, adam_step
 from .table import Block, Check, read_table, write_table
 
@@ -163,10 +165,6 @@ class ModelParams:
     def d_in(self) -> int:
         return self.mask_token.shape[0]
 
-    @property
-    def d_emb(self) -> int:
-        return self.remask_token.shape[0]
-
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Every parameter by name: each layer's heads (W, then a), encoder
         then decoder, then the two tokens. The values are the live arrays, so
@@ -208,29 +206,32 @@ def apply_mask(x: np.ndarray, plan: MaskPlan, params: ModelParams) -> np.ndarray
     return NumericFault.check(out, "mask")
 
 
-def message_pairs(g: HeteroGraph | Subgraph) -> MessagePairs:
-    """Message pairs over the graph's adjacency (full graph: union of all types)."""
-    edges = g.union_edges() if isinstance(g, HeteroGraph) else g.edges
-    return build_message_pairs(edges, g.num_nodes)
+@dataclass(frozen=True)
+class Term:
+    """What one reconstruction term reads: node features and their message pairs."""
+
+    features: np.ndarray
+    pairs: MessagePairs
 
 
 @dataclass(frozen=True)
 class GraphPlan:
-    """The full graph and its nonempty single-type subgraphs (ascending type
-    id), each with prebuilt message pairs."""
+    """The full graph's term and one term per nonempty edge type, by ascending type id."""
 
-    graph: HeteroGraph
-    pairs: MessagePairs
-    subs: dict[int, tuple[Subgraph, MessagePairs]]
+    full: Term
+    subs: dict[int, Term]
 
 
 def plan_graph(g: HeteroGraph) -> GraphPlan:
     subs = {}
     for k in range(g.num_edge_types):
-        if g.edge_lists[k].shape[0]:
-            sub = extract_subgraph(g, k)
-            subs[k] = (sub, message_pairs(sub))
-    return GraphPlan(graph=g, pairs=message_pairs(g), subs=subs)
+        edges = g.edge_lists[k]
+        if edges.shape[0]:
+            ids = sorted_unique(edges)
+            pairs = build_message_pairs(np.searchsorted(ids, edges), ids.shape[0])
+            subs[k] = Term(g.node_features[ids], pairs)
+    full = Term(g.node_features, build_message_pairs(g.union_edges(), g.num_nodes))
+    return GraphPlan(full=full, subs=subs)
 
 
 def encode(pairs: MessagePairs, corrupted: np.ndarray, params: ModelParams):
@@ -342,11 +343,11 @@ class StepPlans:
 def make_step_plans(gplan: GraphPlan, cfg: TrainConfig, rng: np.random.Generator) -> StepPlans:
     """Independent draws: full graph first, then nonempty types ascending.
     With eta == 0 no subgraph plans are drawn."""
-    full = sample_mask(gplan.graph.num_nodes, cfg, rng)
+    full = sample_mask(gplan.full.pairs.num_nodes, cfg, rng)
     subs: dict[int, MaskPlan] = {}
     if cfg.eta != 0.0:
-        for k, (sub, _) in gplan.subs.items():
-            subs[k] = sample_mask(sub.num_nodes, cfg, rng)
+        for k, term in gplan.subs.items():
+            subs[k] = sample_mask(term.pairs.num_nodes, cfg, rng)
     return StepPlans(full=full, subs=subs)
 
 
@@ -364,8 +365,7 @@ class LossParts:
 
 
 def _reconstruction_term(
-    graph_like: HeteroGraph | Subgraph,
-    pairs: MessagePairs,
+    term: Term,
     plan: MaskPlan,
     params: ModelParams,
     cfg: TrainConfig,
@@ -375,7 +375,7 @@ def _reconstruction_term(
     gradient of upstream * loss per parameter name). A parameter the term
     does not reach has no entry: the mask token when no row gets it, and
     every parameter when the loss is the constant 1."""
-    x = graph_like.node_features if isinstance(graph_like, HeteroGraph) else graph_like.features
+    x, pairs = term.features, term.pairs
     corrupted = apply_mask(x, plan, params)
     latent, encoder_backward = encode(pairs, corrupted, params)
     recon, decoder_backward = remask_and_decode(latent, plan, params, pairs)
@@ -412,16 +412,15 @@ def hgmae_loss(
             else:
                 grads[name] = g.copy()
 
-    full, term_grads = _reconstruction_term(gplan.graph, gplan.pairs, plans.full, params, cfg, 1.0)
+    full, term_grads = _reconstruction_term(gplan.full, plans.full, params, cfg, 1.0)
     add(term_grads)
     sub_values: dict[int, float] = {}
     if cfg.eta != 0.0:
         if not gplan.subs:
             warnings.warn("no nonempty edge types; training on the full graph only")
         for k in sorted(plans.subs):
-            sub, pairs = gplan.subs[k]
             sub_values[k], term_grads = _reconstruction_term(
-                sub, pairs, plans.subs[k], params, cfg, cfg.eta / len(plans.subs)
+                gplan.subs[k], plans.subs[k], params, cfg, cfg.eta / len(plans.subs)
             )
             add(term_grads)
     total = merge_losses(full, list(sub_values.values()), cfg.eta)
@@ -432,22 +431,11 @@ def hgmae_loss(
     return LossParts(total=total, full=full, subs=sub_values), grads
 
 
-@dataclass
-class StepResult:
-    loss: float
-    loss_full: float
-    loss_sub_mean: float
-    grads: dict[str, np.ndarray]
-
-
 def hgmae_step(
     gplan: GraphPlan, params: ModelParams, cfg: TrainConfig, rng: np.random.Generator
-) -> StepResult:
+) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Sample fresh masks, then evaluate the combined loss and its gradient."""
-    parts, grads = hgmae_loss(gplan, params, cfg, make_step_plans(gplan, cfg, rng))
-    return StepResult(
-        loss=parts.total, loss_full=parts.full, loss_sub_mean=parts.sub_mean, grads=grads
-    )
+    return hgmae_loss(gplan, params, cfg, make_step_plans(gplan, cfg, rng))
 
 
 @dataclass
@@ -467,17 +455,18 @@ def pretrain(g: HeteroGraph, cfg: TrainConfig) -> tuple[ModelParams, list[EpochS
     history: list[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         try:
-            res = hgmae_step(gplan, params, cfg, rng)
+            parts, grads = hgmae_step(gplan, params, cfg, rng)
         except NumericFault as fault:
             raise NumericFault(f"epoch {epoch}: {fault}") from fault
-        adam_step(state, params.named_arrays(), res.grads)
-        history.append(EpochStats(epoch, res.loss, res.loss_full, res.loss_sub_mean))
+        adam_step(state, params.named_arrays(), grads)
+        history.append(EpochStats(epoch, parts.total, parts.full, parts.sub_mean))
     return params, history
 
 
 def infer_embeddings(g: HeteroGraph, params: ModelParams) -> np.ndarray:
     """Encoder output on uncorrupted features over the full graph."""
-    latent, _ = encode(message_pairs(g), g.node_features, params)
+    pairs = build_message_pairs(g.union_edges(), g.num_nodes)
+    latent, _ = encode(pairs, g.node_features, params)
     return latent
 
 

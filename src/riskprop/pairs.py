@@ -175,14 +175,14 @@ def split_pairs(
         train.append(order[:n_train])
         test.append(order[n_train:])
 
-    def in_pair_order(rows: np.ndarray) -> list[PropagationPair]:
+    def as_sorted_pairs(rows: np.ndarray) -> list[PropagationPair]:
         # a stable sort on (source, target, label, hop), as sorted() orders pairs
         rows = rows[np.lexsort(cols[rows].T[::-1])]
         return [pairs[i] for i in rows.tolist()]
 
     return PairDatasetSplit(
-        train=in_pair_order(np.concatenate(train)),
-        test=in_pair_order(np.concatenate(test)),
+        train=as_sorted_pairs(np.concatenate(train)),
+        test=as_sorted_pairs(np.concatenate(test)),
         split_seed=seed,
     )
 

@@ -113,6 +113,15 @@ def slot_loop_jagged_matmul(pairs, weights: np.ndarray, rows: np.ndarray, dot_wi
     return out, dots
 
 
+def sorted_pairs(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dst, src, order): the message pairs as (receiver, sender) arrays
+    sorted by (receiver, sender), the order the generic-op head in tape.py
+    reads, and the permutation that takes per-entry values from slot order
+    to that order."""
+    order = np.lexsort((pairs.nbr, pairs.recv))
+    return pairs.recv[order], pairs.nbr[order], order
+
+
 def dense_sce(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float) -> float:
     total = 0.0
     for i in masked_ids:
@@ -137,18 +146,20 @@ def dense_reconstruction_term(params, cfg, x: np.ndarray, adj: np.ndarray, plan)
 
 
 def dense_hgmae_loss(g: HeteroGraph, params, cfg, plans) -> tuple[float, float, dict[int, float]]:
-    """(total, full_term, per-type terms) via the dense path and explicit merge."""
-    from riskprop.graph import extract_subgraph
-
+    """(total, full_term, per-type terms) via the dense path and explicit
+    merge. Each type's term runs on the nodes its edges touch, renumbered in
+    ascending id."""
     full = dense_reconstruction_term(
         params, cfg, g.node_features, dense_adjacency(g.union_edges(), g.num_nodes), plans.full
     )
     subs: dict[int, float] = {}
     for k, plan in sorted(plans.subs.items()):
-        sub = extract_subgraph(g, k)
-        subs[k] = dense_reconstruction_term(
-            params, cfg, sub.features, dense_adjacency(sub.edges, sub.num_nodes), plan
-        )
+        edges = g.edge_lists[k]
+        ids = np.unique(edges)
+        local = np.full(g.num_nodes, -1)
+        local[ids] = np.arange(ids.size)
+        adj = dense_adjacency(local[edges], ids.size)
+        subs[k] = dense_reconstruction_term(params, cfg, g.node_features[ids], adj, plan)
     total = full
     if cfg.eta != 0.0 and subs:
         total = full + cfg.eta / len(subs) * sum(subs.values())

@@ -27,6 +27,8 @@ import numpy as np
 
 from riskprop.autodiff import NumericFault
 
+from oracles import sorted_pairs
+
 
 class Tensor:
     """Array node in the tape. grad is allocated lazily on first accumulation."""
@@ -416,13 +418,14 @@ def tape_sce_loss(x: np.ndarray, z: Tensor, masked_ids: np.ndarray, gamma: float
 def tape_term(x: np.ndarray, pairs, plan, params, tensors: dict[str, Tensor], gamma: float):
     """One masked reconstruction term on the tape. tensors maps each name of
     params.named_arrays() to its leaf tensor."""
+    dst, src, _ = sorted_pairs(pairs)
 
     def stack(name, layers, h):
         for li, layer in enumerate(layers):
             prefix = [f"{name}.{li}.head{hi}" for hi in range(layer.num_heads)]
             weights = [tensors[p + ".W"] for p in prefix]
             attn = [tensors[p + ".a"] for p in prefix]
-            h, _ = tape_gat_layer(layer, h, pairs.dst, pairs.src, weights, attn)
+            h, _ = tape_gat_layer(layer, h, dst, src, weights, attn)
         return h
 
     out = constant(x)
@@ -442,12 +445,14 @@ def tape_hgmae_loss(gplan, params, cfg, plans):
     term}, {name: gradient}), the losses as floats. Missing gradients are
     zeros."""
     tensors = {name: Tensor(arr.copy()) for name, arr in params.named_arrays().items()}
-    full = tape_term(gplan.graph.node_features, gplan.pairs, plans.full, params, tensors, cfg.gamma)
+    full = tape_term(
+        gplan.full.features, gplan.full.pairs, plans.full, params, tensors, cfg.gamma
+    )
     subs = {}
     if cfg.eta != 0.0:
         for k in sorted(plans.subs):
-            sub, pairs = gplan.subs[k]
-            subs[k] = tape_term(sub.features, pairs, plans.subs[k], params, tensors, cfg.gamma)
+            term, plan = gplan.subs[k], plans.subs[k]
+            subs[k] = tape_term(term.features, term.pairs, plan, params, tensors, cfg.gamma)
     total = full
     if cfg.eta != 0.0 and subs:
         terms = list(subs.values())

@@ -97,20 +97,20 @@ def test_criterion_2_loss_formula_oracle():
         params = fresh_params(g, cfg, seed=2)
         gp = plan_graph(g)
         plans = make_step_plans(gp, cfg, np.random.default_rng(12))
-        res = hgmae_step(gp, params, cfg, np.random.default_rng(12))
+        parts, _ = hgmae_step(gp, params, cfg, np.random.default_rng(12))
 
         dense_total, dense_full, dense_subs = dense_hgmae_loss(g, params, cfg, plans)
         recombined = dense_full + cfg.eta / len(dense_subs) * sum(dense_subs.values())
-        assert abs(res.loss - dense_total) < 1e-12
-        assert abs(res.loss_full - dense_full) < 1e-12
+        assert abs(parts.total - dense_total) < 1e-12
+        assert abs(parts.full - dense_full) < 1e-12
         assert abs(dense_total - recombined) < 1e-12
 
         # eta = 0 reproduces the full-graph-only loss exactly
         cfg0 = dataclasses.replace(cfg, eta=0.0)
-        res0 = hgmae_step(gp, params, cfg0, np.random.default_rng(12))
+        parts0, _ = hgmae_step(gp, params, cfg0, np.random.default_rng(12))
         plans0 = make_step_plans(gp, cfg0, np.random.default_rng(12))
         replay0, _ = hgmae_loss(gp, params, cfg0, plans0)
-        assert res0.loss == res0.loss_full == replay0.total
+        assert parts0.total == parts0.full == replay0.total
 
 
 @criterion(3, "masking invariants over 10k samples: counts exact, bytes intact, freq in 3 sigma")

@@ -7,12 +7,11 @@ from riskprop.experiment import ExperimentConfig, build_world
 from riskprop.gat import (
     GATLayerParams,
     build_message_pairs,
+    gat_head,
     gat_layer_forward,
     gat_stack_forward,
     init_gat_layer,
 )
-from riskprop.graph import extract_subgraph
-from riskprop.hgmae import message_pairs
 
 import tape
 from oracles import (
@@ -21,6 +20,7 @@ from oracles import (
     dense_stack,
     layers_as_arrays,
     slot_loop_jagged_matmul,
+    sorted_pairs,
 )
 
 NO_EDGES = np.zeros((0, 2), dtype=np.int64)
@@ -42,11 +42,11 @@ def stack_out(layers, x, edges):
 def test_single_node_softmax_over_self_loop():
     params = GATLayerParams(weights=[np.eye(3)], attn=[np.zeros(6)], activation="elu")
     x = np.array([[1.5, -0.7, 0.0]])
-    out, _, (dst, src, alphas) = gat_layer_forward(
-        params, x, build_message_pairs(NO_EDGES, 1), return_attention=True
-    )
-    assert dst.tolist() == [0] and src.tolist() == [0]
-    np.testing.assert_array_equal(alphas[0], [1.0])
+    pairs = build_message_pairs(NO_EDGES, 1)
+    assert pairs.recv.tolist() == [0] and pairs.nbr.tolist() == [0]
+    _, alpha, _ = gat_head(x, params.weights[0], params.attn[0], pairs, params.leaky_slope)
+    np.testing.assert_array_equal(alpha, [1.0])
+    out, _ = gat_layer_forward(params, x, pairs)
     np.testing.assert_allclose(out, np.where(x > 0, x, np.expm1(x)), atol=1e-15)
 
 
@@ -97,9 +97,10 @@ def test_attention_rows_sum_to_one():
     params = init_gat_layer(rng, 4, 3, 2)
     x = rng.standard_normal((5, 4))
     pairs = build_message_pairs(edges, 5)
-    _, _, (dst, _, alphas) = gat_layer_forward(params, x, pairs, return_attention=True)
-    for alpha in alphas:
-        sums = np.bincount(dst, weights=alpha, minlength=5)
+    dst, _, order = sorted_pairs(pairs)
+    for w, a in zip(params.weights, params.attn):
+        _, alpha, _ = gat_head(x, w, a, pairs, params.leaky_slope)
+        sums = np.bincount(dst, weights=alpha[order], minlength=5)
         np.testing.assert_allclose(sums, np.ones(5), atol=1e-12, rtol=0)
 
 
@@ -163,10 +164,17 @@ def test_layer_gradients_pass_finite_difference_check(heads, activation):
 
 def test_build_message_pairs_sorted_with_self_loops():
     pairs = build_message_pairs(np.array([[1, 2], [0, 2]]), 3)
-    assert list(zip(pairs.dst.tolist(), pairs.src.tolist())) == [
+    dst, src, _ = sorted_pairs(pairs)
+    assert list(zip(dst.tolist(), src.tolist())) == [
         (0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
     ]
-    assert pairs.starts.tolist() == [0, 2, 4]
+    # node 2 has three pairs, nodes 0 and 1 two each; slot j holds every
+    # receiver's j-th smallest sender
+    assert pairs.order.tolist() == [2, 0, 1]
+    assert pairs.counts.tolist() == [3, 3, 1]
+    assert pairs.recv.tolist() == [2, 0, 1, 2, 0, 1, 2]
+    assert pairs.nbr.tolist() == [0, 0, 1, 1, 2, 2, 2]
+    assert pairs.slot_bounds == (0, 3, 6, 7)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +185,7 @@ def test_build_message_pairs_sorted_with_self_loops():
 def test_build_message_pairs_collapses_duplicate_edges(edges):
     pairs = build_message_pairs(np.array(edges), 3)
     single = build_message_pairs(np.array([[0, 1]]), 3)
-    for name in ("dst", "src", "starts", "order", "counts", "recv", "nbr", "pair_index", "mirror"):
+    for name in ("order", "counts", "recv", "nbr", "mirror", "slot_bounds"):
         assert np.array_equal(getattr(pairs, name), getattr(single, name)), name
 
 
@@ -228,9 +236,12 @@ def assert_fused_matches_tape(layer, x_arr, pairs, weight):
     """Layer output, alphas and the gradients of x, W and a of the loss
     sum(weight * out), hand-written against the generic-op composition,
     under np.array_equal. Returns the alphas."""
-    fused_out, backward, (_, _, fused_alphas) = gat_layer_forward(
-        layer, x_arr, pairs, return_attention=True
-    )
+    fused_out, backward = gat_layer_forward(layer, x_arr, pairs)
+    dst, src, order = sorted_pairs(pairs)
+    fused_alphas = [
+        gat_head(x_arr, w, a, pairs, layer.leaky_slope)[1][order]
+        for w, a in zip(layer.weights, layer.attn)
+    ]
     g_x, head_grads = backward(weight)
     # head_grads alternates W and a per head; the tape lists every W first
     fused_grads = [g_x] + head_grads[0::2] + head_grads[1::2]
@@ -238,7 +249,7 @@ def assert_fused_matches_tape(layer, x_arr, pairs, weight):
     x = tape.Tensor(x_arr.copy())
     weights = [tape.Tensor(w.copy()) for w in layer.weights]
     attn = [tape.Tensor(a.copy()) for a in layer.attn]
-    out, ref_alphas = tape.tape_gat_layer(layer, x, pairs.dst, pairs.src, weights, attn)
+    out, ref_alphas = tape.tape_gat_layer(layer, x, dst, src, weights, attn)
     tape.backward(tape.total_sum(tape.mul(out, tape.constant(weight))))
     ref_out = out.data
     ref_grads = [x.grad] + [t.grad for t in weights + attn]
@@ -262,20 +273,22 @@ def test_fused_head_bit_identical_to_tape_composition(heads, activation):
     pairs = build_message_pairs(FUSED_EDGES, 9)
     fused_alphas = assert_fused_matches_tape(layer, x_arr, pairs, weight)
     # isolated nodes attend only to themselves
-    isolated = np.isin(pairs.dst, [7, 8])
+    isolated = np.isin(sorted_pairs(pairs)[0], [7, 8])
     assert all(np.array_equal(alpha[isolated], [1.0, 1.0]) for alpha in fused_alphas)
 
 
-def shaped_graph(shape):
-    """(features, message pairs) for graphs whose slot layouts differ most
-    from the 9-node fixture: one hub of degree n-1, all degrees tied, no
-    edges at all, and the default world or one of its subgraphs."""
+def shaped_edges(shape):
+    """(features, edges) for graphs whose slot layouts differ most from the
+    9-node fixture: one hub of degree n-1, all degrees tied, no edges at
+    all, the default world, and the default world restricted to one
+    relation type, with its nodes renumbered in ascending id."""
     if shape in ("default-subgraph", "default-world"):
         _, g, _, _ = build_world(ExperimentConfig(), 0)
         if shape == "default-world":
-            return g.node_features, message_pairs(g)
-        sub = extract_subgraph(g, 2)  # the densest relation type
-        return sub.features, message_pairs(sub)
+            return g.node_features, g.union_edges()
+        edges = g.edge_lists[2]  # the densest relation type
+        ids = np.unique(edges)
+        return g.node_features[ids], np.searchsorted(ids, edges)
     rng = np.random.default_rng(len(shape))
     n = {"star": 40, "ring": 30, "edgeless": 6}[shape]
     edges = {
@@ -283,7 +296,13 @@ def shaped_graph(shape):
         "ring": [[i, (i + 1) % n] for i in range(n)],
         "edgeless": NO_EDGES,
     }[shape]
-    return rng.standard_normal((n, 5)), build_message_pairs(np.array(edges), n)
+    return rng.standard_normal((n, 5)), np.array(edges)
+
+
+def shaped_graph(shape):
+    """(features, message pairs) of shaped_edges(shape)."""
+    x, edges = shaped_edges(shape)
+    return x, build_message_pairs(edges, x.shape[0])
 
 
 GRAPH_SHAPES = ["star", "ring", "edgeless", "default-subgraph"]
@@ -301,31 +320,36 @@ def test_fused_head_bit_identical_on_graph_shapes(shape):
 @pytest.mark.parametrize("shape", GRAPH_SHAPES + ["fixture"])
 def test_jagged_layout_invariants(shape):
     if shape == "fixture":
-        pairs = build_message_pairs(FUSED_EDGES, 9)
+        n, edges = 9, FUSED_EDGES
     else:
-        _, pairs = shaped_graph(shape)
-    n, total = pairs.num_nodes, pairs.dst.shape[0]
-    deg = np.bincount(pairs.dst, minlength=n)
+        x, edges = shaped_edges(shape)
+        n = x.shape[0]
+    pairs = build_message_pairs(edges, n)
+    # brute force: both directions of every edge plus self-loops, deduplicated
+    senders = {r: {r} for r in range(n)}
+    for u, v in np.asarray(edges).tolist():
+        senders[u].add(v)
+        senders[v].add(u)
+    senders = {r: sorted(s) for r, s in senders.items()}
+    dst, src, _ = sorted_pairs(pairs)
+    assert list(zip(dst.tolist(), src.tolist())) == [(r, s) for r in range(n) for s in senders[r]]
+    total = pairs.nbr.shape[0]
+    deg = np.array([len(senders[r]) for r in range(n)])
     # receivers by descending degree, ties in ascending id
     assert np.array_equal(pairs.order, np.lexsort((np.arange(n), -deg)))
     # counts never increase and cover every pair once
     assert pairs.counts[0] == n and np.all(np.diff(pairs.counts) <= 0)
-    assert pairs.counts.sum() == total
-    assert np.array_equal(np.sort(pairs.pair_index), np.arange(total))
-    assert np.array_equal(pairs.recv, pairs.dst[pairs.pair_index])
-    assert np.array_equal(pairs.nbr, pairs.src[pairs.pair_index])
-    # slot j covers the prefix order[:counts[j]], its j-th pair
-    lo = 0
+    assert pairs.slot_bounds == (0, *np.cumsum(pairs.counts).tolist())
+    assert pairs.slot_bounds[-1] == total == deg.sum()
+    # slot j holds the j-th smallest sender of each receiver in order[:counts[j]]
     for j, c in enumerate(pairs.counts.tolist()):
+        lo = pairs.slot_bounds[j]
         assert np.array_equal(pairs.recv[lo : lo + c], pairs.order[:c])
-        assert np.array_equal(pairs.pair_index[lo : lo + c], pairs.starts[pairs.order[:c]] + j)
-        lo += c
+        assert pairs.nbr[lo : lo + c].tolist() == [senders[r][j] for r in pairs.order[:c].tolist()]
     # the mirror maps (r, s) to (s, r) and is an involution
     assert np.array_equal(pairs.recv[pairs.mirror], pairs.nbr)
     assert np.array_equal(pairs.nbr[pairs.mirror], pairs.recv)
     assert np.array_equal(pairs.mirror[pairs.mirror], np.arange(total))
-    # in_pair_order undoes the slot order
-    assert np.array_equal(pairs.in_pair_order(pairs.recv), pairs.dst)
 
 
 @pytest.mark.parametrize("bound", [1, gat._BLOCK_FLOATS, 1 << 40], ids=["tiny", "default", "huge"])

@@ -3,18 +3,18 @@ import pytest
 
 from riskprop.graph import (
     DefaultEvent,
-    EmptyEdgeTypeError,
     GraphFormatError,
     HeteroGraph,
-    extract_subgraph,
     load_events,
     load_graph,
     save_events,
     save_graph,
 )
+from riskprop.hgmae import plan_graph
 from riskprop.synthetic import GenConfig, generate_graph
 
 from conftest import make_graph
+from oracles import sorted_pairs
 
 
 def test_edges_canonicalized_and_deduplicated():
@@ -44,36 +44,43 @@ def test_union_edges_collapses_multi_type_duplicates():
     assert g.union_edges().tolist() == [[0, 1], [1, 2], [2, 3]]
 
 
-# -- extract_subgraph -------------------------------------------------------
+# -- single-type terms of plan_graph ----------------------------------------
+
+
+def term_edges(term) -> np.ndarray:
+    """A term's edges in its own node ids, read back from its message pairs:
+    one row (r, s) per pair with r < s, in lexicographic order."""
+    dst, src, _ = sorted_pairs(term.pairs)
+    keep = dst < src
+    return np.stack([dst[keep], src[keep]], axis=1)
 
 
 def test_extract_triangle_identity():
     g = make_graph(3, {0: [(0, 1), (1, 2), (0, 2)]})
-    sub = extract_subgraph(g, 0)
-    assert sub.num_nodes == 3
-    assert sub.parent_node_ids.tolist() == [0, 1, 2]
-    assert sub.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
-    np.testing.assert_array_equal(sub.features, g.node_features)
+    term = plan_graph(g).subs[0]
+    assert term.pairs.num_nodes == 3
+    assert term_edges(term).tolist() == [[0, 1], [0, 2], [1, 2]]
+    np.testing.assert_array_equal(term.features, g.node_features)
 
 
 def test_extract_single_edge_type():
     g = make_graph(4, {0: [(0, 1), (2, 3)], 1: [(0, 1)]})
-    sub = extract_subgraph(g, 1)
-    assert sub.parent_node_ids.tolist() == [0, 1]
-    assert sub.edges.tolist() == [[0, 1]]
-    np.testing.assert_array_equal(sub.features, g.node_features[[0, 1]])
+    term = plan_graph(g).subs[1]
+    assert term.pairs.num_nodes == 2
+    assert term_edges(term).tolist() == [[0, 1]]
+    np.testing.assert_array_equal(term.features, g.node_features[[0, 1]])
 
 
-def test_extract_empty_type_raises():
+def test_extract_skips_empty_type():
     g = make_graph(3, {0: [(0, 1)], 1: np.zeros((0, 2))})
-    with pytest.raises(EmptyEdgeTypeError, match="empty subgraph"):
-        extract_subgraph(g, 1)
+    assert list(plan_graph(g).subs) == [0]
+    assert plan_graph(make_graph(3, {0: np.zeros((0, 2))})).subs == {}
 
 
 def test_subgraph_features_are_copies():
     g = make_graph(3, {0: [(0, 1)]})
-    sub = extract_subgraph(g, 0)
-    sub.features[0, 0] = 123.0
+    term = plan_graph(g).subs[0]
+    term.features[0, 0] = 123.0
     assert g.node_features[0, 0] != 123.0
 
 
@@ -82,17 +89,14 @@ def test_subgraph_membership_matches_incidence_scan():
     for seed in range(3):
         cfg = GenConfig(num_nodes=40, rng_seed=seed)
         g = generate_graph(cfg)
-        for k in range(g.num_edge_types):
-            if g.edge_lists[k].shape[0] == 0:
-                continue
-            sub = extract_subgraph(g, k)
-            incident = {
-                v for edge in g.edge_lists[k].tolist() for v in edge
-            }
-            assert set(sub.parent_node_ids.tolist()) == incident
-            # reindexed edges map back to the originals
-            restored = sub.parent_node_ids[sub.edges]
-            np.testing.assert_array_equal(restored, g.edge_lists[k])
+        subs = plan_graph(g).subs
+        assert list(subs) == [k for k in range(g.num_edge_types) if g.edge_lists[k].size]
+        for k, term in subs.items():
+            ids = np.array(sorted({v for edge in g.edge_lists[k].tolist() for v in edge}))
+            assert term.pairs.num_nodes == ids.size
+            np.testing.assert_array_equal(term.features, g.node_features[ids])
+            # renumbered edges map back to the originals
+            np.testing.assert_array_equal(ids[term_edges(term)], g.edge_lists[k])
 
 
 def test_union_is_disjoint_partition_by_type():
@@ -110,11 +114,11 @@ def test_union_is_disjoint_partition_by_type():
 
 def test_extract_deterministic():
     g = make_graph(5, {0: [(0, 1), (1, 2), (3, 4)]})
-    a = extract_subgraph(g, 0)
-    b = extract_subgraph(g, 0)
-    np.testing.assert_array_equal(a.parent_node_ids, b.parent_node_ids)
-    np.testing.assert_array_equal(a.edges, b.edges)
+    a = plan_graph(g).subs[0]
+    b = plan_graph(g).subs[0]
     np.testing.assert_array_equal(a.features, b.features)
+    for name in ("order", "counts", "recv", "nbr", "mirror", "slot_bounds"):
+        assert np.array_equal(getattr(a.pairs, name), getattr(b.pairs, name)), name
 
 
 # -- file I/O ---------------------------------------------------------------

@@ -13,8 +13,7 @@ import pytest
 from riskprop import hgmae
 from riskprop.autodiff import NumericFault
 from riskprop.experiment import ExperimentConfig, build_world
-from riskprop.gat import GATLayerParams
-from riskprop.graph import Subgraph
+from riskprop.gat import GATLayerParams, build_message_pairs
 from riskprop.hgmae import (
     MaskingError,
     MaskPlan,
@@ -29,7 +28,6 @@ from riskprop.hgmae import (
     load_embeddings,
     make_step_plans,
     merge_losses,
-    message_pairs,
     plan_graph,
     pretrain,
     remask_and_decode,
@@ -174,8 +172,8 @@ def test_encode_single_node_depends_only_on_its_features():
     g1 = make_graph(1, {0: np.zeros((0, 2))}, d_in=2)
     g2 = make_graph(1, {0: np.zeros((0, 2))}, d_in=2, seed=9)
     params = fresh_params(g1, cfg)
-    h1, _ = encode(message_pairs(g1), x, params)
-    h2, _ = encode(message_pairs(g2), x, params)
+    h1, _ = encode(plan_graph(g1).full.pairs, x, params)
+    h2, _ = encode(plan_graph(g2).full.pairs, x, params)
     np.testing.assert_array_equal(h1, h2)
 
 
@@ -192,23 +190,18 @@ def identity_decoder_params(d: int) -> ModelParams:
     )
 
 
-def edgeless_subgraph(x: np.ndarray) -> Subgraph:
-    return Subgraph(
-        parent_node_ids=np.arange(len(x)), features=x, edges=np.zeros((0, 2), dtype=np.int64)
-    )
-
-
 def test_remask_with_no_masked_rows_keeps_latent():
     x = np.random.default_rng(0).standard_normal((4, 3))
     params = identity_decoder_params(3)
-    out, _ = remask_and_decode(x, manual_plan(4, []), params, message_pairs(edgeless_subgraph(x)))
+    pairs = build_message_pairs(np.zeros((0, 2)), 4)
+    out, _ = remask_and_decode(x, manual_plan(4, []), params, pairs)
     np.testing.assert_array_equal(out, x)
 
 
 def test_remask_all_rows_become_token():
     x = np.random.default_rng(0).standard_normal((4, 3))
     params = identity_decoder_params(3)
-    pairs = message_pairs(edgeless_subgraph(x))
+    pairs = build_message_pairs(np.zeros((0, 2)), 4)
     out, _ = remask_and_decode(x, manual_plan(4, [0, 1, 2, 3]), params, pairs)
     np.testing.assert_array_equal(out, np.tile(params.remask_token, (4, 1)))
 
@@ -300,14 +293,13 @@ def test_step_loss_matches_replayed_plans_and_dense_oracle(two_type_graph, tiny_
     params = fresh_params(g, tiny_cfg)
     gp = plan_graph(g)
     plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(33))
-    res = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(33))
+    stepped, _ = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(33))
 
     parts, _ = hgmae_loss(gp, params, tiny_cfg, plans)
-    assert res.loss == parts.total
-    assert res.loss_full == parts.full
+    assert stepped == parts
 
     dense_total, dense_full, dense_subs = dense_hgmae_loss(g, params, tiny_cfg, plans)
-    assert res.loss == pytest.approx(dense_total, abs=1e-12)
+    assert parts.total == pytest.approx(dense_total, abs=1e-12)
     assert parts.full == pytest.approx(dense_full, abs=1e-12)
     for k, val in parts.subs.items():
         assert val == pytest.approx(dense_subs[k], abs=1e-12)
@@ -317,37 +309,37 @@ def test_step_eta_zero_equals_full_graph_term(two_type_graph, tiny_cfg):
     g = two_type_graph
     cfg0 = dataclasses.replace(tiny_cfg, eta=0.0)
     params = fresh_params(g, cfg0)
-    res = hgmae_step(plan_graph(g), params, cfg0, np.random.default_rng(5))
-    assert res.loss == res.loss_full
-    assert math.isnan(res.loss_sub_mean)
+    parts, _ = hgmae_step(plan_graph(g), params, cfg0, np.random.default_rng(5))
+    assert parts.total == parts.full
+    assert math.isnan(parts.sub_mean)
 
 
 def test_step_grads_do_not_accumulate_across_calls(two_type_graph, tiny_cfg):
     g = two_type_graph
     params = fresh_params(g, tiny_cfg)
     gp = plan_graph(g)
-    a = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(7))
-    b = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(7))
-    for name in a.grads:
-        np.testing.assert_array_equal(a.grads[name], b.grads[name])
+    _, a = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(7))
+    _, b = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(7))
+    for name in a:
+        np.testing.assert_array_equal(a[name], b[name])
 
 
 def test_step_skips_empty_edge_types(tiny_cfg):
     g = make_graph(12, {0: [(i, i + 1) for i in range(11)], 1: np.zeros((0, 2))}, d_in=4)
     params = fresh_params(g, tiny_cfg)
     gp = plan_graph(g)
-    res = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(0))
+    parts, _ = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(0))
     plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(0))
     assert list(plans.subs) == [0]  # only the nonempty type draws a plan
-    assert math.isfinite(res.loss)
+    assert math.isfinite(parts.total)
 
 
 def test_all_edge_types_empty_warns_and_degenerates(tiny_cfg):
     g = make_graph(10, {0: np.zeros((0, 2))}, d_in=4)
     params = fresh_params(g, tiny_cfg)
     with pytest.warns(UserWarning, match="full graph only"):
-        res = hgmae_step(plan_graph(g), params, tiny_cfg, np.random.default_rng(1))
-    assert res.loss == res.loss_full
+        parts, _ = hgmae_step(plan_graph(g), params, tiny_cfg, np.random.default_rng(1))
+    assert parts.total == parts.full
 
 
 def test_eq2_linearity_with_replayed_plans(two_type_graph, tiny_cfg):
@@ -429,9 +421,9 @@ def test_step_gradients_bit_identical_when_every_masked_row_has_zero_norm(tiny_c
     with pytest.warns(UserWarning, match="full graph only"):
         steps_match_tape(g, params, tiny_cfg, steps=1)
     with pytest.warns(UserWarning, match="full graph only"):
-        res = hgmae_step(plan_graph(g), params, tiny_cfg, np.random.default_rng(0))
-    assert res.loss == 1.0
-    assert not any(grad.any() for grad in res.grads.values())
+        parts, grads = hgmae_step(plan_graph(g), params, tiny_cfg, np.random.default_rng(0))
+    assert parts.total == 1.0
+    assert not any(grad.any() for grad in grads.values())
 
 
 # -- pretrain / inference -----------------------------------------------------
