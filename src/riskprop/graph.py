@@ -34,14 +34,20 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def _canonical_edges(edges: np.ndarray, type_name: str) -> np.ndarray:
-    """Sort each pair ascending, drop duplicates, order rows lexicographically."""
+    """Sort each pair ascending, drop duplicates, order rows lexicographically.
+    The result never aliases the input."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size == 0:
         return edges.reshape(0, 2)
     if np.any(edges[:, 0] == edges[:, 1]):
         raise ValueError(f"self-loop edge in type '{type_name}'; self-loops are implicit")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
+    # already canonical (as save_graph writes them): u < v on every row and
+    # rows strictly increasing in (u, v)
+    u, v = edges[:, 0], edges[:, 1]
+    du = u[1:] - u[:-1]
+    if np.all(u < v) and np.all((du > 0) | ((du == 0) & (v[1:] > v[:-1]))):
+        return edges.copy()
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     order = np.lexsort((hi, lo))
     rows = np.stack([lo[order], hi[order]], axis=1)
     keep = np.ones(rows.shape[0], dtype=bool)

@@ -264,6 +264,9 @@ def remask_and_decode(
 # Rows whose original or reconstructed vector has exactly zero norm take the
 # maximum penalty instead of poisoning the loss with NaN; this counts them.
 # Expected transiently at the start of training while the tokens sit at zero.
+# It counts only this process's pre-training: experiment.run_pretrain trains
+# in worker processes, so afterwards the caller's count has not moved. A
+# per-run count in pretrain_log_<variant>.tsv is to replace it (ROADMAP).
 _zero_norm_rows_seen = 0
 
 

@@ -1,0 +1,128 @@
+"""The pretrain stage's worker pool: byte-identical outputs at any worker
+count, and no process left behind, whether the stage succeeds or fails."""
+
+import dataclasses
+import multiprocessing
+import os
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from riskprop import hgmae
+from riskprop.autodiff import NumericFault
+from riskprop.checkpoint import save_checkpoint
+from riskprop.experiment import parse_experiment_config, run_generate, run_pretrain, seed_dir
+from riskprop.graph import load_graph
+
+SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.config"
+VARIANTS = ("hgmae", "eta0")
+
+
+def child_pids() -> list[int]:
+    """Every live or unreaped child of this process: the /proc entries whose
+    parent pid is ours."""
+    me, found = os.getpid(), []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            with open(entry / "stat") as f:
+                stat = f.read()
+        except OSError:  # exited while we looked
+            continue
+        # "pid (comm) state ppid ...": comm may hold spaces and parentheses
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            found.append(int(entry.name))
+    return found
+
+
+def assert_no_children() -> None:
+    assert multiprocessing.active_children() == []
+    if sys.platform == "linux":
+        assert child_pids() == []
+
+
+@pytest.fixture(scope="module")
+def smoke():
+    return parse_experiment_config(SMOKE)
+
+
+@pytest.fixture(scope="module")
+def worlds(smoke, tmp_path_factory):
+    out = tmp_path_factory.mktemp("worlds")
+    run_generate(smoke, out, smoke.seeds)
+    return out
+
+
+@pytest.fixture(scope="module")
+def in_process_bytes(smoke, worlds, tmp_path_factory):
+    """Each (seed, variant)'s checkpoint and log, pre-trained in this process."""
+    out = tmp_path_factory.mktemp("in_process")
+    files = {}
+    for seed in smoke.seeds:
+        g = load_graph(seed_dir(worlds, seed))
+        main = dataclasses.replace(smoke.pretrain, rng_seed=seed)
+        for variant, cfg in zip(VARIANTS, (main, dataclasses.replace(main, eta=0.0))):
+            params, history = hgmae.pretrain(g, cfg)
+            ckpt, log = out / f"ckpt_{seed}_{variant}", out / f"log_{seed}_{variant}"
+            save_checkpoint(params, cfg, ckpt)
+            hgmae.save_pretrain_log(history, log)
+            files[seed, variant] = (ckpt.read_bytes(), log.read_bytes())
+    return files
+
+
+def pretrained_copy(smoke, worlds, out: Path) -> Path:
+    shutil.copytree(worlds, out)
+    run_pretrain(smoke, out, smoke.seeds)
+    return out
+
+
+def assert_bytes_match(smoke, out: Path, expected) -> None:
+    for seed in smoke.seeds:
+        sdir = seed_dir(out, seed)
+        for variant in VARIANTS:
+            got = (
+                (sdir / f"checkpoint_{variant}.tsv").read_bytes(),
+                (sdir / f"pretrain_log_{variant}.tsv").read_bytes(),
+            )
+            assert got == expected[seed, variant], (seed, variant)
+
+
+def test_run_pretrain_bytes_equal_in_process_and_no_process_left(
+    smoke, worlds, in_process_bytes, tmp_path
+):
+    assert len(smoke.seeds) * len(VARIANTS) == 4
+    out = pretrained_copy(smoke, worlds, tmp_path / "out")
+    assert_bytes_match(smoke, out, in_process_bytes)
+    assert_no_children()
+
+
+def test_run_pretrain_one_worker_bytes_equal(
+    monkeypatch, smoke, worlds, in_process_bytes, tmp_path
+):
+    """With one usable CPU the pool has one worker, which runs all four tasks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    out = pretrained_copy(smoke, worlds, tmp_path / "out")
+    assert_bytes_match(smoke, out, in_process_bytes)
+    assert_no_children()
+
+
+def test_run_pretrain_fault_names_epoch_and_stage(monkeypatch, smoke, worlds, tmp_path):
+    """The workers are forked, so they inherit the poisoned Adam step; the
+    first fault reaches the caller, and no worker outlives the stage."""
+    real_adam_step = hgmae.adam_step
+    updates = []
+
+    def poisoning_adam_step(state, tensors, grads):
+        real_adam_step(state, tensors, grads)
+        updates.append(1)
+        if len(updates) == 2:
+            tensors["encoder.0.head1.W"][0, 0] = np.nan
+
+    monkeypatch.setattr(hgmae, "adam_step", poisoning_adam_step)
+    with pytest.raises(NumericFault, match=r"^epoch 3: non-finite output from gat_head$"):
+        pretrained_copy(smoke, worlds, tmp_path / "out")
+    assert_no_children()

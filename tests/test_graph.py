@@ -5,6 +5,7 @@ from riskprop.graph import (
     DefaultEvent,
     GraphFormatError,
     HeteroGraph,
+    _canonical_edges,
     load_events,
     load_graph,
     save_events,
@@ -22,6 +23,30 @@ def test_edges_canonicalized_and_deduplicated():
     assert g.edge_lists[0].tolist() == [[0, 3], [1, 2]]
 
 
+def test_canonical_edges_keeps_canonical_input_as_a_copy():
+    edges = np.array([[0, 3], [0, 5], [1, 2], [2, 4]], dtype=np.int64)
+    out = _canonical_edges(edges, "r")
+    assert np.array_equal(out, edges)
+    assert not np.shares_memory(out, edges)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 2), (0, 3), (2, 4), (0, 5)],  # rows shuffled
+        [(3, 0), (5, 0), (2, 1), (4, 2)],  # every pair reversed
+        [(0, 3), (0, 5), (0, 5), (1, 2), (2, 4)],  # a repeated row
+        [(0, 3), (0, 5), (1, 2), (2, 4), (4, 2)],  # a reversed duplicate at the end
+    ],
+    ids=["shuffled", "reversed", "duplicated", "reversed-duplicate"],
+)
+def test_canonical_edges_canonicalises_other_input(rows):
+    edges = np.array(rows, dtype=np.int64)
+    out = _canonical_edges(edges, "r")
+    assert out.tolist() == [[0, 3], [0, 5], [1, 2], [2, 4]]
+    assert not np.shares_memory(out, edges)
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValueError, match="self-loop"):
         make_graph(3, {0: [(1, 1)]})
@@ -30,6 +55,12 @@ def test_self_loop_rejected():
 def test_out_of_range_edge_rejected():
     with pytest.raises(ValueError, match="unknown node id 9"):
         make_graph(3, {0: [(0, 9)]})
+
+
+def test_negative_edge_id_rejected():
+    # canonical input, so this also checks the id range on that path
+    with pytest.raises(ValueError, match="unknown node id -1"):
+        make_graph(3, {0: [(-1, 0), (0, 1)]})
 
 
 def test_non_finite_features_rejected():
