@@ -34,7 +34,7 @@ print(f"world: {g.num_nodes} nodes, {len(events)} defaults, {len(task)} issuers"
 
 pairs = build_pairs(g, events, n_hops=3, seed=SEED)
 split = split_pairs(pairs, 0.8, seed=SEED)
-blacks = sum(p.label for p in pairs)
+blacks = int(pairs.label.sum())
 print(f"pairs after balancing: {len(pairs)} ({blacks} black), train {len(split.train)} / test {len(split.test)}")
 
 cfg = TrainConfig(epochs=120, d_emb=16, hidden_heads=2, hidden_head_dim=8, rng_seed=SEED)

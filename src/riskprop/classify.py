@@ -1,7 +1,8 @@
 """Stage-2 classification over fused feature vectors.
 
 A pair's classifier input concatenates, for the source then the target, the
-issuer's task features with its pre-trained embedding row. The in-repo model
+issuer's task features with its pre-trained embedding row; the pairs arrive
+as CandidatePairs columns, and their labels are the targets. The in-repo model
 is L2-regularized logistic regression on train-standardized inputs. The
 headline metric is micro-F1, which equals accuracy for single-label binary
 prediction, with AUC as a rank-based diagnostic.
@@ -15,12 +16,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .pairs import PairDatasetSplit, PropagationPair
+from .pairs import CandidatePairs, PairDatasetSplit
 from .table import ConfigError, atomic_write_text, parse_floats, read_entries
 
 
 def make_fusion_fn(task: dict[int, np.ndarray], embeddings: np.ndarray):
-    """A batch fusion function: pairs -> [m, 2 * (d_task + d_emb)] rows of
+    """A batch fusion function: CandidatePairs -> [m, 2 * (d_task + d_emb)] rows of
     [task_s | emb_s | task_t | emb_t]. A node with no task row or no
     embedding row is a hard error naming the node."""
     ids = np.fromiter(task, dtype=np.int64, count=len(task))
@@ -30,8 +31,9 @@ def make_fusion_fn(task: dict[int, np.ndarray], embeddings: np.ndarray):
     inside = (ids >= 0) & (ids < embeddings.shape[0])
     row_of[ids[inside]] = np.flatnonzero(inside)
 
-    def fuse(pairs: list[PropagationPair]) -> np.ndarray:
-        nids = np.array([(p.source_id, p.target_id) for p in pairs], dtype=np.int64).reshape(-1, 2)
+    def fuse(pairs: CandidatePairs) -> np.ndarray:
+        src, dst = pairs.source, pairs.target
+        nids = np.stack([src, dst], axis=1)
         found = (nids >= 0) & (nids < row_of.shape[0])
         found[found] = row_of[nids[found]] >= 0
         if not found.all():
@@ -39,18 +41,11 @@ def make_fusion_fn(task: dict[int, np.ndarray], embeddings: np.ndarray):
             if nid not in task:
                 raise KeyError(f"no task features for node {nid}")
             raise KeyError(f"no embedding row for node {nid}")
-        src, dst = nids[:, 0], nids[:, 1]
         return np.concatenate(
             [rows[row_of[src]], embeddings[src], rows[row_of[dst]], embeddings[dst]], axis=1
         )
 
     return fuse
-
-
-def fusion_inputs(pairs: list[PropagationPair], fusion_fn) -> tuple[np.ndarray, np.ndarray]:
-    X = fusion_fn(pairs)
-    y = np.array([p.label for p in pairs], dtype=np.float64)
-    return X, y
 
 
 @dataclass
@@ -140,8 +135,7 @@ def train_classifier(
     cfg = cfg or ClassifierConfig()
     if not split.train:
         raise ValueError("empty train split")
-    X, y = fusion_inputs(split.train, fusion_fn)
-    return _train_logistic(X, y, cfg)
+    return _train_logistic(fusion_fn(split.train), split.train.label, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +178,12 @@ def binary_auc(y_true: np.ndarray, scores: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate(model: ClassifierModel, pairs: list[PropagationPair], fusion_fn) -> dict[str, float]:
+def evaluate(model: ClassifierModel, pairs: CandidatePairs, fusion_fn) -> dict[str, float]:
     """micro_f1 / accuracy / auc over the given pairs (normally the test split)."""
     if not pairs:
-        raise ValueError("nothing to evaluate: empty pair list")
-    X, y = fusion_inputs(pairs, fusion_fn)
-    scores = model.scores(X)
+        raise ValueError("nothing to evaluate: no pairs")
+    y = pairs.label
+    scores = model.scores(fusion_fn(pairs))
     preds = (scores >= 0.5).astype(np.int64)
     return {
         "micro_f1": micro_f1(y, preds),

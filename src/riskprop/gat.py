@@ -57,6 +57,9 @@ import numpy as np
 from .autodiff import NumericFault
 from .graph import sorted_unique
 
+# the negative-side slope of the LeakyReLU on attention scores
+LEAKY_SLOPE = 0.2
+
 
 @dataclass
 class GATLayerParams:
@@ -64,7 +67,6 @@ class GATLayerParams:
 
     weights: list[np.ndarray]
     attn: list[np.ndarray]
-    leaky_slope: float = 0.2
     activation: str = "elu"
 
     def __post_init__(self) -> None:
@@ -87,7 +89,6 @@ def init_gat_layer(
     d_out_head: int,
     num_heads: int = 1,
     activation: str = "elu",
-    leaky_slope: float = 0.2,
 ) -> GATLayerParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; heads drawn in order, W then a."""
     weights, attn = [], []
@@ -96,9 +97,7 @@ def init_gat_layer(
         weights.append(rng.uniform(-bw, bw, size=(d_out_head, d_in)))
         ba = 1.0 / np.sqrt(2 * d_out_head)
         attn.append(rng.uniform(-ba, ba, size=2 * d_out_head))
-    return GATLayerParams(
-        weights=weights, attn=attn, leaky_slope=leaky_slope, activation=activation
-    )
+    return GATLayerParams(weights=weights, attn=attn, activation=activation)
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ def _receiver_max(pairs: MessagePairs, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs, slope: float):
+def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
     """One attention head: (output [n, d_head], alpha per slot entry,
     backward).
 
@@ -265,7 +264,7 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs, s
     z = x @ w.T
     s = (z @ a_recv)[recv] + (z @ a_send)[nbr]
     positive = s > 0
-    e = np.where(positive, s, slope * s)
+    e = np.where(positive, s, LEAKY_SLOPE * s)
     # max subtraction: the per-neighborhood shift is constant w.r.t. the grad
     ez = np.exp(e + (-_receiver_max(pairs, e))[recv])
     denom = np.bincount(recv, weights=ez, minlength=n)
@@ -281,7 +280,7 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs, s
         g_alpha = mirrored_dots[pairs.mirror]
         d_pairs = denom[recv]
         g_denom = np.bincount(recv, weights=-g_alpha * alpha / d_pairs, minlength=n)
-        g_e = (g_alpha / d_pairs + g_denom[recv]) * ez * np.where(positive, 1.0, slope)
+        g_e = (g_alpha / d_pairs + g_denom[recv]) * ez * np.where(positive, 1.0, LEAKY_SLOPE)
         g_recv = np.bincount(recv, weights=g_e, minlength=n)
         # sender-keyed: bin s reads its entries' mirrors, i.e. the pairs (r, s)
         g_send = np.bincount(recv, weights=g_e[pairs.mirror], minlength=n)
@@ -304,9 +303,7 @@ def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs
     n = x.shape[0]
     if pairs.num_nodes != n:
         raise ValueError(f"message pairs cover {pairs.num_nodes} nodes, features have {n}")
-    heads = [
-        gat_head(x, w, a, pairs, params.leaky_slope) for w, a in zip(params.weights, params.attn)
-    ]
+    heads = [gat_head(x, w, a, pairs) for w, a in zip(params.weights, params.attn)]
     merged = heads[0][0] if len(heads) == 1 else np.concatenate([o for o, _, _ in heads], axis=1)
     elu = params.activation == "elu"
     out = merged

@@ -485,11 +485,15 @@ def save_embeddings(emb: np.ndarray, path: Path | str) -> None:
     write_table(path, EMBEDDINGS, [np.arange(emb.shape[0]), emb])
 
 
+_EMBEDDING_CHECKS = (
+    Check("node_id", lambda c: c["node_id"] != np.arange(len(c["node_id"])), "malformed row"),
+    Check("e", lambda c: ~np.isfinite(c["e"]).all(axis=1),
+          "non-finite embedding value for node {node_id}"),
+)
+
+
 def load_embeddings(path: Path | str) -> np.ndarray:
-    dense = Check(
-        "node_id", lambda c: c["node_id"] != np.arange(len(c["node_id"])), "malformed row"
-    )
-    return read_table(path, EMBEDDINGS, [dense])[1]
+    return read_table(path, EMBEDDINGS, _EMBEDDING_CHECKS)[1]
 
 
 def save_pretrain_log(history: list[EpochStats], path: Path | str) -> None:

@@ -5,7 +5,9 @@ union of all edge types; issuer nodes reached become targets. A pair is
 black (label 1) only when the target defaulted strictly after the source;
 ties and earlier defaults carry no directional evidence and stay white.
 White pairs are then uniformly downsampled to the black count, and the
-balanced set is split 80/20 stratified by label.
+balanced set is split 80/20 stratified by label. Pairs stay aligned int64
+columns (CandidatePairs) from enumeration to the saved split; each step
+selects rows.
 
 The BFS is level-synchronous and multi-source: all sources advance one hop
 together, with one bit per source in each node's row of a packed frontier,
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -43,7 +46,7 @@ class PropagationPair:
 
 @dataclass(frozen=True, eq=False)
 class CandidatePairs:
-    """Pairs as aligned int64 columns, rows in (source, target) order."""
+    """Pairs as aligned int64 columns. Iterating yields PropagationPair rows."""
 
     source: np.ndarray
     target: np.ndarray
@@ -53,20 +56,20 @@ class CandidatePairs:
     def __len__(self) -> int:
         return self.source.shape[0]
 
+    def __iter__(self) -> Iterator[PropagationPair]:
+        cols = (self.source.tolist(), self.target.tolist(), self.label.tolist(), self.hop.tolist())
+        return map(PropagationPair, *cols)
+
     def select(self, rows: np.ndarray) -> CandidatePairs:
         return CandidatePairs(
             self.source[rows], self.target[rows], self.label[rows], self.hop[rows]
         )
 
-    def to_list(self) -> list[PropagationPair]:
-        cols = (self.source.tolist(), self.target.tolist(), self.label.tolist(), self.hop.tolist())
-        return [PropagationPair(s, t, y, h) for s, t, y, h in zip(*cols)]
-
 
 @dataclass
 class PairDatasetSplit:
-    train: list[PropagationPair]
-    test: list[PropagationPair]
+    train: CandidatePairs
+    test: CandidatePairs
     split_seed: int | None
 
 
@@ -139,8 +142,9 @@ def enumerate_candidate_pairs(
 
 def build_pairs(
     g: HeteroGraph, events: list[DefaultEvent], n_hops: int = 3, seed: int = 0
-) -> list[PropagationPair]:
-    """Candidate pairs with whites uniformly downsampled to the black count."""
+) -> CandidatePairs:
+    """Candidate pairs with whites uniformly downsampled to the black count,
+    in (source, target) order."""
     candidates = enumerate_candidate_pairs(g, events, n_hops)
     blacks = np.flatnonzero(candidates.label == 1)
     whites = np.flatnonzero(candidates.label == 0)
@@ -149,22 +153,18 @@ def build_pairs(
     if whites.size > blacks.size:
         rng = np.random.default_rng(seed)
         whites = whites[rng.choice(whites.size, size=blacks.size, replace=False)]
-    return candidates.select(np.sort(np.concatenate([blacks, whites]))).to_list()
+    return candidates.select(np.sort(np.concatenate([blacks, whites])))
 
 
-def split_pairs(
-    pairs: list[PropagationPair], train_frac: float = 0.8, seed: int = 0
-) -> PairDatasetSplit:
-    """Stratified shuffle split; each class needs at least 5 pairs."""
+def split_pairs(pairs: CandidatePairs, train_frac: float = 0.8, seed: int = 0) -> PairDatasetSplit:
+    """Stratified shuffle split; each class needs at least 5 pairs. Each side
+    is in (source, target, label, hop) order."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    cols = np.array(
-        [(p.source_id, p.target_id, p.label, p.hop_distance) for p in pairs], dtype=np.int64
-    ).reshape(-1, 4)
     train, test = [], []
     for label in (0, 1):
-        group = np.flatnonzero(cols[:, 2] == label)
+        group = np.flatnonzero(pairs.label == label)
         if group.size < 5:
             raise PairConstructionError(
                 f"class {label} has only {group.size} pairs; need at least 5 to split"
@@ -174,21 +174,26 @@ def split_pairs(
         n_train = min(max(n_train, 1), group.size - 1)
         train.append(order[:n_train])
         test.append(order[n_train:])
+    keys = np.stack([pairs.hop, pairs.label, pairs.target, pairs.source])
 
-    def as_sorted_pairs(rows: np.ndarray) -> list[PropagationPair]:
-        # a stable sort on (source, target, label, hop), as sorted() orders pairs
-        rows = rows[np.lexsort(cols[rows].T[::-1])]
-        return [pairs[i] for i in rows.tolist()]
+    def sorted_rows(rows: np.ndarray) -> CandidatePairs:
+        # a stable sort, source first, as sorted() orders PropagationPair rows
+        return pairs.select(rows[np.lexsort(keys[:, rows])])
 
     return PairDatasetSplit(
-        train=as_sorted_pairs(np.concatenate(train)),
-        test=as_sorted_pairs(np.concatenate(test)),
+        train=sorted_rows(np.concatenate(train)),
+        test=sorted_rows(np.concatenate(test)),
         split_seed=seed,
     )
 
 
 PAIRS = (("source_id", int), ("target_id", int), ("hop", int), ("label", int), ("split", str))
 _PAIR_CHECKS = (
+    Check("target_id", lambda c: c["source_id"] == c["target_id"],
+          "pair from node {source_id} to itself"),
+    Check("hop", lambda c: c["hop"] < 1, "hop must be >= 1; got {hop}"),
+    Check("label", lambda c: (c["label"] != 0) & (c["label"] != 1),
+          "label must be 0 or 1; got {label}"),
     Check(
         "split", lambda c: (c["split"] != "train") & (c["split"] != "test"), "bad split {split!r}"
     ),
@@ -196,17 +201,16 @@ _PAIR_CHECKS = (
 
 
 def save_pairs(split: PairDatasetSplit, path: Path | str) -> None:
-    pairs = split.train + split.test
-    fields = ("source_id", "target_id", "hop_distance", "label")
-    cols = [[getattr(p, f) for p in pairs] for f in fields]
-    write_table(path, PAIRS, [*cols, ["train"] * len(split.train) + ["test"] * len(split.test)])
+    """Train rows, then test rows, each in its split's order."""
+    train, test = split.train, split.test
+    fields = ("source", "target", "hop", "label")
+    cols = [np.concatenate([getattr(train, f), getattr(test, f)]) for f in fields]
+    write_table(path, PAIRS, [*cols, ["train"] * len(train) + ["test"] * len(test)])
 
 
 def load_pairs(path: Path | str) -> PairDatasetSplit:
-    *cols, names = read_table(path, PAIRS, _PAIR_CHECKS)
-    train: list[PropagationPair] = []
-    test: list[PropagationPair] = []
-    for source, target, hop, label, name in zip(*(c.tolist() for c in cols), names):
-        pair = PropagationPair(source_id=source, target_id=target, label=label, hop_distance=hop)
-        (train if name == "train" else test).append(pair)
-    return PairDatasetSplit(train=train, test=test, split_seed=None)
+    """Each split keeps its rows in file order."""
+    source, target, hop, label, names = read_table(path, PAIRS, _PAIR_CHECKS)
+    pairs = CandidatePairs(source, target, label, hop)
+    train = names == "train"
+    return PairDatasetSplit(train=pairs.select(train), test=pairs.select(~train), split_seed=None)

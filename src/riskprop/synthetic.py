@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DefaultEvent, HeteroGraph
-from .table import Block, read_record, read_table, write_record, write_table
+from .graph import DefaultEvent, HeteroGraph, _repeats
+from .table import Block, Check, read_record, read_table, write_record, write_table
 from .table import ConfigError as ConfigValidationError
 
 DEFAULT_EDGE_TYPE_NAMES = (
@@ -263,6 +263,13 @@ def task_feature_table(g: HeteroGraph, values: np.ndarray) -> dict[int, np.ndarr
 
 
 TASK_FEATURES = (("node_id", int), Block("t", "task feature value"))
+_TASK_CHECKS = (
+    Check("node_id", lambda c: c["node_id"] < 0, "negative node_id {node_id}"),
+    Check("node_id", lambda c: _repeats(c["node_id"]),
+          "duplicate task features for node {node_id}"),
+    Check("t", lambda c: ~np.isfinite(c["t"]).all(axis=1),
+          "non-finite task feature value for node {node_id}"),
+)
 
 
 def save_task_features(table: dict[int, np.ndarray], path: Path | str) -> None:
@@ -273,7 +280,7 @@ def save_task_features(table: dict[int, np.ndarray], path: Path | str) -> None:
 
 
 def load_task_features(path: Path | str) -> dict[int, np.ndarray]:
-    ids, values = read_table(path, TASK_FEATURES)
+    ids, values = read_table(path, TASK_FEATURES, _TASK_CHECKS)
     return dict(zip(ids.tolist(), values))
 
 

@@ -156,7 +156,8 @@ def _raise_first_error(path, body, schema, spans, ncols, checks) -> NoReturn:
             return f"bad {name} {grid[i, j]!r}"
 
         if isinstance(col, Block):
-            cols[name], bad = _convert(grid[:, span], float)
+            values, bad = _convert(grid[:, span], float)
+            cols[name] = values.astype(float)  # checks see float64, as on the fast path
             steps.append((bad.any(axis=1), lambda i, what=col.what: f"bad {what}"))
         elif kind is str:
             cols[name] = grid[:, span]

@@ -19,7 +19,9 @@ from collections import deque
 
 import numpy as np
 
+from riskprop.gat import LEAKY_SLOPE
 from riskprop.graph import DefaultEvent, HeteroGraph
+from riskprop.pairs import CandidatePairs
 from riskprop.synthetic import GenConfig
 
 
@@ -72,7 +74,7 @@ def layers_as_arrays(stack) -> list[tuple]:
         (
             [w.copy() for w in layer.weights],
             [a.copy() for a in layer.attn],
-            layer.leaky_slope,
+            LEAKY_SLOPE,
             layer.activation,
         )
         for layer in stack
@@ -259,6 +261,12 @@ def brute_force_candidate_pairs(
             label = int(t in times and times[t] > times[s])
             out.append((s, t, label, dist[t]))
     return out
+
+
+def pairs_from_rows(rows) -> CandidatePairs:
+    """PropagationPair rows as the columns stage 2 reads."""
+    cols = [(p.source_id, p.target_id, p.label, p.hop_distance) for p in rows]
+    return CandidatePairs(*np.array(cols, dtype=np.int64).reshape(-1, 4).T.copy())
 
 
 def exhaustive_auc(y_true, scores) -> float:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riskprop.autodiff import NumericFault
+from riskprop.gat import LEAKY_SLOPE
 
 from oracles import sorted_pairs
 
@@ -391,7 +392,7 @@ def tape_gat_layer(layer, x, dst: np.ndarray, src: np.ndarray, weights, attn):
     """A whole layer on the tape_gat_head reference, with the layer's
     weights and attention vectors given as tensors: heads concatenated, then
     the layer's activation. Returns (output tensor, [alpha array per head])."""
-    heads = [tape_gat_head(x, w, a, dst, src, layer.leaky_slope) for w, a in zip(weights, attn)]
+    heads = [tape_gat_head(x, w, a, dst, src, LEAKY_SLOPE) for w, a in zip(weights, attn)]
     merged = heads[0][0] if len(heads) == 1 else concat_cols([out for out, _ in heads])
     out = elu(merged) if layer.activation == "elu" else merged
     return out, [alpha.data for _, alpha in heads]

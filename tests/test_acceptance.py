@@ -162,7 +162,7 @@ def test_criterion_5_pair_construction_oracle():
         events = simulate_cascade(g, cfg)
         got = [
             (p.source_id, p.target_id, p.label, p.hop_distance)
-            for p in enumerate_candidate_pairs(g, events, 3).to_list()
+            for p in enumerate_candidate_pairs(g, events, 3)
         ]
         assert got == brute_force_candidate_pairs(g, events, 3)
 

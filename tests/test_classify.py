@@ -17,7 +17,7 @@ from riskprop.classify import (
 )
 from riskprop.pairs import PairDatasetSplit, PropagationPair
 
-from oracles import masked_sigmoid
+from oracles import masked_sigmoid, pairs_from_rows
 
 
 def toy_pair(s=0, t=1, label=1):
@@ -27,7 +27,7 @@ def toy_pair(s=0, t=1, label=1):
 def test_fusion_length_and_ordering():
     task = {0: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}
     emb = np.array([[5.0, 6.0, 7.0], [8.0, 9.0, 10.0]])
-    merged, swapped = make_fusion_fn(task, emb)([toy_pair(0, 1), toy_pair(1, 0)])
+    merged, swapped = make_fusion_fn(task, emb)(pairs_from_rows([toy_pair(0, 1), toy_pair(1, 0)]))
     assert merged.shape == (10,)
     np.testing.assert_array_equal(merged, [1, 2, 5, 6, 7, 3, 4, 8, 9, 10])
     assert not np.array_equal(merged, swapped)
@@ -36,42 +36,46 @@ def test_fusion_length_and_ordering():
 def test_fusion_with_zero_width_embeddings():
     task = {0: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}
     emb = np.zeros((2, 0))
-    merged = make_fusion_fn(task, emb)([toy_pair(0, 1)])[0]
+    merged = make_fusion_fn(task, emb)(pairs_from_rows([toy_pair(0, 1)]))[0]
     np.testing.assert_array_equal(merged, [1, 2, 3, 4])
 
 
 def test_fusion_zero_embeddings_reduce_to_task_and_zeros():
     task = {0: np.array([1.0]), 1: np.array([2.0])}
     emb = np.zeros((2, 2))
-    merged = make_fusion_fn(task, emb)([toy_pair(0, 1)])[0]
+    merged = make_fusion_fn(task, emb)(pairs_from_rows([toy_pair(0, 1)]))[0]
     np.testing.assert_array_equal(merged, [1, 0, 0, 2, 0, 0])
 
 
 def test_fusion_missing_rows_error_names_node():
     task = {0: np.array([1.0])}
     with pytest.raises(KeyError, match="task features for node 7"):
-        make_fusion_fn(task, np.zeros((10, 2)))([toy_pair(0, 7)])
+        make_fusion_fn(task, np.zeros((10, 2)))(pairs_from_rows([toy_pair(0, 7)]))
     with pytest.raises(KeyError, match="embedding row for node 3"):
-        make_fusion_fn({0: np.array([1.0]), 3: np.array([1.0])}, np.zeros((2, 2)))([toy_pair(0, 3)])
+        fusion_fn = make_fusion_fn({0: np.array([1.0]), 3: np.array([1.0])}, np.zeros((2, 2)))
+        fusion_fn(pairs_from_rows([toy_pair(0, 3)]))
 
 
 def separable_split(n=40):
     rng = np.random.default_rng(0)
-    pairs, vectors = [], {}
+    rows, vectors = [], np.empty((n, 2))
     for i in range(n):
         label = i % 2
         base = np.array([3.0, 3.0]) if label else np.array([-3.0, -3.0])
         vectors[i] = base + 0.3 * rng.standard_normal(2)
-        pairs.append(PropagationPair(source_id=i, target_id=i, label=label, hop_distance=1))
-    split = PairDatasetSplit(train=pairs[: n - 10], test=pairs[n - 10 :], split_seed=0)
-    return split, lambda ps: np.stack([vectors[p.source_id] for p in ps])
+        rows.append(PropagationPair(source_id=i, target_id=i, label=label, hop_distance=1))
+    pairs = pairs_from_rows(rows)
+    split = PairDatasetSplit(
+        train=pairs.select(np.arange(n - 10)), test=pairs.select(np.arange(n - 10, n)), split_seed=0
+    )
+    return split, lambda ps: vectors[ps.source]
 
 
 def test_logistic_separable_reaches_full_train_accuracy():
     split, fusion_fn = separable_split()
     model = train_classifier(split, fusion_fn)
     X = fusion_fn(split.train)
-    y = np.array([p.label for p in split.train])
+    y = split.train.label
     assert accuracy(y, model.scores(X) >= 0.5) == 1.0
 
 
@@ -118,9 +122,8 @@ def test_standardization_from_train_only():
     np.testing.assert_array_equal(model.feat_std, std)
     # removing any test row cannot change train statistics
     for drop in range(len(split.test)):
-        reduced = PairDatasetSplit(
-            train=split.train, test=split.test[:drop] + split.test[drop + 1 :], split_seed=0
-        )
+        kept = np.delete(np.arange(len(split.test)), drop)
+        reduced = PairDatasetSplit(train=split.train, test=split.test.select(kept), split_seed=0)
         again = train_classifier(reduced, fusion_fn)
         np.testing.assert_array_equal(again.feat_mean, model.feat_mean)
         np.testing.assert_array_equal(again.feat_std, model.feat_std)
@@ -212,7 +215,8 @@ def test_evaluate_invariant_to_pair_order():
     split, fusion_fn = separable_split()
     model = train_classifier(split, fusion_fn)
     metrics = evaluate(model, split.test, fusion_fn)
-    reversed_metrics = evaluate(model, split.test[::-1], fusion_fn)
+    backwards = split.test.select(np.arange(len(split.test))[::-1])
+    reversed_metrics = evaluate(model, backwards, fusion_fn)
     assert metrics == reversed_metrics
     assert metrics["micro_f1"] == metrics["accuracy"]
 

@@ -5,6 +5,7 @@ from riskprop import gat
 from riskprop.autodiff import NumericFault
 from riskprop.experiment import ExperimentConfig, build_world
 from riskprop.gat import (
+    LEAKY_SLOPE,
     GATLayerParams,
     build_message_pairs,
     gat_head,
@@ -44,7 +45,7 @@ def test_single_node_softmax_over_self_loop():
     x = np.array([[1.5, -0.7, 0.0]])
     pairs = build_message_pairs(NO_EDGES, 1)
     assert pairs.recv.tolist() == [0] and pairs.nbr.tolist() == [0]
-    _, alpha, _ = gat_head(x, params.weights[0], params.attn[0], pairs, params.leaky_slope)
+    _, alpha, _ = gat_head(x, params.weights[0], params.attn[0], pairs)
     np.testing.assert_array_equal(alpha, [1.0])
     out, _ = gat_layer_forward(params, x, pairs)
     np.testing.assert_allclose(out, np.where(x > 0, x, np.expm1(x)), atol=1e-15)
@@ -75,7 +76,7 @@ def test_matches_dense_reference_on_path_graph(heads, activation):
         params.attn,
         x,
         dense_adjacency(edges, 4),
-        params.leaky_slope,
+        LEAKY_SLOPE,
         activation,
     )
     np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
@@ -99,7 +100,7 @@ def test_attention_rows_sum_to_one():
     pairs = build_message_pairs(edges, 5)
     dst, _, order = sorted_pairs(pairs)
     for w, a in zip(params.weights, params.attn):
-        _, alpha, _ = gat_head(x, w, a, pairs, params.leaky_slope)
+        _, alpha, _ = gat_head(x, w, a, pairs)
         sums = np.bincount(dst, weights=alpha[order], minlength=5)
         np.testing.assert_allclose(sums, np.ones(5), atol=1e-12, rtol=0)
 
@@ -200,7 +201,7 @@ def test_duplicate_edges_match_dense_reference():
         params.attn,
         x,
         dense_adjacency(edges, 4),
-        params.leaky_slope,
+        LEAKY_SLOPE,
         "elu",
     )
     np.testing.assert_allclose(out, expected, atol=1e-12, rtol=0)
@@ -239,7 +240,7 @@ def assert_fused_matches_tape(layer, x_arr, pairs, weight):
     fused_out, backward = gat_layer_forward(layer, x_arr, pairs)
     dst, src, order = sorted_pairs(pairs)
     fused_alphas = [
-        gat_head(x_arr, w, a, pairs, layer.leaky_slope)[1][order]
+        gat_head(x_arr, w, a, pairs)[1][order]
         for w, a in zip(layer.weights, layer.attn)
     ]
     g_x, head_grads = backward(weight)

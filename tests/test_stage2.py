@@ -150,7 +150,7 @@ def tail_digests(cfg: GenConfig, pair_seeds, directory: Path) -> tuple[dict, str
         for key, fusion_fn in (("fusion", task_only), ("fusion_emb", with_emb)):
             parts = []
             for group in (split.train, split.test):
-                parts += _array_parts(*classify.fusion_inputs(group, fusion_fn))
+                parts += _array_parts(fusion_fn(group), group.label.astype(np.float64))
             out[f"{key}_seed{seed}"] = _sha(parts)
         model = classify.train_classifier(split, task_only, classify.ClassifierConfig())
         out[f"model_seed{seed}"] = _sha(_array_parts(model.weights, np.float64(model.bias)))
@@ -270,7 +270,7 @@ def test_source_with_no_issuer_in_reach_adds_no_pairs():
     events = [DefaultEvent(0, 0), DefaultEvent(3, 0), DefaultEvent(5, 1), DefaultEvent(2, 2)]
     got = enumerate_candidate_pairs(g, events, 3)
     assert len(got) == 2
-    assert got.to_list() == [PropagationPair(0, 2, 1, 2), PropagationPair(2, 0, 0, 2)]
+    assert list(got) == [PropagationPair(0, 2, 1, 2), PropagationPair(2, 0, 0, 2)]
     assert [tuple(p) for p in brute_force_candidate_pairs(g, events, 3)] == [
         (0, 2, 1, 2),
         (2, 0, 0, 2),

@@ -33,6 +33,7 @@ from riskprop.table import (
 )
 
 from conftest import make_graph
+from oracles import pairs_from_rows
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = (("name", str), ("count", int), ("score", float), Block("x", "x value"))
@@ -124,7 +125,8 @@ def _write_artifacts(tmp_path):
     save_graph(g, tmp_path)
     save_events([DefaultEvent(1, 0), DefaultEvent(2, 3)], tmp_path / "events.tsv")
     train = [PropagationPair(0, 1, 1, 2), PropagationPair(2, 1, 0, 1)]
-    split = PairDatasetSplit(train=train, test=[PropagationPair(1, 0, 0, 2)], split_seed=0)
+    test = [PropagationPair(1, 0, 0, 2)]
+    split = PairDatasetSplit(pairs_from_rows(train), pairs_from_rows(test), split_seed=0)
     save_pairs(split, tmp_path / "pairs.tsv")
     save_task_features({3: np.array([0.5, -1.0]), 7: np.array([2.0, 0.25])}, tmp_path / "task.tsv")
     save_embeddings(np.arange(6.0).reshape(3, 2), tmp_path / "emb.tsv")
@@ -163,6 +165,18 @@ _LOADER_FAULTS = [
     ("emb", 3, "1\t2\t3\t4", "expected 3 columns, got 4"),
     ("emb", 3, "one\t2\t3", "bad node_id 'one'"),
     ("emb", 3, "1\t2\t3e", "bad embedding value"),
+    # rows the classifier cannot use; within a line the first bad column is named
+    ("pairs", 3, "2\t2\t1\t0\ttrain", "pair from node 2 to itself"),
+    ("pairs", 3, "3\t3\t-5\t7\ttest", "pair from node 3 to itself"),
+    ("pairs", 3, "0\t1\t0\t2\ttrain", "hop must be >= 1; got 0"),
+    ("pairs", 3, "2\t1\t1\t2\ttrain", "label must be 0 or 1; got 2"),
+    ("pairs", 3, "2\t1\t1\t-1\ttest", "label must be 0 or 1; got -1"),
+    ("task", 3, "3\t2\t0.25", "duplicate task features for node 3"),
+    ("task", 3, "-7\t2\t0.25", "negative node_id -7"),
+    ("task", 3, "7\tnan\t0.25", "non-finite task feature value for node 7"),
+    ("task", 3, "7\t2\t-inf", "non-finite task feature value for node 7"),
+    ("emb", 3, "1\tnan\t3", "non-finite embedding value for node 1"),
+    ("emb", 3, "1\t2\tinf", "non-finite embedding value for node 1"),
 ]
 
 
