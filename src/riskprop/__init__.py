@@ -32,13 +32,12 @@ from .graph import (
     save_graph,
 )
 from .hgmae import (
-    GraphPlan,
     MaskingError,
     MaskPlan,
     ModelParams,
+    Term,
     TrainConfig,
     apply_mask,
-    encode,
     hgmae_loss,
     hgmae_step,
     infer_embeddings,

@@ -16,25 +16,33 @@ from . import experiment
 from .experiment import ExperimentConfig
 
 
+# name -> (help, stage function, what it prints: a template over n, out and
+# seeds, or None for the summary of the results the stage returns)
+COMMANDS = {
+    "generate": ("generate synthetic graphs, cascades, and task features",
+                 experiment.run_generate, "generated {n} world(s) under {out}"),
+    "pretrain": ("pre-train embedding models (with and without subgraph terms)",
+                 experiment.run_pretrain, "pre-trained checkpoints for seeds {seeds}"),
+    "embed": ("write node embeddings from saved checkpoints",
+              experiment.run_embed, "wrote embeddings for seeds {seeds}"),
+    "pairs": ("build and split labeled propagation pairs",
+              experiment.run_pairs, "built pairs for seeds {seeds}"),
+    "train": ("train the per-condition classifiers",
+              experiment.run_train, "trained classifiers for seeds {seeds}"),
+    "evaluate": ("evaluate classifiers and write results.tsv", experiment.run_evaluate, None),
+    "run-all": ("run every stage in order", experiment.run_all, None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskprop",
         description="Heterogeneous-graph pre-training and default-risk propagation pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    stages = {
-        "generate": "generate synthetic graphs, cascades, and task features",
-        "pretrain": "pre-train embedding models (with and without subgraph terms)",
-        "embed": "write node embeddings from saved checkpoints",
-        "pairs": "build and split labeled propagation pairs",
-        "train": "train the per-condition classifiers",
-        "evaluate": "evaluate classifiers and write results.tsv",
-    }
-    for name, help_text in stages.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-    p = sub.add_parser("run-all", aliases=["run_all"], help="run every stage in order")
-    _add_common(p)
+    for name, (help_text, _, _) in COMMANDS.items():
+        aliases = [name.replace("-", "_")] if "-" in name else []
+        _add_common(sub.add_parser(name, aliases=aliases, help=help_text))
     return parser
 
 
@@ -54,37 +62,15 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, tupl
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    command = args.command.replace("_", "-")
-
-    def say(msg: str) -> None:
-        if not args.quiet:
-            print(msg)
-
+    _, stage, message = COMMANDS[args.command.replace("_", "-")]
     try:
         exp, out_dir, seeds = _load_config(args)
-        if command == "generate":
-            experiment.run_generate(exp, out_dir, seeds)
-            say(f"generated {len(seeds)} world(s) under {out_dir}")
-        elif command == "pretrain":
-            experiment.run_pretrain(exp, out_dir, seeds)
-            say(f"pre-trained checkpoints for seeds {list(seeds)}")
-        elif command == "embed":
-            experiment.run_embed(exp, out_dir, seeds)
-            say(f"wrote embeddings for seeds {list(seeds)}")
-        elif command == "pairs":
-            experiment.run_pairs(exp, out_dir, seeds)
-            say(f"built pairs for seeds {list(seeds)}")
-        elif command == "train":
-            experiment.run_train(exp, out_dir, seeds)
-            say(f"trained classifiers for seeds {list(seeds)}")
-        elif command == "evaluate":
-            results = experiment.run_evaluate(exp, out_dir, seeds)
-            say(experiment.summary_text(results))
-        elif command == "run-all":
-            results = experiment.run_all(exp, out_dir, seeds)
-            say(experiment.summary_text(results))
-        else:  # pragma: no cover - argparse enforces choices
-            raise ValueError(f"unknown command {command!r}")
+        result = stage(exp, out_dir, seeds)
+        if not args.quiet:
+            if message is None:
+                print(experiment.summary_text(result))
+            else:
+                print(message.format(n=len(seeds), out=out_dir, seeds=list(seeds)))
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -140,6 +140,8 @@ _NODE_CHECKS = (
           "node ids must be dense; got {node_id}"),
     Check("is_issuer", lambda c: (c["is_issuer"] != 0) & (c["is_issuer"] != 1),
           "is_issuer must be 0 or 1"),
+    Check("f", lambda c: ~np.isfinite(c["f"]).all(axis=1),
+          "non-finite feature value for node {node_id}"),
 )
 
 
@@ -160,6 +162,7 @@ def _repeats(values: np.ndarray) -> np.ndarray:
 
 
 _EVENT_CHECKS = (
+    Check("node_id", lambda c: c["node_id"] < 0, "negative node_id {node_id}"),
     Check("default_time", lambda c: c["default_time"] < 0, "negative default_time"),
     Check("default_time", lambda c: _repeats(c["node_id"]), "duplicate event for node {node_id}"),
 )
@@ -181,9 +184,9 @@ def save_graph(g: HeteroGraph, directory: Path | str) -> None:
 def load_graph(directory: Path | str) -> HeteroGraph:
     """Read nodes.tsv + edges.tsv written by save_graph.
 
-    Node ids must be dense and in order; edge rows referencing unknown node
-    ids raise GraphFormatError naming the id. An edges file with only the
-    header yields a graph with zero edge types.
+    Node ids must be dense and in order, and features finite; edge rows
+    referencing unknown node ids raise GraphFormatError naming the id. An
+    edges file with only the header yields a graph with zero edge types.
     """
     directory = Path(directory)
     nodes_path = directory / "nodes.tsv"

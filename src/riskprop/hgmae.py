@@ -14,26 +14,27 @@ where K_eff counts edge types that actually have edges. With eta = 0 only
 the full-graph term is computed, which is the plain homogeneous masked
 autoencoder this model extends.
 
-Each term computes its forward pass and then its gradient by hand: encode
-and remask_and_decode return their outputs with backward closures (the
-heads' closures from gat.py, chained), sce_loss returns the loss with its
-own, and the mask token's gradient sums the gradients of the rows it fills.
-A term runs its backward before the next term starts, so only one term's
-arrays are alive at a time. hgmae_loss adds the
-terms' gradients in a fixed order, full graph first, then the subgraphs by
-ascending type id, which makes them bit-identical to the same model composed
-from generic autodiff ops (tests/tape.py).
+Each term computes its forward pass and then its gradient by hand: the
+encoder stack and remask_and_decode return their outputs with backward
+closures (the heads' closures from gat.py, chained), sce_loss returns the
+loss with its own, and the mask token's gradient sums the gradients of the
+rows it fills. A term runs its backward before the next term starts, so only
+one term's arrays are alive at a time. hgmae_loss adds the terms' gradients
+in term order, full graph first, then the subgraphs by ascending type id,
+which makes them bit-identical to the same model composed from generic
+autodiff ops (tests/tape.py).
 
 Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
 
-The graph never changes during training, so pretrain builds a GraphPlan
-once. It holds one Term per reconstruction term: a feature array and its
-message pairs in the jagged-diagonal layout the attention heads run on (see
-gat.py). The full graph's term reads the union of all edge types; each
-nonempty type's term reads the rows of the nodes that type's edges touch,
-renumbered in ascending node id. Mask draws and loss terms read only that
-plan.
+The graph never changes during training, so pretrain plans its terms
+once: a list of Terms, the full graph's first, then one per nonempty edge
+type by ascending type id. A Term holds a feature array, its message pairs
+in the jagged-diagonal layout the attention heads run on (see gat.py), and
+its edge type (None for the full graph). The full graph's term reads the
+union of all edge types; each type's term reads the rows of the nodes that
+type's edges touch, renumbered in ascending node id. Mask draws and loss
+terms read only those terms.
 """
 
 from __future__ import annotations
@@ -208,36 +209,24 @@ def apply_mask(x: np.ndarray, plan: MaskPlan, params: ModelParams) -> np.ndarray
 
 @dataclass(frozen=True)
 class Term:
-    """What one reconstruction term reads: node features and their message pairs."""
+    """What one reconstruction term reads: node features, their message
+    pairs, and the edge type they come from (None for the full graph)."""
 
     features: np.ndarray
     pairs: MessagePairs
+    edge_type: int | None
 
 
-@dataclass(frozen=True)
-class GraphPlan:
-    """The full graph's term and one term per nonempty edge type, by ascending type id."""
-
-    full: Term
-    subs: dict[int, Term]
-
-
-def plan_graph(g: HeteroGraph) -> GraphPlan:
-    subs = {}
+def plan_graph(g: HeteroGraph) -> list[Term]:
+    """The full graph's term, then one term per nonempty edge type by ascending type id."""
+    terms = [Term(g.node_features, build_message_pairs(g.union_edges(), g.num_nodes), None)]
     for k in range(g.num_edge_types):
         edges = g.edge_lists[k]
         if edges.shape[0]:
             ids = sorted_unique(edges)
             pairs = build_message_pairs(np.searchsorted(ids, edges), ids.shape[0])
-            subs[k] = Term(g.node_features[ids], pairs)
-    full = Term(g.node_features, build_message_pairs(g.union_edges(), g.num_nodes))
-    return GraphPlan(full=full, subs=subs)
-
-
-def encode(pairs: MessagePairs, corrupted: np.ndarray, params: ModelParams):
-    """Encoder stack over the given message pairs: (latent, backward), with
-    backward as gat_stack_forward returns it."""
-    return gat_stack_forward(params.encoder, corrupted, pairs)
+            terms.append(Term(g.node_features[ids], pairs, k))
+    return terms
 
 
 def remask_and_decode(
@@ -328,30 +317,13 @@ def sce_loss(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float 
     return loss, backward
 
 
-def merge_losses(full_term: float, sub_terms: list[float], eta: float) -> float:
-    """full + (eta / K_eff) * sum of subgraph terms; eta == 0 returns full as is."""
-    if eta == 0.0 or not sub_terms:
-        return full_term
-    return full_term + eta / len(sub_terms) * sum(sub_terms)
-
-
-@dataclass
-class StepPlans:
-    """Mask plans for one step: the full graph plus each nonempty edge type."""
-
-    full: MaskPlan
-    subs: dict[int, MaskPlan]
-
-
-def make_step_plans(gplan: GraphPlan, cfg: TrainConfig, rng: np.random.Generator) -> StepPlans:
-    """Independent draws: full graph first, then nonempty types ascending.
-    With eta == 0 no subgraph plans are drawn."""
-    full = sample_mask(gplan.full.pairs.num_nodes, cfg, rng)
-    subs: dict[int, MaskPlan] = {}
-    if cfg.eta != 0.0:
-        for k, term in gplan.subs.items():
-            subs[k] = sample_mask(term.pairs.num_nodes, cfg, rng)
-    return StepPlans(full=full, subs=subs)
+def make_step_plans(
+    terms: list[Term], cfg: TrainConfig, rng: np.random.Generator
+) -> list[MaskPlan]:
+    """One independent draw per term, in term order. With eta == 0 only the
+    full graph's is drawn."""
+    drawn = terms if cfg.eta != 0.0 else terms[:1]
+    return [sample_mask(term.pairs.num_nodes, cfg, rng) for term in drawn]
 
 
 @dataclass
@@ -380,7 +352,7 @@ def _reconstruction_term(
     every parameter when the loss is the constant 1."""
     x, pairs = term.features, term.pairs
     corrupted = apply_mask(x, plan, params)
-    latent, encoder_backward = encode(pairs, corrupted, params)
+    latent, encoder_backward = gat_stack_forward(params.encoder, corrupted, pairs)
     recon, decoder_backward = remask_and_decode(latent, plan, params, pairs)
     loss, sce_backward = sce_loss(x, recon, plan.masked_ids, cfg.gamma)
     if sce_backward is None:
@@ -396,49 +368,43 @@ def _reconstruction_term(
 
 
 def hgmae_loss(
-    gplan: GraphPlan, params: ModelParams, cfg: TrainConfig, plans: StepPlans
+    terms: list[Term], params: ModelParams, cfg: TrainConfig, plans: list[MaskPlan]
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Combined reconstruction loss for given (replayable) mask plans, and
     its gradient per parameter name.
 
-    Terms run one at a time, full graph first, then the subgraphs by
-    ascending type id, each with upstream gradient 1 or eta / K_eff. The
-    first term to reach a parameter gives a copy of its gradient, and later
-    terms add theirs in place; a parameter no term reaches gets zeros.
+    Each plan runs the term at its position, one term at a time in order:
+    the full graph's with upstream gradient 1, then the K_eff single-type
+    terms with eta / K_eff. The first term to reach a parameter gives a copy
+    of its gradient, and later terms add theirs in place; a parameter no
+    term reaches gets zeros.
     """
+    if cfg.eta != 0.0 and len(terms) == 1:
+        warnings.warn("no nonempty edge types; training on the full graph only")
     grads: dict[str, np.ndarray] = {}
-
-    def add(term_grads: dict[str, np.ndarray]) -> None:
+    losses: dict[int | None, float] = {}
+    for i, (term, plan) in enumerate(zip(terms, plans)):
+        upstream = cfg.eta / (len(plans) - 1) if i else 1.0
+        losses[term.edge_type], term_grads = _reconstruction_term(term, plan, params, cfg, upstream)
         for name, g in term_grads.items():
             if name in grads:
                 grads[name] += g
             else:
                 grads[name] = g.copy()
-
-    full, term_grads = _reconstruction_term(gplan.full, plans.full, params, cfg, 1.0)
-    add(term_grads)
-    sub_values: dict[int, float] = {}
-    if cfg.eta != 0.0:
-        if not gplan.subs:
-            warnings.warn("no nonempty edge types; training on the full graph only")
-        for k in sorted(plans.subs):
-            sub_values[k], term_grads = _reconstruction_term(
-                gplan.subs[k], plans.subs[k], params, cfg, cfg.eta / len(plans.subs)
-            )
-            add(term_grads)
-    total = merge_losses(full, list(sub_values.values()), cfg.eta)
+    full = losses.pop(None)
+    total = full + cfg.eta / len(losses) * sum(losses.values()) if losses else full
     grads = {
         name: grads[name] if name in grads else np.zeros_like(arr)
         for name, arr in params.named_arrays().items()
     }
-    return LossParts(total=total, full=full, subs=sub_values), grads
+    return LossParts(total=total, full=full, subs=losses), grads
 
 
 def hgmae_step(
-    gplan: GraphPlan, params: ModelParams, cfg: TrainConfig, rng: np.random.Generator
+    terms: list[Term], params: ModelParams, cfg: TrainConfig, rng: np.random.Generator
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Sample fresh masks, then evaluate the combined loss and its gradient."""
-    return hgmae_loss(gplan, params, cfg, make_step_plans(gplan, cfg, rng))
+    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng))
 
 
 @dataclass
@@ -454,11 +420,11 @@ def pretrain(g: HeteroGraph, cfg: TrainConfig) -> tuple[ModelParams, list[EpochS
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(g.d_in, cfg, rng)
     state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
-    gplan = plan_graph(g)
+    terms = plan_graph(g)
     history: list[EpochStats] = []
     for epoch in range(1, cfg.epochs + 1):
         try:
-            parts, grads = hgmae_step(gplan, params, cfg, rng)
+            parts, grads = hgmae_step(terms, params, cfg, rng)
         except NumericFault as fault:
             raise NumericFault(f"epoch {epoch}: {fault}") from fault
         adam_step(state, params.named_arrays(), grads)
@@ -469,7 +435,7 @@ def pretrain(g: HeteroGraph, cfg: TrainConfig) -> tuple[ModelParams, list[EpochS
 def infer_embeddings(g: HeteroGraph, params: ModelParams) -> np.ndarray:
     """Encoder output on uncorrupted features over the full graph."""
     pairs = build_message_pairs(g.union_edges(), g.num_nodes)
-    latent, _ = encode(pairs, g.node_features, params)
+    latent, _ = gat_stack_forward(params.encoder, g.node_features, pairs)
     return latent
 
 

@@ -149,13 +149,16 @@ def dense_reconstruction_term(params, cfg, x: np.ndarray, adj: np.ndarray, plan)
 
 def dense_hgmae_loss(g: HeteroGraph, params, cfg, plans) -> tuple[float, float, dict[int, float]]:
     """(total, full_term, per-type terms) via the dense path and explicit
-    merge. Each type's term runs on the nodes its edges touch, renumbered in
-    ascending id."""
+    merge. plans holds the full graph's mask, then one per nonempty type by
+    ascending type id (none with eta = 0). Each type's term runs on the nodes
+    its edges touch, renumbered in ascending id."""
+    full_plan, *sub_plans = plans
     full = dense_reconstruction_term(
-        params, cfg, g.node_features, dense_adjacency(g.union_edges(), g.num_nodes), plans.full
+        params, cfg, g.node_features, dense_adjacency(g.union_edges(), g.num_nodes), full_plan
     )
+    types = [k for k in range(g.num_edge_types) if g.edge_lists[k].size]
     subs: dict[int, float] = {}
-    for k, plan in sorted(plans.subs.items()):
+    for k, plan in zip(types, sub_plans):
         edges = g.edge_lists[k]
         ids = np.unique(edges)
         local = np.full(g.num_nodes, -1)

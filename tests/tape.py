@@ -441,26 +441,23 @@ def tape_term(x: np.ndarray, pairs, plan, params, tensors: dict[str, Tensor], ga
     return tape_sce_loss(x, stack("decoder", params.decoder, latent), plan.masked_ids, gamma)
 
 
-def tape_hgmae_loss(gplan, params, cfg, plans):
+def tape_hgmae_loss(terms, params, cfg, plans):
     """hgmae.hgmae_loss on the tape: (total, full term, {type id: subgraph
-    term}, {name: gradient}), the losses as floats. Missing gradients are
-    zeros."""
+    term}, {name: gradient}), the losses as floats. Each plan runs the term
+    at its position. Missing gradients are zeros."""
     tensors = {name: Tensor(arr.copy()) for name, arr in params.named_arrays().items()}
-    full = tape_term(
-        gplan.full.features, gplan.full.pairs, plans.full, params, tensors, cfg.gamma
-    )
-    subs = {}
-    if cfg.eta != 0.0:
-        for k in sorted(plans.subs):
-            term, plan = gplan.subs[k], plans.subs[k]
-            subs[k] = tape_term(term.features, term.pairs, plan, params, tensors, cfg.gamma)
+    subs = {
+        term.edge_type: tape_term(term.features, term.pairs, plan, params, tensors, cfg.gamma)
+        for term, plan in zip(terms, plans)
+    }
+    full = subs.pop(None)
     total = full
     if cfg.eta != 0.0 and subs:
-        terms = list(subs.values())
-        acc = terms[0]
-        for t in terms[1:]:
+        values = list(subs.values())
+        acc = values[0]
+        for t in values[1:]:
             acc = add(acc, t)
-        total = add(full, scale_shift(acc, cfg.eta / len(terms)))
+        total = add(full, scale_shift(acc, cfg.eta / len(values)))
     backward(total)
     grads = {
         name: t.grad if t.grad is not None else np.zeros_like(t.data) for name, t in tensors.items()

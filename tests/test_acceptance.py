@@ -74,14 +74,14 @@ def test_criterion_1_gradient_correctness():
     g = twelve_node_two_type_graph()
     cfg = TrainConfig(d_emb=5, hidden_heads=2, hidden_head_dim=4, rng_seed=7)
     params = fresh_params(g, cfg, seed=11)  # tokens moved off zero: generic point
-    gp = plan_graph(g)
-    plans = make_step_plans(gp, cfg, np.random.default_rng(33))
+    terms = plan_graph(g)
+    plans = make_step_plans(terms, cfg, np.random.default_rng(33))
 
     arrays = params.named_arrays()
-    _, analytic = hgmae_loss(gp, params, cfg, plans)
+    _, analytic = hgmae_loss(terms, params, cfg, plans)
 
     report = grad_check(
-        lambda: hgmae_loss(gp, params, cfg, plans)[0].total, arrays, analytic, h=1e-5, tol=1e-4
+        lambda: hgmae_loss(terms, params, cfg, plans)[0].total, arrays, analytic, h=1e-5, tol=1e-4
     )
     elapsed = time.monotonic() - start
     assert report.passed, (report.max_rel_err, report.worst_param, report.worst_index)
@@ -95,9 +95,9 @@ def test_criterion_2_loss_formula_oracle():
     for g in graphs:
         cfg = TrainConfig(d_emb=5, hidden_heads=2, hidden_head_dim=4, rng_seed=1)
         params = fresh_params(g, cfg, seed=2)
-        gp = plan_graph(g)
-        plans = make_step_plans(gp, cfg, np.random.default_rng(12))
-        parts, _ = hgmae_step(gp, params, cfg, np.random.default_rng(12))
+        terms = plan_graph(g)
+        plans = make_step_plans(terms, cfg, np.random.default_rng(12))
+        parts, _ = hgmae_step(terms, params, cfg, np.random.default_rng(12))
 
         dense_total, dense_full, dense_subs = dense_hgmae_loss(g, params, cfg, plans)
         recombined = dense_full + cfg.eta / len(dense_subs) * sum(dense_subs.values())
@@ -107,9 +107,9 @@ def test_criterion_2_loss_formula_oracle():
 
         # eta = 0 reproduces the full-graph-only loss exactly
         cfg0 = dataclasses.replace(cfg, eta=0.0)
-        parts0, _ = hgmae_step(gp, params, cfg0, np.random.default_rng(12))
-        plans0 = make_step_plans(gp, cfg0, np.random.default_rng(12))
-        replay0, _ = hgmae_loss(gp, params, cfg0, plans0)
+        parts0, _ = hgmae_step(terms, params, cfg0, np.random.default_rng(12))
+        plans0 = make_step_plans(terms, cfg0, np.random.default_rng(12))
+        replay0, _ = hgmae_loss(terms, params, cfg0, plans0)
         assert parts0.total == parts0.full == replay0.total
 
 

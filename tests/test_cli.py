@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from riskprop.cli import main
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SMOKE = REPO_ROOT / "configs" / "smoke.config"
 
@@ -109,3 +111,28 @@ def test_bad_config_lists_problems(tmp_path):
     proc = run_cli("generate", "--config", str(cfg), check=False)
     assert proc.returncode == 1
     assert "gen.num_nodes" in proc.stderr and "lr" in proc.stderr
+
+
+def test_each_command_prints_its_line(tmp_path, capsys):
+    out = tmp_path / "printed"
+    common = ["--config", str(SMOKE), "--out", str(out)]
+    lines = {
+        "generate": f"generated 2 world(s) under {out}\n",
+        "pretrain": "pre-trained checkpoints for seeds [0, 1]\n",
+        "embed": "wrote embeddings for seeds [0, 1]\n",
+        "pairs": "built pairs for seeds [0, 1]\n",
+        "train": "trained classifiers for seeds [0, 1]\n",
+    }
+    for command, line in lines.items():
+        assert main([command, *common]) == 0
+        assert capsys.readouterr().out == line
+    assert main(["evaluate", *common]) == 0
+    summary = (out / "summary.txt").read_text() + "\n"
+    assert capsys.readouterr().out == summary
+    for command in ("run-all", "run_all"):
+        assert main([command, *common]) == 0
+        assert capsys.readouterr().out == summary
+    assert main(["generate", *common, "--seed", "1"]) == 0
+    assert capsys.readouterr().out == f"generated 1 world(s) under {out}\n"
+    assert main(["train", *common, "--quiet"]) == 0
+    assert capsys.readouterr().out == ""

@@ -1,10 +1,12 @@
 """The pretrain stage's worker pool: byte-identical outputs at any worker
-count, and no process left behind, whether the stage succeeds or fails."""
+count, no process left behind, whether the stage succeeds or fails, and no
+pool module loaded by `import riskprop`."""
 
 import dataclasses
 import multiprocessing
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,8 @@ from riskprop.checkpoint import save_checkpoint
 from riskprop.experiment import parse_experiment_config, run_generate, run_pretrain, seed_dir
 from riskprop.graph import load_graph
 
-SMOKE = Path(__file__).resolve().parent.parent / "configs" / "smoke.config"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SMOKE = REPO_ROOT / "configs" / "smoke.config"
 VARIANTS = ("hgmae", "eta0")
 
 
@@ -126,3 +129,18 @@ def test_run_pretrain_fault_names_epoch_and_stage(monkeypatch, smoke, worlds, tm
     with pytest.raises(NumericFault, match=r"^epoch 3: non-finite output from gat_head$"):
         pretrained_copy(smoke, worlds, tmp_path / "out")
     assert_no_children()
+
+
+def test_import_riskprop_leaves_the_pool_modules_unimported():
+    """run_pretrain imports its pool modules when it runs, so a fresh
+    `import riskprop` (every CLI command) does not load them."""
+    pool = ("multiprocessing", "concurrent.futures")
+    code = f"import sys, riskprop; print([m for m in {pool!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -86,9 +86,14 @@ def term_edges(term) -> np.ndarray:
     return np.stack([dst[keep], src[keep]], axis=1)
 
 
+def type_terms(g) -> dict:
+    """plan_graph's single-type terms by edge type."""
+    return {term.edge_type: term for term in plan_graph(g)[1:]}
+
+
 def test_extract_triangle_identity():
     g = make_graph(3, {0: [(0, 1), (1, 2), (0, 2)]})
-    term = plan_graph(g).subs[0]
+    term = type_terms(g)[0]
     assert term.pairs.num_nodes == 3
     assert term_edges(term).tolist() == [[0, 1], [0, 2], [1, 2]]
     np.testing.assert_array_equal(term.features, g.node_features)
@@ -96,7 +101,7 @@ def test_extract_triangle_identity():
 
 def test_extract_single_edge_type():
     g = make_graph(4, {0: [(0, 1), (2, 3)], 1: [(0, 1)]})
-    term = plan_graph(g).subs[1]
+    term = type_terms(g)[1]
     assert term.pairs.num_nodes == 2
     assert term_edges(term).tolist() == [[0, 1]]
     np.testing.assert_array_equal(term.features, g.node_features[[0, 1]])
@@ -104,13 +109,21 @@ def test_extract_single_edge_type():
 
 def test_extract_skips_empty_type():
     g = make_graph(3, {0: [(0, 1)], 1: np.zeros((0, 2))})
-    assert list(plan_graph(g).subs) == [0]
-    assert plan_graph(make_graph(3, {0: np.zeros((0, 2))})).subs == {}
+    assert list(type_terms(g)) == [0]
+    assert type_terms(make_graph(3, {0: np.zeros((0, 2))})) == {}
+
+
+def test_plan_lists_full_graph_then_nonempty_types_ascending():
+    g = make_graph(4, {0: [(0, 1)], 1: np.zeros((0, 2)), 2: [(2, 3), (1, 2)]})
+    terms = plan_graph(g)
+    assert [term.edge_type for term in terms] == [None, 0, 2]
+    assert terms[0].pairs.num_nodes == g.num_nodes
+    np.testing.assert_array_equal(terms[0].features, g.node_features)
 
 
 def test_subgraph_features_are_copies():
     g = make_graph(3, {0: [(0, 1)]})
-    term = plan_graph(g).subs[0]
+    term = type_terms(g)[0]
     term.features[0, 0] = 123.0
     assert g.node_features[0, 0] != 123.0
 
@@ -120,7 +133,7 @@ def test_subgraph_membership_matches_incidence_scan():
     for seed in range(3):
         cfg = GenConfig(num_nodes=40, rng_seed=seed)
         g = generate_graph(cfg)
-        subs = plan_graph(g).subs
+        subs = type_terms(g)
         assert list(subs) == [k for k in range(g.num_edge_types) if g.edge_lists[k].size]
         for k, term in subs.items():
             ids = np.array(sorted({v for edge in g.edge_lists[k].tolist() for v in edge}))
@@ -145,8 +158,8 @@ def test_union_is_disjoint_partition_by_type():
 
 def test_extract_deterministic():
     g = make_graph(5, {0: [(0, 1), (1, 2), (3, 4)]})
-    a = plan_graph(g).subs[0]
-    b = plan_graph(g).subs[0]
+    a = type_terms(g)[0]
+    b = type_terms(g)[0]
     np.testing.assert_array_equal(a.features, b.features)
     for name in ("order", "counts", "recv", "nbr", "mirror", "slot_bounds"):
         assert np.array_equal(getattr(a.pairs, name), getattr(b.pairs, name)), name

@@ -13,21 +13,19 @@ import pytest
 from riskprop import hgmae
 from riskprop.autodiff import NumericFault
 from riskprop.experiment import ExperimentConfig, build_world
-from riskprop.gat import GATLayerParams, build_message_pairs
+from riskprop.gat import GATLayerParams, build_message_pairs, gat_stack_forward
 from riskprop.hgmae import (
     MaskingError,
     MaskPlan,
     ModelParams,
     TrainConfig,
     apply_mask,
-    encode,
     hgmae_loss,
     hgmae_step,
     infer_embeddings,
     init_params,
     load_embeddings,
     make_step_plans,
-    merge_losses,
     plan_graph,
     pretrain,
     remask_and_decode,
@@ -172,8 +170,8 @@ def test_encode_single_node_depends_only_on_its_features():
     g1 = make_graph(1, {0: np.zeros((0, 2))}, d_in=2)
     g2 = make_graph(1, {0: np.zeros((0, 2))}, d_in=2, seed=9)
     params = fresh_params(g1, cfg)
-    h1, _ = encode(plan_graph(g1).full.pairs, x, params)
-    h2, _ = encode(plan_graph(g2).full.pairs, x, params)
+    h1, _ = gat_stack_forward(params.encoder, x, plan_graph(g1)[0].pairs)
+    h2, _ = gat_stack_forward(params.encoder, x, plan_graph(g2)[0].pairs)
     np.testing.assert_array_equal(h1, h2)
 
 
@@ -278,24 +276,34 @@ def test_sce_gradient_matches_finite_difference():
 # -- loss merging and steps ---------------------------------------------------
 
 
-def test_merge_losses_arithmetic():
-    total = merge_losses(0.4, [0.2, 0.6], eta=1.0)
-    assert total == pytest.approx(0.8, abs=1e-15)
+def test_loss_total_is_full_plus_weighted_sum_of_subgraph_terms(two_type_graph, tiny_cfg):
+    g = two_type_graph
+    cfg = dataclasses.replace(tiny_cfg, eta=0.5)
+    terms = plan_graph(g)
+    plans = make_step_plans(terms, cfg, np.random.default_rng(3))
+    parts, _ = hgmae_loss(terms, fresh_params(g, cfg), cfg, plans)
+    assert list(parts.subs) == [0, 1]
+    assert parts.total == parts.full + 0.5 / 2 * sum(parts.subs.values())
 
 
-def test_merge_losses_eta_zero_returns_full_term():
-    full = 0.4
-    assert merge_losses(full, [0.2], eta=0.0) is full
+def test_loss_eta_zero_total_is_the_full_term(two_type_graph, tiny_cfg):
+    g = two_type_graph
+    cfg0 = dataclasses.replace(tiny_cfg, eta=0.0)
+    terms = plan_graph(g)
+    plans = make_step_plans(terms, cfg0, np.random.default_rng(3))
+    parts, _ = hgmae_loss(terms, fresh_params(g, cfg0), cfg0, plans)
+    assert parts.total is parts.full
+    assert parts.subs == {}
 
 
 def test_step_loss_matches_replayed_plans_and_dense_oracle(two_type_graph, tiny_cfg):
     g = two_type_graph
     params = fresh_params(g, tiny_cfg)
-    gp = plan_graph(g)
-    plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(33))
-    stepped, _ = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(33))
+    terms = plan_graph(g)
+    plans = make_step_plans(terms, tiny_cfg, np.random.default_rng(33))
+    stepped, _ = hgmae_step(terms, params, tiny_cfg, np.random.default_rng(33))
 
-    parts, _ = hgmae_loss(gp, params, tiny_cfg, plans)
+    parts, _ = hgmae_loss(terms, params, tiny_cfg, plans)
     assert stepped == parts
 
     dense_total, dense_full, dense_subs = dense_hgmae_loss(g, params, tiny_cfg, plans)
@@ -317,9 +325,9 @@ def test_step_eta_zero_equals_full_graph_term(two_type_graph, tiny_cfg):
 def test_step_grads_do_not_accumulate_across_calls(two_type_graph, tiny_cfg):
     g = two_type_graph
     params = fresh_params(g, tiny_cfg)
-    gp = plan_graph(g)
-    _, a = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(7))
-    _, b = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(7))
+    terms = plan_graph(g)
+    _, a = hgmae_step(terms, params, tiny_cfg, np.random.default_rng(7))
+    _, b = hgmae_step(terms, params, tiny_cfg, np.random.default_rng(7))
     for name in a:
         np.testing.assert_array_equal(a[name], b[name])
 
@@ -327,10 +335,11 @@ def test_step_grads_do_not_accumulate_across_calls(two_type_graph, tiny_cfg):
 def test_step_skips_empty_edge_types(tiny_cfg):
     g = make_graph(12, {0: [(i, i + 1) for i in range(11)], 1: np.zeros((0, 2))}, d_in=4)
     params = fresh_params(g, tiny_cfg)
-    gp = plan_graph(g)
-    parts, _ = hgmae_step(gp, params, tiny_cfg, np.random.default_rng(0))
-    plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(0))
-    assert list(plans.subs) == [0]  # only the nonempty type draws a plan
+    terms = plan_graph(g)
+    parts, _ = hgmae_step(terms, params, tiny_cfg, np.random.default_rng(0))
+    plans = make_step_plans(terms, tiny_cfg, np.random.default_rng(0))
+    assert len(plans) == 2  # the full graph and the only nonempty type
+    assert list(parts.subs) == [0]
     assert math.isfinite(parts.total)
 
 
@@ -346,9 +355,9 @@ def test_eq2_linearity_with_replayed_plans(two_type_graph, tiny_cfg):
     # total with eta=1 equals full + mean of per-type terms computed separately
     g = two_type_graph
     params = fresh_params(g, tiny_cfg)
-    gp = plan_graph(g)
-    plans = make_step_plans(gp, tiny_cfg, np.random.default_rng(2))
-    parts, _ = hgmae_loss(gp, params, tiny_cfg, plans)
+    terms = plan_graph(g)
+    plans = make_step_plans(terms, tiny_cfg, np.random.default_rng(2))
+    parts, _ = hgmae_loss(terms, params, tiny_cfg, plans)
     recombined = parts.full + tiny_cfg.eta * np.mean(list(parts.subs.values()))
     assert parts.total == pytest.approx(recombined, abs=1e-12)
 
@@ -356,11 +365,11 @@ def test_eq2_linearity_with_replayed_plans(two_type_graph, tiny_cfg):
 # -- hand-written gradients against the tape ----------------------------------
 
 
-def assert_step_matches_tape(gp, params, cfg, plans):
+def assert_step_matches_tape(terms, params, cfg, plans):
     """Loss parts and every gradient of hgmae_loss equal the tape
     composition's bit for bit (signed zeros included)."""
-    parts, grads = hgmae_loss(gp, params, cfg, plans)
-    total, full, subs, want = tape.tape_hgmae_loss(gp, params, cfg, plans)
+    parts, grads = hgmae_loss(terms, params, cfg, plans)
+    total, full, subs, want = tape.tape_hgmae_loss(terms, params, cfg, plans)
     assert repr((parts.total, parts.full, parts.subs)) == repr((total, full, subs))
     assert list(grads) == list(want)
     for name, g in grads.items():
@@ -371,12 +380,13 @@ def assert_step_matches_tape(gp, params, cfg, plans):
 
 def steps_match_tape(g, params, cfg, seed=0, steps=3):
     """assert_step_matches_tape on `steps` Adam steps from params."""
-    gp = plan_graph(g)
+    terms = plan_graph(g)
     rng = np.random.default_rng(seed)
     state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
     for _ in range(steps):
-        plans = make_step_plans(gp, cfg, rng)
-        adam_step(state, params.named_arrays(), assert_step_matches_tape(gp, params, cfg, plans))
+        plans = make_step_plans(terms, cfg, rng)
+        grads = assert_step_matches_tape(terms, params, cfg, plans)
+        adam_step(state, params.named_arrays(), grads)
     return plans
 
 
@@ -398,7 +408,7 @@ def test_step_gradients_bit_identical_with_empty_plan_parts(random_sub_rate, emp
         d_emb=5, hidden_heads=2, hidden_head_dim=4, gamma=2.0, random_sub_rate=random_sub_rate
     )
     plans = steps_match_tape(two_type_graph, fresh_params(two_type_graph, cfg), cfg)
-    for plan in [plans.full, *plans.subs.values()]:
+    for plan in plans:
         assert getattr(plan, empty).size == 0
 
 

@@ -177,6 +177,8 @@ _LOADER_FAULTS = [
     ("task", 3, "7\t2\t-inf", "non-finite task feature value for node 7"),
     ("emb", 3, "1\tnan\t3", "non-finite embedding value for node 1"),
     ("emb", 3, "1\t2\tinf", "non-finite embedding value for node 1"),
+    ("nodes", 3, "1\t0\tnan\t1", "non-finite feature value for node 1"),
+    ("events", 3, "-3\t0", "negative node_id -3"),
 ]
 
 
