@@ -5,19 +5,20 @@ issuer's task features with its pre-trained embedding row; the pairs arrive
 as CandidatePairs columns, and their labels are the targets. The in-repo model
 is L2-regularized logistic regression on train-standardized inputs. The
 headline metric is micro-F1, which equals accuracy for single-label binary
-prediction, with AUC as a rank-based diagnostic.
+prediction, with AUC as a rank-based diagnostic. The trained model is saved
+as a table.py model file: the echo holds the input width d, and the arrays
+are bias (1,), weights, feat_mean and feat_std (d,).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
 from .pairs import CandidatePairs, PairDatasetSplit
-from .table import ConfigError, atomic_write_text, parse_floats, read_entries
+from .table import ConfigError, read_model_file, write_model_file
 
 
 def make_fusion_fn(task: dict[int, np.ndarray], embeddings: np.ndarray):
@@ -70,7 +71,6 @@ class ClassifierConfig:
 class ClassifierModel:
     """Trained model plus the train-split standardization stats it bakes in."""
 
-    kind: ClassVar[str] = "logistic"
     weights: np.ndarray
     bias: float
     feat_mean: np.ndarray
@@ -193,56 +193,24 @@ def evaluate(model: ClassifierModel, pairs: CandidatePairs, fusion_fn) -> dict[s
 
 
 # ---------------------------------------------------------------------------
-# classifier checkpoint I/O
+# classifier file I/O
+
+FORMAT_TAG = "riskprop-classifier v1"
 
 
 def save_classifier(model: ClassifierModel, path: Path | str) -> None:
-    lines = [
-        f"kind\t{model.kind}",
-        f"bias\t{format(model.bias, '.17g')}",
-        "weights\t" + " ".join(format(x, ".17g") for x in model.weights),
-        "feat_mean\t" + " ".join(format(x, ".17g") for x in model.feat_mean),
-        "feat_std\t" + " ".join(format(x, ".17g") for x in model.feat_std),
-    ]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-_CLASSIFIER_KEYS = dict.fromkeys(("kind", "bias", "weights", "feat_mean", "feat_std"), str)
+    stats = {"feat_mean": model.feat_mean, "feat_std": model.feat_std}
+    arrays = {"bias": np.array([model.bias]), "weights": model.weights, **stats}
+    write_model_file(path, FORMAT_TAG, {"d": model.weights.size}, arrays)
 
 
 def load_classifier(path: Path | str) -> ClassifierModel:
-    """Read a save_classifier file; a malformed one fails with path:line."""
+    """Read a save_classifier file; a malformed one raises CheckpointError
+    naming the path and, where there is one, the line."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"classifier file not found: {path}")
-    lines = list(enumerate(path.read_text().splitlines(), start=1))
-    raw, problems = read_entries(path, lines, "\t", _CLASSIFIER_KEYS, required=True)
-    if problems:
-        raise ValueError(problems[0])
-
-    def numbers(key: str) -> np.ndarray:
-        lineno, val = raw[key]
-        try:
-            values = parse_floats(val)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad number in {key}") from None
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{path}:{lineno}: non-finite number in {key}")
-        return values
-
-    lineno, kind = raw["kind"]
-    if kind != ClassifierModel.kind:
-        raise ValueError(f"{path}:{lineno}: unknown classifier kind {kind!r}")
-    bias = numbers("bias")
-    if bias.shape != (1,):
-        raise ValueError(f"{path}:{raw['bias'][0]}: bias must be one number")
-    weights = numbers("weights")
-    stats = {}
-    for key in ("feat_mean", "feat_std"):
-        stats[key] = numbers(key)
-        if stats[key].shape != weights.shape:
-            raise ValueError(
-                f"{path}:{raw[key][0]}: {key} has {stats[key].size} values, "
-                f"weights has {weights.size}"
-            )
-    return ClassifierModel(weights=weights, bias=float(bias[0]), **stats)
+    f = read_model_file(path, FORMAT_TAG, {"d": int})
+    d = f.echo["d"][1]
+    arrays = f.arrays({"bias": (1,), "weights": (d,), "feat_mean": (d,), "feat_std": (d,)})
+    return ClassifierModel(bias=float(arrays.pop("bias")[0]), **arrays)

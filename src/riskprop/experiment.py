@@ -213,7 +213,7 @@ def run_pairs(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> N
     for seed in seeds:
         sdir = seed_dir(out_dir, seed)
         g = graph.load_graph(sdir)
-        events = graph.load_events(sdir / "events.tsv")
+        events = graph.load_events(sdir / "events.tsv", g.num_nodes)
         pairs = pairs_mod.build_pairs(g, events, exp.pairs.n_hops, seed=seed)
         split = pairs_mod.split_pairs(pairs, exp.pairs.train_frac, seed=seed)
         pairs_mod.save_pairs(split, sdir / "pairs.tsv")

@@ -168,6 +168,14 @@ _EVENT_CHECKS = (
 )
 
 
+def _event_checks(n: int | None) -> tuple[Check, ...]:
+    """_EVENT_CHECKS and, given a node count n, a check that ids are below n."""
+    if n is None:
+        return _EVENT_CHECKS
+    unknown = "event references unknown node id {node_id}"
+    return (*_EVENT_CHECKS, Check("node_id", lambda c: c["node_id"] >= n, unknown))
+
+
 def save_graph(g: HeteroGraph, directory: Path | str) -> None:
     """Write nodes.tsv and edges.tsv under `directory` (created if missing)."""
     directory = Path(directory)
@@ -210,7 +218,9 @@ def save_events(events: list[DefaultEvent], path: Path | str) -> None:
     write_table(path, EVENTS, [[e.node_id for e in events], [e.default_time for e in events]])
 
 
-def load_events(path: Path | str) -> list[DefaultEvent]:
-    ids, times = read_table(path, EVENTS, _EVENT_CHECKS)
+def load_events(path: Path | str, num_nodes: int | None = None) -> list[DefaultEvent]:
+    """Read events.tsv; given the graph's node count, an id outside it raises
+    GraphFormatError naming the line."""
+    ids, times = read_table(path, EVENTS, _event_checks(num_nodes))
     order = np.lexsort((ids, times))
     return [DefaultEvent(i, t) for i, t in zip(ids[order].tolist(), times[order].tolist())]

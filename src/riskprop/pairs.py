@@ -115,7 +115,7 @@ def _event_times(g: HeteroGraph, events: list[DefaultEvent]) -> dict[int, int]:
 
 
 def enumerate_candidate_pairs(
-    g: HeteroGraph, events: list[DefaultEvent], n_hops: int = 3
+    g: HeteroGraph, events: list[DefaultEvent], n_hops: int
 ) -> CandidatePairs:
     """All pre-balancing pairs, in (source, target) order; deterministic."""
     if n_hops < 1:
@@ -141,7 +141,7 @@ def enumerate_candidate_pairs(
 
 
 def build_pairs(
-    g: HeteroGraph, events: list[DefaultEvent], n_hops: int = 3, seed: int = 0
+    g: HeteroGraph, events: list[DefaultEvent], n_hops: int, seed: int
 ) -> CandidatePairs:
     """Candidate pairs with whites uniformly downsampled to the black count,
     in (source, target) order."""
@@ -156,7 +156,7 @@ def build_pairs(
     return candidates.select(np.sort(np.concatenate([blacks, whites])))
 
 
-def split_pairs(pairs: CandidatePairs, train_frac: float = 0.8, seed: int = 0) -> PairDatasetSplit:
+def split_pairs(pairs: CandidatePairs, train_frac: float, seed: int) -> PairDatasetSplit:
     """Stratified shuffle split; each class needs at least 5 pairs. Each side
     is in (source, target, label, hop) order."""
     if not 0.0 < train_frac < 1.0:

@@ -1,4 +1,5 @@
-"""The artifact codecs: the tab-separated table and the key/value record.
+"""The artifact codecs: the tab-separated table, the key/value record and
+the model file.
 
 A table is one header line of column names, then one line per row. A schema
 is a tuple of `(name, kind)` columns, kind int, float or str, and at most one
@@ -14,12 +15,17 @@ checks, and for an int column the int64 range.
 
 A record is one `key<sep>value` line per dataclass field, parsed by the
 field's annotation (int, float, str or tuple[X, ...]); a dataclass-valued
-field's fields are keyed `field.name`. The config files, gen.config and the
-checkpoint's config echo are records; the classifier file shares the reader.
+field's fields are keyed `field.name`. The config files, gen.config and a
+model file's config echo are records.
+
+A model file (the checkpoint, the classifier file) holds a tag line, the
+config echo, a manifest of array names and shapes, a sha256 over the data
+lines, then one line of %.17g values per named float array.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 from dataclasses import fields, is_dataclass
@@ -196,17 +202,6 @@ def parse_value(kind, raw: str):
     return kind(raw)
 
 
-def parse_floats(raw: str) -> np.ndarray:
-    """Space-separated floats ('' is none); ValueError naming the first bad token."""
-    values = []
-    for token in raw.split(" ") if raw else ():
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise ValueError(f"bad number {token!r}") from None
-    return np.array(values, dtype=np.float64)
-
-
 def record_fields(cls, prefix: str = "") -> dict[str, type]:
     """Each leaf field's key and annotation, in field order."""
     hints = get_type_hints(cls)
@@ -293,3 +288,98 @@ def write_record(path: Path | str, record, removed: Mapping[str, str] = {}) -> N
     keys = [key for key in record_fields(type(record)) if key not in removed]
     values = [reduce(getattr, key.split("."), record) for key in keys]
     atomic_write_text(path, "".join(f"{k}={format_value(v)}\n" for k, v in zip(keys, values)))
+
+
+# ---------------------------------------------------------------------------
+# model files
+
+
+class CheckpointError(ValueError):
+    """Raised for a malformed model file; the message names path:line and the reason."""
+
+
+def write_model_file(path: Path | str, tag: str, echo: dict, arrays: dict) -> None:
+    """Atomically write the tag, the echo, each array's name and shape, the
+    checksum, then each array's values in C order."""
+    data_lines = [
+        f"{name}\t" + " ".join([_FORMATS[float]] * arr.size) % tuple(arr.ravel().tolist())
+        for name, arr in arrays.items()
+    ]
+    digest = hashlib.sha256("\n".join(data_lines).encode()).hexdigest()
+    head = [f"# {tag}"]
+    head += [f"# config\t{key}\t{format_value(value)}" for key, value in echo.items()]
+    head += [f"# tensor\t{name}\t{format_value(arr.shape)}" for name, arr in arrays.items()]
+    head.append(f"# checksum\t{digest}")
+    atomic_write_text(Path(path), "\n".join(head + data_lines) + "\n")
+
+
+def _required_entries(path, lines, kinds: Mapping[str, type]) -> dict[str, tuple[int, object]]:
+    """read_entries' entries with every key required; the first problem raises."""
+    entries, problems = read_entries(path, lines, "\t", kinds, required=True)
+    if problems:
+        raise CheckpointError(problems[0])
+    return entries
+
+
+class ModelFile(NamedTuple):
+    """A model file past its tag, checksum and config echo (read_entries'
+    entries), with its numbered manifest and data lines."""
+
+    path: Path
+    echo: dict[str, tuple[int, object]]
+    manifest: list[tuple[int, str]]
+    data: list[tuple[int, str]]
+
+    def arrays(self, shapes: Mapping[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+        """The arrays named by `shapes`: the manifest lists exactly those names
+        and shapes, and each data line holds that many finite numbers."""
+        kinds = dict.fromkeys(shapes, tuple[int, ...])
+        for name, (lineno, shape) in _required_entries(self.path, self.manifest, kinds).items():
+            if shape != shapes[name]:
+                raise CheckpointError(
+                    f"{self.path}:{lineno}: tensor {name!r} has shape {shape}, "
+                    f"config implies {shapes[name]}"
+                )
+        data = _required_entries(self.path, self.data, dict.fromkeys(shapes, str))
+        arrays = {}
+        for name, shape in shapes.items():
+            lineno, raw = data[name]
+            where = f"{self.path}:{lineno}: tensor {name!r}"
+            values = []
+            for token in raw.split(" ") if raw else ():
+                try:
+                    values.append(float(token))
+                except ValueError:
+                    raise CheckpointError(f"{where}: bad number {token!r}") from None
+            arr = np.array(values, dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{where} has non-finite values")
+            if arr.size != int(np.prod(shape)):
+                raise CheckpointError(f"{where} has {arr.size} values, wants {shape}")
+            arrays[name] = arr.reshape(shape)
+        return arrays
+
+
+def read_model_file(path: Path | str, tag: str, echo_kinds: Mapping[str, type]) -> ModelFile:
+    """Check the tag, then the checksum over the data lines, then that the
+    echo holds exactly the keys of `echo_kinds`, each parsed by its kind."""
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != f"# {tag}":
+        raise CheckpointError(f"{path}: not a {tag} file")
+    # the numbered lines after the tag: echo, manifest and checksum by prefix, the rest data
+    sections: dict[str, list[tuple[int, str]]] = {"# config": [], "# tensor": [], "# checksum": []}
+    data = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        kind, _, rest = line.partition("\t")
+        if kind in sections:
+            sections[kind].append((lineno, rest))
+        elif not line.startswith("#"):
+            data.append((lineno, line))
+    if not sections["# checksum"]:
+        raise CheckpointError(f"{path}: missing checksum")
+    digest = hashlib.sha256("\n".join(line for _, line in data).encode()).hexdigest()
+    if digest != sections["# checksum"][-1][1]:
+        raise CheckpointError(f"{path}: checksum mismatch; file is corrupt")
+    echo = _required_entries(path, sections["# config"], echo_kinds)
+    return ModelFile(path, echo, sections["# tensor"], data)

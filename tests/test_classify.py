@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+from riskprop.checkpoint import CheckpointError, save_checkpoint
 
 from riskprop.classify import (
     ClassifierConfig,
@@ -15,6 +19,7 @@ from riskprop.classify import (
     standardization_stats,
     train_classifier,
 )
+from riskprop.hgmae import TrainConfig, init_params
 from riskprop.pairs import PairDatasetSplit, PropagationPair
 
 from oracles import masked_sigmoid, pairs_from_rows
@@ -226,7 +231,8 @@ def test_classifier_roundtrip(tmp_path):
     model = train_classifier(split, fusion_fn)
     save_classifier(model, tmp_path / "clf.tsv")
     loaded = load_classifier(tmp_path / "clf.tsv")
-    assert loaded.kind == model.kind
+    save_classifier(loaded, tmp_path / "again.tsv")
+    assert (tmp_path / "again.tsv").read_bytes() == (tmp_path / "clf.tsv").read_bytes()
     assert loaded.weights.tobytes() == model.weights.tobytes()
     assert loaded.bias == model.bias
     X = fusion_fn(split.test)
@@ -239,42 +245,107 @@ def _saved_classifier_lines(tmp_path):
     return (tmp_path / "clf.tsv").read_text().splitlines()
 
 
+def _with_fresh_checksum(lines):
+    """The lines with the checksum recomputed over their data lines, so a
+    fault shows in the parse and not as corruption."""
+    data = [line for line in lines if not line.startswith("#")]
+    digest = hashlib.sha256("\n".join(data).encode()).hexdigest()
+    return [f"# checksum\t{digest}" if line.startswith("# checksum\t") else line for line in lines]
+
+
 def _drop_last_value(line):
     return line.rsplit(" ", 1)[0]
 
 
+def _replace(lineno, text):
+    return lambda ls: ls[: lineno - 1] + [text] + ls[lineno:]
+
+
+# lines 1-7 are the tag, the echo of d = 2, the manifest of bias, weights,
+# feat_mean and feat_std, and the checksum; lines 8-11 hold their values
 @pytest.mark.parametrize(
     "corrupt, where, reason",
     [
-        (lambda ls: ls[:2] + [ls[2].replace("\t", " ", 1)] + ls[3:], 3, "expected key<TAB>value"),
-        (lambda ls: ls[:1] + ls[2:], 5, "missing key 'bias'"),
-        (lambda ls: ls[:4], 5, "missing key 'feat_std'"),
-        (lambda ls: ["kind\tforest"] + ls[1:], 1, "unknown classifier kind 'forest'"),
-        (lambda ls: ls + ["margin\t0.5"], 6, "unknown key 'margin'"),
-        (lambda ls: ls + [ls[1]], 6, "duplicate key 'bias'"),
-        (lambda ls: ls[:1] + ["bias\tnan?"] + ls[2:], 2, "bad number in bias"),
-        (lambda ls: ls[:2] + ["weights\tnan nan"] + ls[3:], 3, "non-finite number in weights"),
-        (lambda ls: ls[:1] + ["bias\tinf"] + ls[2:], 2, "non-finite number in bias"),
-        (lambda ls: ls[:1] + ["bias\t1 2"] + ls[2:], 2, "bias must be one number"),
-        (
-            lambda ls: ls[:3] + [_drop_last_value(ls[3])] + ls[4:],
-            4,
-            "feat_mean has 1 values, weights has 2",
+        pytest.param(
+            lambda ls: ls[:8] + [ls[8].replace("\t", " ", 1)] + ls[9:],
+            9,
+            "expected key<TAB>value",
+            id="no-tab",
         ),
-        (lambda ls: ls[:4] + [_drop_last_value(ls[4])], 5, "feat_std has 1 values, weights has 2"),
-        (
-            lambda ls: ls[:2] + [_drop_last_value(ls[2])] + ls[3:],
-            4,
-            "feat_mean has 2 values, weights has 1",
+        pytest.param(lambda ls: ls[:7] + ls[8:], 11, "missing key 'bias'", id="missing-bias"),
+        pytest.param(lambda ls: ls[:10], 11, "missing key 'feat_std'", id="missing-feat_std"),
+        pytest.param(lambda ls: ls + ["margin\t0.5"], 12, "unknown key 'margin'", id="unknown-key"),
+        pytest.param(lambda ls: ls + [ls[7]], 12, "duplicate key 'bias'", id="duplicate-key"),
+        pytest.param(
+            _replace(8, "bias\tnan?"), 8, "tensor 'bias': bad number 'nan?'", id="bad-number"
         ),
+        pytest.param(
+            _replace(9, "weights\tnan nan"),
+            9,
+            "tensor 'weights' has non-finite values",
+            id="nan-weights",
+        ),
+        pytest.param(
+            _replace(8, "bias\tinf"), 8, "tensor 'bias' has non-finite values", id="inf-bias"
+        ),
+        pytest.param(
+            _replace(8, "bias\t1 2"), 8, "tensor 'bias' has 2 values, wants (1,)", id="bias-size"
+        ),
+        pytest.param(
+            lambda ls: ls[:9] + [_drop_last_value(ls[9])] + ls[10:],
+            10,
+            "tensor 'feat_mean' has 1 values, wants (2,)",
+            id="feat_mean-size",
+        ),
+        pytest.param(
+            lambda ls: ls[:10] + [_drop_last_value(ls[10])],
+            11,
+            "tensor 'feat_std' has 1 values, wants (2,)",
+            id="feat_std-size",
+        ),
+        pytest.param(
+            lambda ls: ls[:8] + [_drop_last_value(ls[8])] + ls[9:],
+            9,
+            "tensor 'weights' has 1 values, wants (2,)",
+            id="weights-size",
+        ),
+        pytest.param(
+            _replace(4, "# tensor\tweights\t3"),
+            4,
+            "tensor 'weights' has shape (3,), config implies (2,)",
+            id="manifest-shape",
+        ),
+        pytest.param(lambda ls: ls[:1] + ls[2:], 1, "missing key 'd'", id="missing-d"),
     ],
 )
 def test_malformed_classifier_file_names_line_and_reason(tmp_path, corrupt, where, reason):
     lines = _saved_classifier_lines(tmp_path)
-    keys = [line.split("\t")[0] for line in lines]
-    assert keys == ["kind", "bias", "weights", "feat_mean", "feat_std"]
+    names = ["bias", "weights", "feat_mean", "feat_std"]
+    assert lines[:6] == ["# riskprop-classifier v1", "# config\td\t2", "# tensor\tbias\t1"] + [
+        f"# tensor\t{name}\t2" for name in names[1:]
+    ]
+    assert lines[6].startswith("# checksum\t")
+    assert [line.split("\t")[0] for line in lines[7:]] == names
     path = tmp_path / "clf.tsv"
-    path.write_text("\n".join(corrupt(lines)) + "\n")
-    with pytest.raises(ValueError) as err:
+    path.write_text("\n".join(_with_fresh_checksum(corrupt(lines))) + "\n")
+    with pytest.raises(CheckpointError) as err:
         load_classifier(path)
     assert str(err.value) == f"{path}:{where}: {reason}"
+
+
+def test_classifier_edited_without_fresh_checksum_is_corrupt(tmp_path):
+    lines = _saved_classifier_lines(tmp_path)
+    path = tmp_path / "clf.tsv"
+    path.write_text("\n".join(_replace(8, "bias\t0.5")(lines)) + "\n")
+    with pytest.raises(CheckpointError) as err:
+        load_classifier(path)
+    assert str(err.value) == f"{path}: checksum mismatch; file is corrupt"
+
+
+def test_load_classifier_rejects_a_checkpoint_file(tmp_path):
+    cfg = TrainConfig(d_emb=2, hidden_heads=1, hidden_head_dim=2)
+    path = tmp_path / "checkpoint.tsv"
+    save_checkpoint(init_params(3, cfg, np.random.default_rng(0)), cfg, path)
+    with pytest.raises(CheckpointError) as err:
+        load_classifier(path)
+    assert str(err.value) == f"{path}: not a riskprop-classifier v1 file"

@@ -16,8 +16,10 @@ import pytest
 from riskprop import hgmae
 from riskprop.autodiff import NumericFault
 from riskprop.checkpoint import save_checkpoint
-from riskprop.experiment import parse_experiment_config, run_generate, run_pretrain, seed_dir
-from riskprop.graph import load_graph
+from riskprop.experiment import (
+    parse_experiment_config, run_generate, run_pairs, run_pretrain, seed_dir
+)
+from riskprop.graph import GraphFormatError, load_graph
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SMOKE = REPO_ROOT / "configs" / "smoke.config"
@@ -129,6 +131,18 @@ def test_run_pretrain_fault_names_epoch_and_stage(monkeypatch, smoke, worlds, tm
     with pytest.raises(NumericFault, match=r"^epoch 3: non-finite output from gat_head$"):
         pretrained_copy(smoke, worlds, tmp_path / "out")
     assert_no_children()
+
+
+def test_run_pairs_names_the_events_line_of_an_unknown_node(smoke, worlds, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(worlds, out)
+    events = seed_dir(out, smoke.seeds[0]) / "events.tsv"
+    lines = events.read_text().splitlines() + ["999\t0"]
+    assert load_graph(events.parent).num_nodes <= 999 and len(lines) == 35
+    events.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError) as err:
+        run_pairs(smoke, out, smoke.seeds)
+    assert str(err.value) == f"{events}:35: event references unknown node id 999"
 
 
 def test_import_riskprop_leaves_the_pool_modules_unimported():

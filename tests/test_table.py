@@ -133,7 +133,7 @@ def _write_artifacts(tmp_path):
     return {
         "nodes": (tmp_path / "nodes.tsv", lambda: load_graph(tmp_path)),
         "edges": (tmp_path / "edges.tsv", lambda: load_graph(tmp_path)),
-        "events": (tmp_path / "events.tsv", lambda: load_events(tmp_path / "events.tsv")),
+        "events": (tmp_path / "events.tsv", lambda: load_events(tmp_path / "events.tsv", 3)),
         "pairs": (tmp_path / "pairs.tsv", lambda: load_pairs(tmp_path / "pairs.tsv")),
         "task": (tmp_path / "task.tsv", lambda: load_task_features(tmp_path / "task.tsv")),
         "emb": (tmp_path / "emb.tsv", lambda: load_embeddings(tmp_path / "emb.tsv")),
@@ -179,6 +179,7 @@ _LOADER_FAULTS = [
     ("emb", 3, "1\t2\tinf", "non-finite embedding value for node 1"),
     ("nodes", 3, "1\t0\tnan\t1", "non-finite feature value for node 1"),
     ("events", 3, "-3\t0", "negative node_id -3"),
+    ("events", 3, "3\t0", "event references unknown node id 3"),
 ]
 
 
@@ -195,6 +196,19 @@ def test_loader_fault_is_graph_format_error_naming_line(tmp_path, table, lineno,
     with pytest.raises(GraphFormatError) as err:
         load()
     assert str(err.value) == f"{path}:{lineno}: {reason}"
+
+
+def test_load_events_without_a_node_count_accepts_any_nonnegative_id(tmp_path):
+    save_events([DefaultEvent(999, 0)], tmp_path / "events.tsv")
+    assert load_events(tmp_path / "events.tsv") == [DefaultEvent(999, 0)]
+
+
+def test_only_table_py_spells_the_float_text_format():
+    """table.py owns the artifacts' %.17g float text; another module writing
+    its own would be a second codec."""
+    src = REPO_ROOT / "src" / "riskprop"
+    spelled = sorted(p.name for p in src.glob("*.py") if "17g" in p.read_text())
+    assert spelled == ["table.py"]
 
 
 @pytest.mark.parametrize("size", [0, 1, 7, 1000])
