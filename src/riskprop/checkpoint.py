@@ -29,7 +29,10 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
     cfg = build_record(path, TrainConfig, f.echo, problems)
     if problems:
         raise CheckpointError(problems[0])
-    params = init_params(f.echo["d_in"][1], cfg, np.random.default_rng(0))
+    lineno, d_in = f.echo["d_in"]
+    if d_in < 1:
+        raise CheckpointError(f"{path}:{lineno}: d_in must be >= 1")
+    params = init_params(d_in, cfg, np.random.default_rng(0))
     targets = params.named_arrays()
     for name, arr in f.arrays({name: t.shape for name, t in targets.items()}).items():
         targets[name][...] = arr

@@ -222,9 +222,8 @@ def run_pairs(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> N
 def _fusion_fn(sdir: Path, cond: str):
     """The condition's fusion function over the seed's task features and embeddings."""
     task = synthetic.load_task_features(sdir / "task_features.tsv")
-    if cond == "task_only":
-        num_nodes = len((sdir / "nodes.tsv").read_text().splitlines()) - 1
-        emb = np.zeros((num_nodes, 0))
+    if cond == "task_only":  # zero-width embeddings, one row per id up to the largest task id
+        emb = np.zeros((max(task, default=-1) + 1, 0))
     else:
         emb = hgmae.load_embeddings(sdir / f"embeddings_{cond}.tsv")
     return classify.make_fusion_fn(task, emb)

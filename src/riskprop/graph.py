@@ -197,10 +197,7 @@ def load_graph(directory: Path | str) -> HeteroGraph:
     edges file with only the header yields a graph with zero edge types.
     """
     directory = Path(directory)
-    nodes_path = directory / "nodes.tsv"
-    if nodes_path.exists() and nodes_path.stat().st_size == 0:
-        raise GraphFormatError(f"{nodes_path}:1: empty file")
-    _, flags, features = read_table(nodes_path, NODES, _NODE_CHECKS)
+    _, flags, features = read_table(directory / "nodes.tsv", NODES, _NODE_CHECKS)
     names, u, v = read_table(directory / "edges.tsv", EDGES, _edge_checks(len(flags)))
     types = list(dict.fromkeys(names))  # type ids by first appearance
     rows = [names == name for name in types]

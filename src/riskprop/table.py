@@ -7,11 +7,13 @@ is a tuple of `(name, kind)` columns, kind int, float or str, and at most one
 write and from the header on read. Floats are written with %.17g, so a round
 trip is bit-identical.
 
-Reading converts whole columns with Python's int() and float() semantics and
-applies the caller's row checks as masks. Only when that fails is the file
-scanned again, to raise GraphFormatError for the first bad line. Within a
-line the column count comes first, then each column in order: its cells, its
-checks, and for an int column the int64 range.
+Reading is one pass, and a 0-byte file fails as empty. Each column is
+converted whole with Python's int() and float() semantics, cell by cell only
+if that fails, and the caller's row checks are masks over the rows. Every
+step marks the rows it finds bad, in the order a line is checked: the column
+count, then each column in order, its cells, its checks and, for an int
+column holding a value past int64, the int64 range. GraphFormatError names
+the first marked line and its first step's reason.
 
 A record is one `key<sep>value` line per dataclass field, parsed by the
 field's annotation (int, float, str or tuple[X, ...]); a dataclass-valued
@@ -32,9 +34,7 @@ from dataclasses import fields, is_dataclass
 from functools import partial, reduce
 from itertools import repeat
 from pathlib import Path
-from typing import (
-    Callable, Mapping, NamedTuple, NoReturn, Sequence, get_args, get_origin, get_type_hints
-)
+from typing import Callable, Mapping, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -115,27 +115,59 @@ def read_table(path: Path | str, schema: Sequence, checks: Sequence[Check] = ())
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"table file not found: {path}")
-    lines = path.read_text().splitlines() or [""]
+    lines = path.read_text().splitlines()
+    if not lines:  # a 0-byte file
+        raise GraphFormatError(f"{path}:1: empty file")
     header = lines[0].split("\t")
     names, spans = _layout(schema, len(header) - len(schema) + 1)
     if header != names:
         raise GraphFormatError(f"{path}:1: bad header {lines[0]!r}")
-    body = lines[1:]
+    body, ncols = lines[1:], len(names)
+    tabs = list(map(str.count, body, repeat("\t")))
+    ragged = np.zeros(len(body), dtype=bool)
+    if tabs.count(ncols - 1) != len(body):  # blank ragged lines: their column count is the fault
+        ragged = np.not_equal(tabs, ncols - 1)
+        body = ["\t" * (ncols - 1) if r else line for line, r in zip(body, ragged)]
+    grid = np.array("\t".join(body).split("\t") if body else [], dtype=object).reshape(-1, ncols)
+    # (mask of bad rows, reason for row i), in the order a line is checked
+    steps = [(ragged, lambda i: f"expected {ncols} columns, got {tabs[i] + 1}")]
+    cols: dict[str, np.ndarray] = {}
+    for col, (name, kind, span) in zip(schema, spans):
+        def bad_cell(i, name=name, j=span):
+            return f"bad {name} {grid[i, j]!r}"
+
+        if kind is str:
+            cols[name] = grid[:, span]
+        else:
+            cols[name], bad = _convert_cells(grid[:, span], kind)
+            if isinstance(col, Block):
+                steps.append((bad.any(axis=1), lambda i, what=col.what: f"bad {what}"))
+            else:
+                steps.append((bad, bad_cell))
+        for check in (c for c in checks if c.column == name):
+            steps.append((np.asarray(check.bad(cols), dtype=bool), partial(_reason, check, cols)))
+        if cols[name].dtype == object and kind is int:  # Python ints: past int64 is bad
+            wide = (cols[name] < -(2**63)) | (cols[name] >= 2**63)
+            steps.append((np.asarray(wide, dtype=bool), bad_cell))
+    faults = np.stack([mask for mask, _ in steps])  # [step, row]
+    if not faults.any():
+        return list(cols.values())
+    i = int(np.argmax(faults.any(axis=0)))
+    raise GraphFormatError(f"{path}:{i + 2}: {steps[np.argmax(faults[:, i])][1](i)}")
+
+
+def _reason(check: Check, cols: dict, i: int) -> str:
+    return check.reason.format(**{name: values[i] for name, values in cols.items()})
+
+
+def _convert_cells(cells: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
+    """The cells as int64 or float64, and an all-False mask of bad cells; if
+    that cast fails, values (0 where bad) and the mask, cell by cell. A failed
+    int column stays Python ints, so its checks see a value past int64."""
     try:
-        if set(map(str.count, body, repeat("\t"))) - {len(names) - 1}:
-            raise ValueError("ragged rows")
-        grid = np.array("\t".join(body).split("\t") if body else [], dtype=object)
-        grid = grid.reshape(len(body), len(names))
-        cols = {n: grid[:, s] if k is str else grid[:, s].astype(_DTYPES[k]) for n, k, s in spans}
-        if not any(np.any(check.bad(cols)) for check in checks):
-            return list(cols.values())
+        return cells.astype(_DTYPES[kind]), np.zeros(cells.shape, dtype=bool)
     except (ValueError, OverflowError):
         pass
-    _raise_first_error(path, body, schema, spans, len(names), checks)
-
-
-def _convert(cells: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
-    """Cell by cell: Python values (0 where bad) and the mask of bad cells."""
     values = np.zeros(cells.shape, dtype=object)
     bad = np.zeros(cells.shape, dtype=bool)
     for idx, tok in np.ndenumerate(cells):
@@ -143,45 +175,7 @@ def _convert(cells: np.ndarray, kind: type) -> tuple[np.ndarray, np.ndarray]:
             values[idx] = kind(tok)
         except ValueError:
             bad[idx] = True
-    return values, bad
-
-
-def _reason(check: Check, cols: dict, i: int) -> str:
-    return check.reason.format(**{name: values[i] for name, values in cols.items()})
-
-
-def _raise_first_error(path, body, schema, spans, ncols, checks) -> NoReturn:
-    rows = [line.split("\t") for line in body]
-    counts = [len(toks) for toks in rows]
-    grid = np.array([t if len(t) == ncols else [""] * ncols for t in rows], dtype=object)
-    # (mask of bad rows, reason for row i), in the order a line is checked
-    steps = [(np.not_equal(counts, ncols), lambda i: f"expected {ncols} columns, got {counts[i]}")]
-    cols: dict[str, np.ndarray] = {}
-    for col, (name, kind, span) in zip(schema, spans):
-        def bad_cell(i, name=name, j=span):
-            return f"bad {name} {grid[i, j]!r}"
-
-        if isinstance(col, Block):
-            values, bad = _convert(grid[:, span], float)
-            cols[name] = values.astype(float)  # checks see float64, as on the fast path
-            steps.append((bad.any(axis=1), lambda i, what=col.what: f"bad {what}"))
-        elif kind is str:
-            cols[name] = grid[:, span]
-        else:
-            cols[name], bad = _convert(grid[:, span], kind)
-            steps.append((bad, bad_cell))
-        for check in checks:
-            if check.column == name:
-                bad = np.asarray(check.bad(cols), dtype=bool)
-                steps.append((bad, partial(_reason, check, cols)))
-        if kind is int:  # a Python int past int64 passes its checks but not the fast path
-            wide = (cols[name] < -(2**63)) | (cols[name] >= 2**63)
-            steps.append((np.asarray(wide, dtype=bool), bad_cell))
-    first = np.full(len(rows), len(steps))
-    for k in reversed(range(len(steps))):
-        first[steps[k][0]] = k
-    i = int(np.argmax(first < len(steps)))
-    raise GraphFormatError(f"{path}:{i + 2}: {steps[first[i]][1](i)}")
+    return (values if kind is int else values.astype(np.float64)), bad
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +339,10 @@ class ModelFile(NamedTuple):
         for name, shape in shapes.items():
             lineno, raw = data[name]
             where = f"{self.path}:{lineno}: tensor {name!r}"
-            values = []
-            for token in raw.split(" ") if raw else ():
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise CheckpointError(f"{where}: bad number {token!r}") from None
-            arr = np.array(values, dtype=np.float64)
+            tokens = np.array(raw.split(" ") if raw else [], dtype=object)
+            arr, bad = _convert_cells(tokens, float)
+            if bad.any():
+                raise CheckpointError(f"{where}: bad number {tokens[np.argmax(bad)]!r}")
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{where} has non-finite values")
             if arr.size != int(np.prod(shape)):

@@ -107,6 +107,9 @@ def _replace(lineno, text):
         (_replace(8, "# config\tlr"), 8, "expected key<TAB>value"),
         (lambda ls: ls[:11] + ["# config\tbogus\t1"] + ls[11:], 12, "unknown key 'bogus'"),
         (lambda ls: ls[:11] + [ls[7]] + ls[11:], 12, "duplicate key 'lr'"),
+        # the echo's d_in sizes the model before the manifest is checked
+        pytest.param(_replace(12, "# config\td_in\t-3"), 12, "d_in must be >= 1", id="d_in=-3"),
+        pytest.param(_replace(12, "# config\td_in\t0"), 12, "d_in must be >= 1", id="d_in=0"),
     ],
 )
 def test_checkpoint_header_fault_names_line_and_reason(tmp_path, corrupt, where, reason):

@@ -17,7 +17,15 @@ from riskprop import hgmae
 from riskprop.autodiff import NumericFault
 from riskprop.checkpoint import save_checkpoint
 from riskprop.experiment import (
-    parse_experiment_config, run_generate, run_pairs, run_pretrain, seed_dir
+    CONDITIONS,
+    parse_experiment_config,
+    run_embed,
+    run_evaluate,
+    run_generate,
+    run_pairs,
+    run_pretrain,
+    run_train,
+    seed_dir,
 )
 from riskprop.graph import GraphFormatError, load_graph
 
@@ -143,6 +151,25 @@ def test_run_pairs_names_the_events_line_of_an_unknown_node(smoke, worlds, tmp_p
     with pytest.raises(GraphFormatError) as err:
         run_pairs(smoke, out, smoke.seeds)
     assert str(err.value) == f"{events}:35: event references unknown node id 999"
+
+
+def test_train_and_evaluate_read_no_graph_file(smoke, worlds, tmp_path):
+    """task_only sizes its zero-width embeddings from the task table, so the
+    last two stages write the same files with nodes.tsv gone."""
+    present = pretrained_copy(smoke, worlds, tmp_path / "present")
+    run_embed(smoke, present, smoke.seeds)
+    run_pairs(smoke, present, smoke.seeds)
+    deleted = tmp_path / "deleted"
+    shutil.copytree(present, deleted)
+    for seed in smoke.seeds:
+        (seed_dir(deleted, seed) / "nodes.tsv").unlink()
+    for out in (present, deleted):
+        run_train(smoke, out, smoke.seeds)
+        run_evaluate(smoke, out, smoke.seeds)
+    classifiers = [f"classifier_{cond}.tsv" for cond in CONDITIONS]
+    written = [Path("results.tsv")] + [seed_dir("", s) / c for s in smoke.seeds for c in classifiers]
+    for rel in written:
+        assert (deleted / rel).read_bytes() == (present / rel).read_bytes(), rel
 
 
 def test_import_riskprop_leaves_the_pool_modules_unimported():

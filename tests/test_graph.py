@@ -242,7 +242,7 @@ _GRAPH_FAULTS = [
     # within a line, the id is checked before the features
     ("nodes.tsv", lambda ls: _set_line(ls, 4, "7\t0\tabc\t0"), "4: node ids must be dense; got 7"),
     ("edges.tsv", lambda ls: ["type\tsrc\tdst"] + ls[1:], "1: bad header 'type\\tsrc\\tdst'"),
-    ("edges.tsv", lambda ls: [], "1: bad header ''"),
+    ("edges.tsv", lambda ls: [], "1: empty file"),
     ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\t1"), "3: expected 3 columns, got 2"),
     ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\tx\t2"), "3: bad src 'x'"),
     ("edges.tsv", lambda ls: _set_line(ls, 3, "rel-0\t1\t2.0"), "3: bad dst '2.0'"),

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from riskprop.checkpoint import load_checkpoint, save_checkpoint
+from riskprop.classify import ClassifierModel, load_classifier, save_classifier
 from riskprop.experiment import parse_experiment_config, run_all, run_conditions
 from riskprop.graph import (
     DefaultEvent,
@@ -15,7 +18,7 @@ from riskprop.graph import (
     save_graph,
     sorted_unique,
 )
-from riskprop.hgmae import load_embeddings, save_embeddings
+from riskprop.hgmae import TrainConfig, load_embeddings, save_embeddings
 from riskprop.pairs import PairDatasetSplit, PropagationPair, load_pairs, save_pairs
 from riskprop.synthetic import load_task_features, save_task_features
 from riskprop.table import (
@@ -32,7 +35,7 @@ from riskprop.table import (
     write_table,
 )
 
-from conftest import make_graph
+from conftest import fresh_params, make_graph
 from oracles import pairs_from_rows
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +199,123 @@ def test_loader_fault_is_graph_format_error_naming_line(tmp_path, table, lineno,
     with pytest.raises(GraphFormatError) as err:
         load()
     assert str(err.value) == f"{path}:{lineno}: {reason}"
+
+
+def _write_model_files(tmp_path):
+    """A small checkpoint and classifier file; returns name -> (path, loader)."""
+    cfg = TrainConfig(d_emb=4, hidden_heads=1, hidden_head_dim=3)
+    params = fresh_params(make_graph(3, {0: [(0, 1)]}, d_in=2), cfg)
+    ckpt, clf = tmp_path / "checkpoint.tsv", tmp_path / "classifier.tsv"
+    save_checkpoint(params, cfg, ckpt)
+    save_classifier(ClassifierModel(np.array([0.5, -1.0]), 0.25, np.zeros(2), np.ones(2)), clf)
+    return {
+        "checkpoint": (ckpt, lambda: load_checkpoint(ckpt)),
+        "classifier": (clf, lambda: load_classifier(clf)),
+    }
+
+
+EDIT_KINDS = ("cell", "delete", "duplicate", "swap", "truncate", "lose-tab", "extra-tab", "digit")
+CELL_TOKENS = ("x", "", "-1", "0", "2.5", "nan", "1e999")
+
+
+def edit_text(text: str, kind: str, rng: np.random.Generator) -> str:
+    """`text` with one seeded edit of `kind`: a cell (or one space-separated
+    value in it) replaced by a token, a line deleted, duplicated or swapped
+    with another, the text cut short, a tab lost or added, or one digit changed."""
+    if kind == "truncate":
+        return text[: rng.integers(len(text))]
+    lines = text.splitlines()
+    i = int(rng.integers(len(lines)))
+    line = lines[i]
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, line)
+    elif kind == "swap":
+        j = int(rng.integers(len(lines)))
+        lines[i], lines[j] = lines[j], line
+    elif kind == "cell":
+        cells = line.split("\t")
+        j = int(rng.integers(len(cells)))
+        values = cells[j].split(" ")
+        values[rng.integers(len(values))] = str(rng.choice(CELL_TOKENS))
+        cells[j] = " ".join(values)
+        lines[i] = "\t".join(cells)
+    elif kind == "extra-tab":
+        k = int(rng.integers(len(line) + 1))
+        lines[i] = line[:k] + "\t" + line[k:]
+    else:  # lose-tab or digit: one tab dropped or one digit redrawn, if the line has one
+        chars = "\t" if kind == "lose-tab" else "0123456789"
+        spots = [k for k, c in enumerate(line) if c in chars]
+        if spots:
+            k = int(rng.choice(spots))
+            new = "" if kind == "lose-tab" else str(rng.integers(10))
+            lines[i] = line[:k] + new + line[k + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+def with_fresh_checksum(text: str) -> str:
+    """A model file rewritten with the checksum of its (edited) data lines."""
+    lines = text.splitlines()
+    data = "\n".join(line for line in lines[1:] if not line.startswith("#"))
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    fresh = [f"# checksum\t{digest}" if line.startswith("# checksum\t") else line for line in lines]
+    return "\n".join(fresh) + "\n"
+
+
+def sweep_outcomes(artifacts: dict, edits_per_artifact: int = 150, seed: int = 0) -> list[tuple]:
+    """(artifact, edit, outcome) for seeded single edits of each artifact
+    (name -> (path, loader)), plus each model file's config echo value set
+    to each cell token. The outcome is "loads" or the exception's type and
+    message; a warning counts as an exception."""
+    rng = np.random.default_rng(seed)
+    edits = []
+    for name, (path, _) in artifacts.items():
+        text = path.read_text()
+        for n in range(edits_per_artifact):
+            kind = EDIT_KINDS[n % len(EDIT_KINDS)]
+            edited = edit_text(text, kind, rng)
+            if name in ("checkpoint", "classifier") and rng.integers(2):
+                edited, kind = with_fresh_checksum(edited), kind + "+checksum"
+            edits.append((name, f"{kind}-{n}", edited))
+        for line in (line for line in text.splitlines() if line.startswith("# config\t")):
+            key = line.split("\t")[1]
+            edits += [
+                (name, f"echo-{key}={token!r}", text.replace(line, f"# config\t{key}\t{token}"))
+                for token in CELL_TOKENS
+            ]
+    outcomes = []
+    for name, edit, edited in edits:
+        path, load = artifacts[name]
+        original = path.read_text()
+        path.write_text(edited)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                load()
+            outcome = "loads"
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        path.write_text(original)
+        outcomes.append((name, edit, outcome))
+    return outcomes
+
+
+def test_every_single_edit_loads_or_names_its_file(tmp_path):
+    """No edit of an artifact escapes as a bare exception or a warning: each
+    either loads or fails with the codec's error naming one of the files the
+    loader reads, nodes.tsv and edges.tsv for the graph."""
+    artifacts = _write_artifacts(tmp_path) | _write_model_files(tmp_path)
+    graph_files = (str(artifacts["nodes"][0]), str(artifacts["edges"][0]))
+    outcomes = sweep_outcomes(artifacts)
+    # the checkpoint echo: TrainConfig's 10 keys and d_in; the classifier's: d
+    assert len(outcomes) == 8 * 150 + (11 + 1) * len(CELL_TOKENS)
+    for name, edit, outcome in outcomes:
+        inputs = graph_files if name in ("nodes", "edges") else (str(artifacts[name][0]),)
+        error = outcome.partition(": ")
+        assert outcome == "loads" or (
+            error[0] in ("GraphFormatError", "CheckpointError") and error[2].startswith(inputs)
+        ), (name, edit, outcome)
 
 
 def test_load_events_without_a_node_count_accepts_any_nonnegative_id(tmp_path):
