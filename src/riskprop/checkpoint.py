@@ -1,6 +1,8 @@
 """Model parameter checkpoints, as table.py model files: the echo holds every
 TrainConfig field and the input width d_in, and the arrays are named_arrays()
-of the architecture init_params builds from them.
+of the architecture init_params builds from them. The echo sizes every
+array, so the loader checks those sizes against the manifest before it
+allocates any of them.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hgmae import ModelParams, TrainConfig, init_params
+from .hgmae import ModelParams, TrainConfig, init_params, param_shapes
 from .table import CheckpointError, build_record, read_model_file, record_fields, write_model_file
 
 FORMAT_TAG = "riskprop-checkpoint v1"
@@ -32,8 +34,16 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, TrainConfig]:
     lineno, d_in = f.echo["d_in"]
     if d_in < 1:
         raise CheckpointError(f"{path}:{lineno}: d_in must be >= 1")
+    lineno, heads = f.echo["hidden_heads"]
+    # each head has two tensors: more heads than tensors cannot match, and
+    # listing their names would cost as much as the sizes it guards against
+    if heads > len(f.manifest):
+        raise CheckpointError(
+            f"{path}:{lineno}: hidden_heads {heads} is more than the "
+            f"{len(f.manifest)} tensors of the manifest"
+        )
+    arrays = f.arrays(param_shapes(d_in, cfg))
     params = init_params(d_in, cfg, np.random.default_rng(0))
-    targets = params.named_arrays()
-    for name, arr in f.arrays({name: t.shape for name, t in targets.items()}).items():
-        targets[name][...] = arr
+    for name, target in params.named_arrays().items():
+        target[...] = arrays[name]
     return params, cfg

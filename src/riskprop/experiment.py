@@ -14,9 +14,10 @@ that run's artifacts, plus results.tsv (per-seed rows, then mean/std rows
 per condition) and summary.txt at the top level.
 
 The pretrain stage runs its (seed, variant) runs in forked worker
-processes, at most one per usable CPU. Each run seeds its own rng from
+processes, at most one per usable CPU, and each worker gets its share of
+the CPUs as threads for one run's terms. Each run seeds its own rng from
 (config, seed) and writes its own files, so the bytes do not depend on the
-worker count, and every worker has exited when the stage returns.
+worker or thread count, and every worker has exited when the stage returns.
 """
 
 from __future__ import annotations
@@ -161,10 +162,10 @@ def run_generate(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
         synthetic.save_gen_config(gen_cfg, sdir / "gen.config")
 
 
-def _pretrain_one(sdir: Path, variant: str, cfg: TrainConfig) -> None:
-    """One pre-training run on the world in sdir, writing the variant's
-    checkpoint and log."""
-    params, history = hgmae.pretrain(graph.load_graph(sdir), cfg)
+def _pretrain_one(sdir: Path, variant: str, cfg: TrainConfig, threads: int) -> None:
+    """One pre-training run on the world in sdir, on at most `threads`
+    threads, writing the variant's checkpoint and log."""
+    params, history = hgmae.pretrain(graph.load_graph(sdir), cfg, threads)
     save_checkpoint(params, cfg, sdir / f"checkpoint_{variant}.tsv")
     hgmae.save_pretrain_log(history, sdir / f"pretrain_log_{variant}.tsv")
 
@@ -173,7 +174,8 @@ def run_pretrain(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
     """Pre-train the subgraph-aware model and the eta=0 ablation on each world.
 
     Each (seed, variant) run is one task in a pool of forked workers, one
-    per usable CPU at most; the longer hgmae runs are queued first. On the
+    per usable CPU at most; the longer hgmae runs are queued first. A worker
+    runs its terms on at most its share of the CPUs (hgmae.pretrain). On the
     first failed task the queued ones are cancelled and its exception is
     re-raised here, after the pool has joined every worker.
     """
@@ -187,11 +189,13 @@ def run_pretrain(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
         for variant, eta in (("hgmae", exp.pretrain.eta), ("eta0", 0.0))
         for seed in seeds
     ]
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(len(tasks), cpus)
+    threads = max(1, cpus // workers)
     # fork, not spawn: a spawn pool starts a resource-tracker process that
     # stays alive after the pool has shut down
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_pretrain_one, *task) for task in tasks]
+        futures = [pool.submit(_pretrain_one, *task, threads) for task in tasks]
         try:
             for future in as_completed(futures):
                 future.result()

@@ -18,8 +18,15 @@ builds a [pairs, d] array. The work that does not depend on slot order runs
 once per block of consecutive slots, at most max(2**14, n*d) floats: one
 row gather, one multiply by the pair weights and, in the backward, one row
 sum for the per-pair dots. Only the add into the prefix runs per slot.
-Blocks live only inside one call, so a head's backward closure holds
-O(n*d + pairs) floats.
+Blocks live only inside one call.
+
+A head's backward closure holds its input x, its weights and two
+n-vectors: each receiver's max score and its softmax denominator. A head
+with at least RECOMPUTE_MIN_PAIRS message pairs recomputes z = x @ W.T,
+the scores and the attention weights from them in its backward, with the
+forward's own operations, so none of its per-pair arrays outlives a call;
+a smaller head keeps them. A layer's closure adds only the ELU layer's
+output and the mask of its positive entries.
 
 The layout does not change any float sum. numpy's bincount starts every bin
 at +0.0 and adds its entries in input order; a receiver's entries in slot
@@ -180,6 +187,15 @@ def build_message_pairs(edges: np.ndarray, num_nodes: int) -> MessagePairs:
     )
 
 
+# A head with at least this many message pairs recomputes its per-pair
+# arrays in its backward instead of keeping them. Those arrays are what
+# two reconstruction terms in flight must not both hold on a large graph
+# (hgmae.THREADED_MIN_PAIRS). On a small one recomputing is pure cost: with
+# n = 200 terms (3,736 pairs at most) it made run_pretrain on the default
+# config 7-19% slower than keeping them, in medians of 12 alternating runs
+# on a 2-core VM.
+RECOMPUTE_MIN_PAIRS = 10_000
+
 # A gathered block holds at most max(_BLOCK_FLOATS, n * d) floats: enough
 # slots per gather to amortise numpy's per-call overhead, few enough to keep
 # the transient small. A block never splits a slot.
@@ -249,46 +265,78 @@ def _receiver_max(pairs: MessagePairs, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scores(
+    x: np.ndarray, w: np.ndarray, a_recv: np.ndarray, a_send: np.ndarray, pairs: MessagePairs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, e, positive): the projection z = x @ w.T and, per slot entry, the
+    LeakyReLU score e of z[recv] . a_recv + z[nbr] . a_send and whether its
+    argument was positive."""
+    z = x @ w.T
+    s = (z @ a_recv)[pairs.recv] + (z @ a_send)[pairs.nbr]
+    positive = s > 0
+    return z, np.where(positive, s, LEAKY_SLOPE * s), positive
+
+
 def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
     """One attention head: (output [n, d_head], alpha per slot entry,
     backward).
 
     backward(g) takes the gradient of the output and returns the gradients
-    of x, w and a. alpha grouped by receiver sums to 1. Per-pair arrays are
-    1-D; every d-wide step runs on [n, d] arrays and transient blocks of
-    slots, so the closure holds O(n*d + pairs) floats.
+    of x, w and a. alpha grouped by receiver sums to 1. The closure keeps x,
+    w, a and two n-vectors, each receiver's max score and its softmax
+    denominator. Below RECOMPUTE_MIN_PAIRS it also keeps z, the scores'
+    signs, exp and alpha; at or above it, the backward recomputes them bit
+    for bit.
     """
-    recv, nbr, n = pairs.recv, pairs.nbr, pairs.num_nodes
+    recv, n = pairs.recv, pairs.num_nodes
     d = w.shape[0]
     a_recv, a_send = a[:d].copy(), a[d:].copy()
-    z = x @ w.T
-    s = (z @ a_recv)[recv] + (z @ a_send)[nbr]
-    positive = s > 0
-    e = np.where(positive, s, LEAKY_SLOPE * s)
+    z, e, positive = _scores(x, w, a_recv, a_send, pairs)
     # max subtraction: the per-neighborhood shift is constant w.r.t. the grad
-    ez = np.exp(e + (-_receiver_max(pairs, e))[recv])
+    shift = -_receiver_max(pairs, e)
+    e += shift[recv]
+    ez = np.exp(e, out=e)
     denom = np.bincount(recv, weights=ez, minlength=n)
     alpha = ez / denom[recv]
     out, _ = _jagged_matmul(pairs, alpha, z)
     NumericFault.check(out, "gat_head")
+    kept = (z, positive, ez, alpha) if recv.size < RECOMPUTE_MIN_PAIRS else None
 
     def backward(g):
+        if kept is None:
+            z, e, positive = _scores(x, w, a_recv, a_send, pairs)
+            e += shift[recv]
+            ez = np.exp(e, out=e)
+            alpha = ez / denom[recv]
+        else:
+            z, positive, ez, alpha = kept
+        d_pairs = denom[recv]
         # one pass over g[nbr] gives the transposed aggregation and, at each
         # entry's mirror, the row dot g[recv] . z[nbr] with its factors in
         # the same order
         g_agg, mirrored_dots = _jagged_matmul(pairs, alpha[pairs.mirror], g, dot_with=z)
         g_alpha = mirrored_dots[pairs.mirror]
-        d_pairs = denom[recv]
-        g_denom = np.bincount(recv, weights=-g_alpha * alpha / d_pairs, minlength=n)
-        g_e = (g_alpha / d_pairs + g_denom[recv]) * ez * np.where(positive, 1.0, LEAKY_SLOPE)
+        del mirrored_dots
+        # in place, each step is the same rounded operation on the same operands
+        weights = np.negative(g_alpha)
+        weights *= alpha
+        weights /= d_pairs
+        g_denom = np.bincount(recv, weights=weights, minlength=n)
+        del weights, alpha
+        g_e = np.divide(g_alpha, d_pairs, out=g_alpha)
+        g_e += g_denom[recv]
+        g_e *= ez
+        np.multiply(g_e, LEAKY_SLOPE, out=g_e, where=~positive)
+        del ez, d_pairs, positive
         g_recv = np.bincount(recv, weights=g_e, minlength=n)
         # sender-keyed: bin s reads its entries' mirrors, i.e. the pairs (r, s)
         g_send = np.bincount(recv, weights=g_e[pairs.mirror], minlength=n)
-        g_z = (
-            g_recv[:, None] * a_recv[None, :]
-            + g_send[:, None] * a_send[None, :]
-            + g_agg
-        )
+        del g_e
+        # (receiver-score term + sender-score term) + aggregation term; an
+        # IEEE sum does not depend on the order of its two operands
+        g_z = g_recv[:, None] * a_recv[None, :]
+        g_z += g_send[:, None] * a_send[None, :]
+        g_z = np.add(g_agg, g_z, out=g_agg)
         return g_z @ w, (x.T @ g_z).T, np.concatenate([z.T @ g_recv, z.T @ g_send])
 
     return out, alpha, backward
@@ -298,26 +346,40 @@ def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs
     """One attention layer on features x [n, d_in]: (output, backward).
 
     backward(g) takes the gradient of the output and returns (gradient of x,
-    [W gradient, a gradient] of each head in order, flattened).
+    [W gradient, a gradient] of each head in order, flattened). The closure
+    keeps the heads' closures and, for an ELU layer, the output and the mask
+    of its positive entries.
     """
     n = x.shape[0]
     if pairs.num_nodes != n:
         raise ValueError(f"message pairs cover {pairs.num_nodes} nodes, features have {n}")
-    heads = [gat_head(x, w, a, pairs) for w, a in zip(params.weights, params.attn)]
-    merged = heads[0][0] if len(heads) == 1 else np.concatenate([o for o, _, _ in heads], axis=1)
-    elu = params.activation == "elu"
-    out = merged
-    if elu:
-        out = NumericFault.check(np.where(merged > 0, merged, np.expm1(merged)), "elu")
+    outs, head_backwards = [], []
+    for w, a in zip(params.weights, params.attn):
+        head_out, _, head_backward = gat_head(x, w, a, pairs)
+        outs.append(head_out)
+        head_backwards.append(head_backward)
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+    width = out.shape[1] // len(outs)
+    del outs
+    positive = None
+    if params.activation == "elu":
+        # in place: the positive entries keep their value, the rest take expm1
+        positive = out > 0
+        np.copyto(out, np.expm1(out), where=~positive)
+        NumericFault.check(out, "elu")
 
     def backward(g):
-        if elu:
-            g = g * np.where(merged > 0, 1.0, out + 1.0)
-        width = merged.shape[1] // len(heads)
         g_x, grads = None, []
-        for h, (_, _, head_backward) in enumerate(heads):
+        for h, head_backward in enumerate(head_backwards):
+            cols = slice(h * width, (h + 1) * width)
             # the head gathers rows of its slice, faster from a contiguous copy
-            g_head = np.ascontiguousarray(g[:, h * width : (h + 1) * width])
+            if positive is None:
+                g_head = np.ascontiguousarray(g[:, cols])
+            else:
+                # times the ELU derivative: 1 at positive entries, out + 1 elsewhere
+                g_head = out[:, cols] + 1.0
+                np.copyto(g_head, 1.0, where=positive[:, cols])
+                np.multiply(g[:, cols], g_head, out=g_head)
             g_x_head, g_w, g_a = head_backward(g_head)
             grads += [g_w, g_a]
             if g_x is None:

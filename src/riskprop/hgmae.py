@@ -18,11 +18,22 @@ Each term computes its forward pass and then its gradient by hand: the
 encoder stack and remask_and_decode return their outputs with backward
 closures (the heads' closures from gat.py, chained), sce_loss returns the
 loss with its own, and the mask token's gradient sums the gradients of the
-rows it fills. A term runs its backward before the next term starts, so only
-one term's arrays are alive at a time. hgmae_loss adds the terms' gradients
-in term order, full graph first, then the subgraphs by ascending type id,
-which makes them bit-identical to the same model composed from generic
-autodiff ops (tests/tape.py).
+rows it fills. A term runs its backward as soon as its forward pass ends,
+and drops each closure once it has run. A head's closure keeps its input,
+its weights and two n-vectors; on a large graph it recomputes its per-pair
+arrays in the backward (gat.RECOMPUTE_MIN_PAIRS), so a term holds O(n*d)
+floats between its passes.
+
+On a small graph the terms run one at a time. When the full graph has at
+least THREADED_MIN_PAIRS message pairs, pretrain runs two at a time, on
+the calling thread and one pool thread, if it may use two threads: by
+default it may use every usable CPU, and run_pretrain gives each worker
+process its share. Two terms in flight take less memory than one took
+before the heads recomputed their arrays. Either way hgmae_loss adds the
+terms' gradients on the calling thread in term order, full graph first,
+then the subgraphs by ascending type id, which makes them bit-identical to
+the same model composed from generic autodiff ops (tests/tape.py) and
+independent of the thread count.
 
 Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
@@ -39,9 +50,12 @@ terms read only those terms.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,6 +70,9 @@ from .gat import (
 from .graph import HeteroGraph, sorted_unique
 from .optim import AdamState, adam_step
 from .table import Block, Check, read_table, write_table
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 class MaskingError(ValueError):
@@ -197,6 +214,25 @@ def init_params(d_in: int, cfg: TrainConfig, rng: np.random.Generator) -> ModelP
     )
 
 
+def param_shapes(d_in: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """The names and shapes of init_params(d_in, cfg).named_arrays(), in
+    the same order, worked out without allocating an array."""
+    hidden = cfg.hidden_heads * cfg.hidden_head_dim
+    layers = (
+        ("encoder.0", cfg.hidden_heads, cfg.hidden_head_dim, d_in),
+        ("encoder.1", 1, cfg.d_emb, hidden),
+        ("decoder.0", 1, d_in, cfg.d_emb),
+    )
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix, heads, d_out, fan_in in layers:
+        for h in range(heads):
+            shapes[f"{prefix}.head{h}.W"] = (d_out, fan_in)
+            shapes[f"{prefix}.head{h}.a"] = (2 * d_out,)
+    shapes["mask_token"] = (d_in,)
+    shapes["remask_token"] = (cfg.d_emb,)
+    return shapes
+
+
 def apply_mask(x: np.ndarray, plan: MaskPlan, params: ModelParams) -> np.ndarray:
     """Corrupt feature rows per the plan; unmasked rows are copied bit-for-bit."""
     if x.shape[0] != plan.num_nodes:
@@ -253,9 +289,11 @@ def remask_and_decode(
 # Rows whose original or reconstructed vector has exactly zero norm take the
 # maximum penalty instead of poisoning the loss with NaN; this counts them.
 # Expected transiently at the start of training while the tokens sit at zero.
-# It counts only this process's pre-training: experiment.run_pretrain trains
-# in worker processes, so afterwards the caller's count has not moved. A
-# per-run count in pretrain_log_<variant>.tsv is to replace it (ROADMAP).
+# Only the calling thread adds to it: a step's terms return their counts,
+# which hgmae_loss adds in term order. It counts only this process's
+# pre-training: experiment.run_pretrain trains in worker processes, so
+# afterwards the caller's count has not moved. A per-run count in
+# pretrain_log_<variant>.tsv is to replace it (ROADMAP).
 _zero_norm_rows_seen = 0
 
 
@@ -263,12 +301,24 @@ def zero_norm_row_count() -> int:
     return _zero_norm_rows_seen
 
 
+def _count_zero_norm_rows(count: int) -> None:
+    global _zero_norm_rows_seen
+    _zero_norm_rows_seen += count
+
+
 def sce_loss(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float = 1.0):
     """Scaled cosine error (1 - cos(x_i, z_i))**gamma averaged over masked
     rows: (loss, backward). backward(upstream) returns the gradient of
     upstream * loss with respect to z. When every masked row has zero norm
     the loss is the constant 1 and backward is None."""
-    global _zero_norm_rows_seen
+    loss, backward, zero_rows = _sce(x, z, masked_ids, gamma)
+    _count_zero_norm_rows(zero_rows)
+    return loss, backward
+
+
+def _sce(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float):
+    """sce_loss's (loss, backward) and the number of zero-norm rows, which
+    it leaves uncounted."""
     masked_ids = np.asarray(masked_ids, dtype=np.int64)
     m = masked_ids.size
     if m == 0:
@@ -278,10 +328,8 @@ def sce_loss(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float 
     z_norm = np.linalg.norm(z[masked_ids], axis=1)
     good = (x_norm > 0.0) & (z_norm > 0.0)
     n_bad = int(m - good.sum())
-    if n_bad:
-        _zero_norm_rows_seen += n_bad
     if not good.any():
-        return 1.0, None
+        return 1.0, None, n_bad
 
     rows = masked_ids[good]
     zg, xg, xn = z[rows], x_rows[good], x_norm[good]
@@ -293,6 +341,7 @@ def sce_loss(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float 
     terms = slack if gamma == 1.0 else slack**gamma
     # mean over all masked rows; zero-norm rows contribute the constant 1
     loss = float(NumericFault.check(1.0 / m * terms.sum() + n_bad / m, "sce"))
+    shape = z.shape
 
     def backward(upstream):
         g_slack = 1.0 / m * upstream
@@ -310,11 +359,11 @@ def sce_loss(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float 
         g_zg += norm_path
         # added into zeros, not assigned: a -0.0 turns into +0.0 as in a
         # bincount scatter
-        g_z = np.zeros_like(z)
+        g_z = np.zeros(shape)
         g_z[rows] += g_zg
         return g_z
 
-    return loss, backward
+    return loss, backward, n_bad
 
 
 def make_step_plans(
@@ -345,47 +394,66 @@ def _reconstruction_term(
     params: ModelParams,
     cfg: TrainConfig,
     upstream: float,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, dict[str, np.ndarray], int]:
     """One masked reconstruction term, forward and then backward: (loss, the
-    gradient of upstream * loss per parameter name). A parameter the term
-    does not reach has no entry: the mask token when no row gets it, and
-    every parameter when the loss is the constant 1."""
+    gradient of upstream * loss per parameter name, the number of zero-norm
+    rows). A parameter the term does not reach has no entry: the mask token
+    when no row gets it, and every parameter when the loss is the constant 1.
+    Each backward closure is dropped once it has run, which frees the
+    forward state it kept."""
     x, pairs = term.features, term.pairs
     corrupted = apply_mask(x, plan, params)
     latent, encoder_backward = gat_stack_forward(params.encoder, corrupted, pairs)
     recon, decoder_backward = remask_and_decode(latent, plan, params, pairs)
-    loss, sce_backward = sce_loss(x, recon, plan.masked_ids, cfg.gamma)
+    del latent
+    loss, sce_backward, zero_rows = _sce(x, recon, plan.masked_ids, cfg.gamma)
+    del recon
     if sce_backward is None:
-        return loss, {}
+        return loss, {}, zero_rows
     g_latent, g_remask_token, decoder_grads = decoder_backward(sce_backward(upstream))
+    del decoder_backward, sce_backward
     g_corrupted, encoder_grads = encoder_backward(g_latent)
     # the head gradients come in named_arrays order, which lists the tokens last
     grads = dict(zip(params.named_arrays(), encoder_grads + decoder_grads))
     if plan.token_ids.size:
         grads["mask_token"] = g_corrupted[plan.token_ids].sum(axis=0)
     grads["remask_token"] = g_remask_token
-    return loss, grads
+    return loss, grads, zero_rows
 
 
 def hgmae_loss(
-    terms: list[Term], params: ModelParams, cfg: TrainConfig, plans: list[MaskPlan]
+    terms: list[Term],
+    params: ModelParams,
+    cfg: TrainConfig,
+    plans: list[MaskPlan],
+    pool: Executor | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Combined reconstruction loss for given (replayable) mask plans, and
     its gradient per parameter name.
 
-    Each plan runs the term at its position, one term at a time in order:
-    the full graph's with upstream gradient 1, then the K_eff single-type
-    terms with eta / K_eff. The first term to reach a parameter gives a copy
-    of its gradient, and later terms add theirs in place; a parameter no
-    term reaches gets zeros.
+    Each plan runs the term at its position: the full graph's with upstream
+    gradient 1, then the K_eff single-type terms with eta / K_eff. Without a
+    pool the terms run one at a time in order; with one, _run_terms runs
+    them two at a time. Either way the calling thread combines the results
+    in term order: the first term to reach a parameter gives a copy of its
+    gradient, and later terms add theirs in place; a parameter no term
+    reaches gets zeros. The zero-norm row counts are added the same way.
     """
     if cfg.eta != 0.0 and len(terms) == 1:
         warnings.warn("no nonempty edge types; training on the full graph only")
+    runs = [
+        (term, plan, params, cfg, cfg.eta / (len(plans) - 1) if i else 1.0)
+        for i, (term, plan) in enumerate(zip(terms, plans))
+    ]
+    if pool is None:
+        results = [_reconstruction_term(*run) for run in runs]
+    else:
+        results = _run_terms(runs, pool)
     grads: dict[str, np.ndarray] = {}
     losses: dict[int | None, float] = {}
-    for i, (term, plan) in enumerate(zip(terms, plans)):
-        upstream = cfg.eta / (len(plans) - 1) if i else 1.0
-        losses[term.edge_type], term_grads = _reconstruction_term(term, plan, params, cfg, upstream)
+    for (term, *_), (loss, term_grads, zero_rows) in zip(runs, results):
+        losses[term.edge_type] = loss
+        _count_zero_norm_rows(zero_rows)
         for name, g in term_grads.items():
             if name in grads:
                 grads[name] += g
@@ -400,11 +468,49 @@ def hgmae_loss(
     return LossParts(total=total, full=full, subs=losses), grads
 
 
+def _run_terms(runs: list[tuple], pool: Executor) -> list[tuple]:
+    """_reconstruction_term of every run, in run order, with the pool's one
+    thread and the calling thread each running one term at a time.
+
+    The pool queues the runs largest first, by message pairs. The calling
+    thread runs the largest, the full graph's, itself, and then takes back
+    the runs the pool has not started, from the back of its queue. Every
+    term finishes before any result is read, and a NumericFault is raised as
+    the serial loop would raise it: the first failing run's, in run order.
+    """
+    from concurrent.futures import wait
+
+    first, *queued = sorted(range(len(runs)), key=lambda i: -runs[i][0].pairs.nbr.shape[0])
+    futures = {i: pool.submit(_reconstruction_term, *runs[i]) for i in queued}
+    here: dict[int, tuple | NumericFault] = {}
+    try:
+        for i in [first, *reversed(queued)]:
+            if i != first and not futures[i].cancel():
+                break  # the pool has started it, and every run queued before it
+            try:
+                here[i] = _reconstruction_term(*runs[i])
+            except NumericFault as fault:
+                here[i] = fault
+    finally:
+        wait(futures.values())
+    results = []
+    for i in range(len(runs)):
+        outcome = here[i] if i in here else futures[i].result()
+        if isinstance(outcome, NumericFault):
+            raise outcome
+        results.append(outcome)
+    return results
+
+
 def hgmae_step(
-    terms: list[Term], params: ModelParams, cfg: TrainConfig, rng: np.random.Generator
+    terms: list[Term],
+    params: ModelParams,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    pool: Executor | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Sample fresh masks, then evaluate the combined loss and its gradient."""
-    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng))
+    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng), pool)
 
 
 @dataclass
@@ -415,21 +521,63 @@ class EpochStats:
     loss_sub_mean: float
 
 
-def pretrain(g: HeteroGraph, cfg: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
-    """Adam over hgmae_step for cfg.epochs; loss is recorded before each update."""
+# A step's terms run two at a time when the full graph has at least this
+# many message pairs, and one at a time below it. Measured on a 2-core VM
+# with one BLAS thread, eta = 1, against one at a time: 0.83-0.94x at
+# n = 200 (3,736 pairs), 1.2-1.5x at 1k (19,368 pairs) and 1.6-2.2x at 4k
+# (78,684 pairs).
+THREADED_MIN_PAIRS = 10_000
+# at most this many terms in flight: two terms' working sets together stay
+# within the peak one term had before its backward recomputed its forward
+# arrays, and on the benchmark's 2-core VM a third thread has no core
+MAX_TERMS_IN_FLIGHT = 2
+
+
+def pretrain(
+    g: HeteroGraph, cfg: TrainConfig, threads: int | None = None
+) -> tuple[ModelParams, list[EpochStats]]:
+    """Adam over hgmae_step for cfg.epochs; loss is recorded before each update.
+
+    threads caps the terms in flight, MAX_TERMS_IN_FLIGHT at most; the
+    default is the number of usable CPUs. A graph whose full term has fewer
+    than THREADED_MIN_PAIRS message pairs runs its terms one at a time. The
+    bits do not depend on either: every gradient is added in term order on
+    the calling thread.
+    """
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(g.d_in, cfg, rng)
     state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
     terms = plan_graph(g)
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
+    terms_per_step = len(terms) if cfg.eta != 0.0 else 1
+    in_flight = min(threads, MAX_TERMS_IN_FLIGHT, terms_per_step)
+    if terms[0].pairs.nbr.shape[0] < THREADED_MIN_PAIRS:
+        in_flight = 1
     history: list[EpochStats] = []
-    for epoch in range(1, cfg.epochs + 1):
-        try:
-            parts, grads = hgmae_step(terms, params, cfg, rng)
-        except NumericFault as fault:
-            raise NumericFault(f"epoch {epoch}: {fault}") from fault
-        adam_step(state, params.named_arrays(), grads)
-        history.append(EpochStats(epoch, parts.total, parts.full, parts.sub_mean))
+    # the pool lives inside this call only: a pool kept at module level would
+    # be inherited without its threads by run_pretrain's forked workers, whose
+    # first step would wait on it forever
+    with _term_pool(in_flight - 1) as pool:
+        for epoch in range(1, cfg.epochs + 1):
+            try:
+                parts, grads = hgmae_step(terms, params, cfg, rng, pool)
+            except NumericFault as fault:
+                raise NumericFault(f"epoch {epoch}: {fault}") from fault
+            adam_step(state, params.named_arrays(), grads)
+            history.append(EpochStats(epoch, parts.total, parts.full, parts.sub_mean))
     return params, history
+
+
+def _term_pool(workers: int):
+    """A thread pool of `workers` threads that joins them on exit, or with
+    none a context that yields None. The import waits for the first pool,
+    so that `import riskprop` does not load concurrent.futures."""
+    if workers < 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="hgmae-term")
 
 
 def infer_embeddings(g: HeteroGraph, params: ModelParams) -> np.ndarray:

@@ -1,9 +1,10 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from riskprop.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from riskprop.hgmae import TrainConfig
+from riskprop.hgmae import TrainConfig, init_params, param_shapes
 
 from conftest import fresh_params, make_graph
 
@@ -107,9 +108,35 @@ def _replace(lineno, text):
         (_replace(8, "# config\tlr"), 8, "expected key<TAB>value"),
         (lambda ls: ls[:11] + ["# config\tbogus\t1"] + ls[11:], 12, "unknown key 'bogus'"),
         (lambda ls: ls[:11] + [ls[7]] + ls[11:], 12, "duplicate key 'lr'"),
-        # the echo's d_in sizes the model before the manifest is checked
+        # the echo sizes the model: a size the manifest does not list fails
+        # before anything of that size is allocated
         pytest.param(_replace(12, "# config\td_in\t-3"), 12, "d_in must be >= 1", id="d_in=-3"),
         pytest.param(_replace(12, "# config\td_in\t0"), 12, "d_in must be >= 1", id="d_in=0"),
+        pytest.param(
+            _replace(12, "# config\td_in\t9999999999"),
+            13,
+            "tensor 'encoder.0.head0.W' has shape (3, 5), config implies (3, 9999999999)",
+            id="huge-d_in",
+        ),
+        pytest.param(
+            _replace(12, "# config\td_in\t99999999999999999999999"),
+            13,
+            "tensor 'encoder.0.head0.W' has shape (3, 5), "
+            "config implies (3, 99999999999999999999999)",
+            id="d_in-past-int64",
+        ),
+        pytest.param(
+            _replace(6, "# config\td_emb\t99999999999"),
+            15,
+            "tensor 'encoder.1.head0.W' has shape (4, 3), config implies (99999999999, 3)",
+            id="huge-d_emb",
+        ),
+        pytest.param(
+            _replace(9, "# config\thidden_heads\t99999999999999999999999"),
+            9,
+            "hidden_heads 99999999999999999999999 is more than the 8 tensors of the manifest",
+            id="huge-hidden_heads",
+        ),
     ],
 )
 def test_checkpoint_header_fault_names_line_and_reason(tmp_path, corrupt, where, reason):
@@ -132,3 +159,10 @@ def test_checkpoint_invalid_config_echo_names_file(tmp_path):
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"{path}: invalid TrainConfig: lr must be > 0"
+
+
+@pytest.mark.parametrize("d_in, heads", [(5, 1), (16, 4)])
+def test_param_shapes_are_the_shapes_init_params_allocates(d_in, heads):
+    cfg = TrainConfig(d_emb=6, hidden_heads=heads, hidden_head_dim=3)
+    arrays = init_params(d_in, cfg, np.random.default_rng(0)).named_arrays()
+    assert list(param_shapes(d_in, cfg).items()) == [(n, a.shape) for n, a in arrays.items()]

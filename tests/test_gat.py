@@ -318,6 +318,14 @@ def test_fused_head_bit_identical_on_graph_shapes(shape):
     assert_fused_matches_tape(layer, x_arr, pairs, weight)
 
 
+@pytest.mark.parametrize("shape", GRAPH_SHAPES)
+def test_recomputing_head_bit_identical_on_graph_shapes(shape, monkeypatch):
+    """Every head recomputes its per-pair arrays in its backward, as a head
+    at or above RECOMPUTE_MIN_PAIRS does: the same bits as the tape."""
+    monkeypatch.setattr(gat, "RECOMPUTE_MIN_PAIRS", 0)
+    test_fused_head_bit_identical_on_graph_shapes(shape)
+
+
 @pytest.mark.parametrize("shape", GRAPH_SHAPES + ["fixture"])
 def test_jagged_layout_invariants(shape):
     if shape == "fixture":

@@ -5,7 +5,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -488,15 +491,16 @@ def test_pretrain_bit_identical_to_recorded_reference(eta):
 # order on five times the receivers. At n = 1000, OpenBLAS splits the weight
 # gradient's matmul by thread count and the embeddings move in the last bit,
 # so the digests are computed in a child process with BLAS on one thread.
-# Re-record only for a change meant to move these bits:
+# The world is above hgmae.THREADED_MIN_PAIRS, so the child, on two usable
+# CPUs, runs two terms at a time. Re-record only for a change meant to move these bits:
 #     PYTHONPATH=src:tests python -c "import test_hgmae; test_hgmae.record_1k('<commit>')"
 REFERENCE_1K_PATH = Path(__file__).parent / "pretrain_1k_reference.json"
 WORLD_1K_NODES = 1000
 WORLD_1K_EPOCHS = 2
-ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def pretrain_1k_digests(eta: float) -> dict:
+def world_1k():
     exp = ExperimentConfig()
     scale = exp.gen.num_nodes / WORLD_1K_NODES
     gen = dataclasses.replace(
@@ -506,9 +510,15 @@ def pretrain_1k_digests(eta: float) -> dict:
         inter_edge_prob=tuple(p * scale for p in exp.gen.inter_edge_prob),
         rng_seed=0,
     )
-    g = generate_graph(gen)
-    cfg = dataclasses.replace(exp.pretrain, rng_seed=0, epochs=WORLD_1K_EPOCHS, eta=eta)
-    params, history = pretrain(g, cfg)
+    return generate_graph(gen)
+
+
+def pretrain_1k_digests(eta: float, threads: int | None = None) -> dict:
+    g = world_1k()
+    cfg = dataclasses.replace(
+        ExperimentConfig().pretrain, rng_seed=0, epochs=WORLD_1K_EPOCHS, eta=eta
+    )
+    params, history = pretrain(g, cfg, threads)
     emb = infer_embeddings(g, params)
     return {
         "loss_repr": [
@@ -519,18 +529,27 @@ def pretrain_1k_digests(eta: float) -> dict:
     }
 
 
-def one_thread_1k_digests(eta: float) -> dict:
+def child_json(code: str, blas_threads: str = "1"):
+    """The JSON that `code` prints in a child process with this directory
+    and src/ on its path and `blas_threads` BLAS threads."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here.parent / "src"), str(here)])
-    code = f"import json, test_hgmae; print(json.dumps(test_hgmae.pretrain_1k_digests({eta!r})))"
+    blas = dict.fromkeys(BLAS_THREAD_VARS, blas_threads)
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, **ONE_THREAD, "PYTHONPATH": path},
+        env={**os.environ, **blas, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
+        timeout=600,
     )
     return json.loads(proc.stdout)
+
+
+def one_thread_1k_digests(eta: float) -> dict:
+    return child_json(
+        f"import json, test_hgmae; print(json.dumps(test_hgmae.pretrain_1k_digests({eta!r})))"
+    )
 
 
 def record_1k(recorded_at: str) -> None:
@@ -550,6 +569,166 @@ def record_1k(recorded_at: str) -> None:
 def test_pretrain_1k_world_bit_identical_to_recorded_reference(eta):
     want = json.loads(REFERENCE_1K_PATH.read_text())["variants"][f"eta={eta!r}"]
     assert one_thread_1k_digests(eta) == want
+
+
+def term_threads() -> list[str]:
+    """The live threads of a pretrain pool."""
+    return [t.name for t in threading.enumerate() if t.name.startswith("hgmae-term")]
+
+
+def counted_1k_digests(threads: int) -> dict:
+    """pretrain_1k_digests(1.0, threads), the zero-norm rows it counted and
+    the pool threads left once it has returned."""
+    assert plan_graph(world_1k())[0].pairs.nbr.shape[0] >= hgmae.THREADED_MIN_PAIRS
+    before = hgmae.zero_norm_row_count()
+    digests = pretrain_1k_digests(1.0, threads)
+    return {
+        **digests,
+        "zero_norm_rows": hgmae.zero_norm_row_count() - before,
+        "threads_left": term_threads(),
+    }
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_pretrain_1k_bytes_equal_with_one_and_two_terms_in_flight(blas_threads):
+    """The 1k world is above the cut-over, so two threads run its terms two
+    at a time: the same bytes and zero-norm row count as one at a time, at
+    either BLAS thread count, and no pool thread outlives pretrain."""
+    serial, threaded = child_json(
+        "import json, test_hgmae; "
+        "print(json.dumps([test_hgmae.counted_1k_digests(t) for t in (1, 2)]))",
+        blas_threads,
+    )
+    assert serial["zero_norm_rows"] > 0
+    assert serial["threads_left"] == []
+    assert threaded == serial
+
+
+# tracemalloc peak of one eta = 1 step on the 1k world above what was held
+# before it, measured on x86-64 with numpy 2.4.6: 4.0 MB with the terms one
+# at a time, 7.4-7.5 MB two at a time. Before the heads at or above
+# gat.RECOMPUTE_MIN_PAIRS (here the full graph's and type 2's) recomputed
+# their per-pair arrays in the backward, one at a time took 7.9 MB. The
+# bounds leave room for two terms' peaks to meet under another schedule.
+STEP_PEAK_1K_MB = {1: 4.5, 2: 8.5}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_step_peak_memory_on_the_1k_world(threads):
+    g = world_1k()
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, eta=1.0)
+    terms = plan_graph(g)
+    params = init_params(g.d_in, cfg, np.random.default_rng(0))
+    with hgmae._term_pool(threads - 1) as pool:
+        hgmae_step(terms, params, cfg, np.random.default_rng(0), pool)  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hgmae_step(terms, params, cfg, np.random.default_rng(1), pool)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak < STEP_PEAK_1K_MB[threads] * 2**20
+
+
+def test_terms_on_more_threads_than_cores_add_up_as_one_at_a_time():
+    """Four pool threads, more than the two cores of CI, switching as often as
+    the interpreter allows: the loss parts, gradient bytes and zero-norm
+    count equal the serial step's, so no thread's result is lost or
+    reordered."""
+    g = world_1k()
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, eta=1.0)
+    terms = plan_graph(g)
+    params = init_params(g.d_in, cfg, np.random.default_rng(0))
+
+    def step(pool):
+        before = hgmae.zero_norm_row_count()
+        parts, grads = hgmae_step(terms, params, cfg, np.random.default_rng(0), pool)
+        grad_bytes = {k: v.tobytes() for k, v in grads.items()}
+        return parts, grad_bytes, hgmae.zero_norm_row_count() - before
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with hgmae._term_pool(4) as pool:
+            threaded = step(pool)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == step(None)
+    assert term_threads() == []
+
+
+def poison_features(monkeypatch, edge_type):
+    """Make plan_graph's term for edge_type all NaN: a subgraph term holds its
+    own copy of its rows."""
+    real_plan_graph = hgmae.plan_graph
+
+    def poisoned(g):
+        terms = real_plan_graph(g)
+        next(t for t in terms if t.edge_type == edge_type).features[:] = np.nan
+        return terms
+
+    monkeypatch.setattr(hgmae, "plan_graph", poisoned)
+
+
+def fault_messages(g, cfg) -> list[str]:
+    """pretrain's NumericFault message with the terms one at a time, then
+    two at a time. No pool thread outlives the fault."""
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(NumericFault) as err:
+            pretrain(g, cfg, threads)
+        assert term_threads() == []
+        messages.append(str(err.value))
+    return messages
+
+
+def test_threaded_pretrain_fault_names_epoch_and_stage_as_serial(monkeypatch):
+    poison_features(monkeypatch, 1)
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, epochs=2)
+    assert fault_messages(world_1k(), cfg) == ["epoch 1: non-finite output from mask"] * 2
+
+
+@pytest.mark.parametrize("failing", [(None, 2), (0, 2), (1, 2), (2,)])
+def test_threaded_fault_is_the_first_failing_term_in_term_order(monkeypatch, failing):
+    """The calling thread runs the full graph's term and then the smallest
+    ones; the pool runs type 2's, the largest subgraph, first."""
+    real_term = hgmae._reconstruction_term
+
+    def failing_term(term, *args):
+        if term.edge_type in failing:
+            raise NumericFault(f"non-finite output from type {term.edge_type}")
+        return real_term(term, *args)
+
+    monkeypatch.setattr(hgmae, "_reconstruction_term", failing_term)
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, epochs=2)
+    want = f"epoch 1: non-finite output from type {failing[0]}"
+    assert fault_messages(world_1k(), cfg) == [want] * 2
+
+
+def test_pool_term_fault_raised_before_a_later_calling_thread_fault(monkeypatch):
+    """Run 1 goes to the pool, which holds it until the calling thread has
+    taken run 2 back from the queue and run it: both fail, and run 1's
+    fault, first in run order though it comes last, is the one raised."""
+    taken_back = threading.Event()
+
+    def fake_term(term, *_):
+        if term.edge_type == 1:
+            assert taken_back.wait(10)
+        elif term.edge_type == 2:
+            taken_back.set()
+        if term.edge_type is not None:
+            raise NumericFault(f"non-finite output from type {term.edge_type}")
+        return 1.0, {}, 0
+
+    monkeypatch.setattr(hgmae, "_reconstruction_term", fake_term)
+    runs = [
+        (SimpleNamespace(edge_type=t, pairs=SimpleNamespace(nbr=np.zeros(size))),)
+        for t, size in ((None, 30), (1, 20), (2, 10))
+    ]
+    with hgmae._term_pool(1) as pool:
+        with pytest.raises(NumericFault, match="type 1$"):
+            hgmae._run_terms(runs, pool)
 
 
 def test_pretrain_fault_names_epoch_and_op(monkeypatch, two_type_graph, tiny_cfg):
