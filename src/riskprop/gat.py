@@ -21,11 +21,12 @@ sum for the per-pair dots. Only the add into the prefix runs per slot.
 Blocks live only inside one call.
 
 A head's backward closure holds its input x, its weights and two
-n-vectors: each receiver's max score and its softmax denominator. A head
-with at least RECOMPUTE_MIN_PAIRS message pairs recomputes z = x @ W.T,
-the scores and the attention weights from them in its backward, with the
-forward's own operations, so none of its per-pair arrays outlives a call;
-a smaller head keeps them. A layer's closure adds only the ELU layer's
+n-vectors: each receiver's max score and its softmax denominator. By
+default it also keeps z = x @ W.T, the scores' signs, exp and the
+attention weights. With recompute=True it recomputes them in its backward
+instead, with the forward's own operations, so none of its per-pair arrays
+outlives a call: a caller running two terms at once passes it to keep both
+inside one term's memory. A layer's closure adds only the ELU layer's
 output and the mask of its positive entries.
 
 The layout does not change any float sum. numpy's bincount starts every bin
@@ -187,15 +188,6 @@ def build_message_pairs(edges: np.ndarray, num_nodes: int) -> MessagePairs:
     )
 
 
-# A head with at least this many message pairs recomputes its per-pair
-# arrays in its backward instead of keeping them. Those arrays are what
-# two reconstruction terms in flight must not both hold on a large graph
-# (hgmae.THREADED_MIN_PAIRS). On a small one recomputing is pure cost: with
-# n = 200 terms (3,736 pairs at most) it made run_pretrain on the default
-# config 7-19% slower than keeping them, in medians of 12 alternating runs
-# on a 2-core VM.
-RECOMPUTE_MIN_PAIRS = 10_000
-
 # A gathered block holds at most max(_BLOCK_FLOATS, n * d) floats: enough
 # slots per gather to amortise numpy's per-call overhead, few enough to keep
 # the transient small. A block never splits a slot.
@@ -277,16 +269,17 @@ def _scores(
     return z, np.where(positive, s, LEAKY_SLOPE * s), positive
 
 
-def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
+def gat_head(
+    x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs, recompute: bool = False
+):
     """One attention head: (output [n, d_head], alpha per slot entry,
     backward).
 
     backward(g) takes the gradient of the output and returns the gradients
     of x, w and a. alpha grouped by receiver sums to 1. The closure keeps x,
     w, a and two n-vectors, each receiver's max score and its softmax
-    denominator. Below RECOMPUTE_MIN_PAIRS it also keeps z, the scores'
-    signs, exp and alpha; at or above it, the backward recomputes them bit
-    for bit.
+    denominator. It also keeps z, the scores' signs, exp and alpha, unless
+    recompute is set: then the backward recomputes them bit for bit.
     """
     recv, n = pairs.recv, pairs.num_nodes
     d = w.shape[0]
@@ -300,7 +293,7 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
     alpha = ez / denom[recv]
     out, _ = _jagged_matmul(pairs, alpha, z)
     NumericFault.check(out, "gat_head")
-    kept = (z, positive, ez, alpha) if recv.size < RECOMPUTE_MIN_PAIRS else None
+    kept = None if recompute else (z, positive, ez, alpha)
 
     def backward(g):
         if kept is None:
@@ -342,20 +335,22 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
     return out, alpha, backward
 
 
-def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs):
+def gat_layer_forward(
+    params: GATLayerParams, x: np.ndarray, pairs: MessagePairs, recompute: bool = False
+):
     """One attention layer on features x [n, d_in]: (output, backward).
 
     backward(g) takes the gradient of the output and returns (gradient of x,
     [W gradient, a gradient] of each head in order, flattened). The closure
-    keeps the heads' closures and, for an ELU layer, the output and the mask
-    of its positive entries.
+    keeps the heads' closures, built with recompute as gat_head takes it,
+    and, for an ELU layer, the output and the mask of its positive entries.
     """
     n = x.shape[0]
     if pairs.num_nodes != n:
         raise ValueError(f"message pairs cover {pairs.num_nodes} nodes, features have {n}")
     outs, head_backwards = [], []
     for w, a in zip(params.weights, params.attn):
-        head_out, _, head_backward = gat_head(x, w, a, pairs)
+        head_out, _, head_backward = gat_head(x, w, a, pairs, recompute)
         outs.append(head_out)
         head_backwards.append(head_backward)
     out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
@@ -391,13 +386,15 @@ def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs
     return out, backward
 
 
-def gat_stack_forward(layers: list[GATLayerParams], x: np.ndarray, pairs: MessagePairs):
+def gat_stack_forward(
+    layers: list[GATLayerParams], x: np.ndarray, pairs: MessagePairs, recompute: bool = False
+):
     """Layers in order: (output, backward). backward(g) returns (gradient of
     x, every layer's head gradients in layer order, flattened as
     gat_layer_forward lists them)."""
     backwards = []
     for layer in layers:
-        x, layer_backward = gat_layer_forward(layer, x, pairs)
+        x, layer_backward = gat_layer_forward(layer, x, pairs, recompute)
         backwards.append(layer_backward)
 
     def backward(g):

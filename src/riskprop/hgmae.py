@@ -20,20 +20,21 @@ closures (the heads' closures from gat.py, chained), sce_loss returns the
 loss with its own, and the mask token's gradient sums the gradients of the
 rows it fills. A term runs its backward as soon as its forward pass ends,
 and drops each closure once it has run. A head's closure keeps its input,
-its weights and two n-vectors; on a large graph it recomputes its per-pair
-arrays in the backward (gat.RECOMPUTE_MIN_PAIRS), so a term holds O(n*d)
-floats between its passes.
+its weights, two n-vectors and its per-pair arrays; when two terms are in
+flight it recomputes the per-pair arrays in its backward instead (the
+recompute flag of gat.gat_head), so each term holds O(n*d) floats between
+its passes.
 
 On a small graph the terms run one at a time. When the full graph has at
 least THREADED_MIN_PAIRS message pairs, pretrain runs two at a time, on
 the calling thread and one pool thread, if it may use two threads: by
 default it may use every usable CPU, and run_pretrain gives each worker
-process its share. Two terms in flight take less memory than one took
-before the heads recomputed their arrays. Either way hgmae_loss adds the
-terms' gradients on the calling thread in term order, full graph first,
-then the subgraphs by ascending type id, which makes them bit-identical to
-the same model composed from generic autodiff ops (tests/tape.py) and
-independent of the thread count.
+process its share. Two terms in flight, their heads recomputing, take
+about the memory of one term whose heads keep their arrays. Either way
+hgmae_loss adds the terms' gradients on the calling thread in term order,
+full graph first, then the subgraphs by ascending type id, which makes
+them bit-identical to the same model composed from generic autodiff ops
+(tests/tape.py) and independent of the thread count.
 
 Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
@@ -266,16 +267,21 @@ def plan_graph(g: HeteroGraph) -> list[Term]:
 
 
 def remask_and_decode(
-    latent: np.ndarray, plan: MaskPlan, params: ModelParams, pairs: MessagePairs
+    latent: np.ndarray,
+    plan: MaskPlan,
+    params: ModelParams,
+    pairs: MessagePairs,
+    recompute: bool = False,
 ):
     """Replace masked latent rows with the re-mask token, then run the
-    decoder: (reconstruction, backward). backward(g) returns (gradient of
-    latent, gradient of the re-mask token, decoder head gradients)."""
+    decoder, its heads built with recompute as gat.gat_head takes it:
+    (reconstruction, backward). backward(g) returns (gradient of latent,
+    gradient of the re-mask token, decoder head gradients)."""
     masked = plan.masked_ids
     remasked = latent.copy()
     remasked[masked] = params.remask_token
     NumericFault.check(remasked, "remask")
-    recon, decoder_backward = gat_stack_forward(params.decoder, remasked, pairs)
+    recon, decoder_backward = gat_stack_forward(params.decoder, remasked, pairs, recompute)
 
     def backward(g):
         g_latent, grads = decoder_backward(g)
@@ -394,17 +400,19 @@ def _reconstruction_term(
     params: ModelParams,
     cfg: TrainConfig,
     upstream: float,
+    recompute: bool = False,
 ) -> tuple[float, dict[str, np.ndarray], int]:
     """One masked reconstruction term, forward and then backward: (loss, the
     gradient of upstream * loss per parameter name, the number of zero-norm
     rows). A parameter the term does not reach has no entry: the mask token
     when no row gets it, and every parameter when the loss is the constant 1.
     Each backward closure is dropped once it has run, which frees the
-    forward state it kept."""
+    forward state it kept; with recompute, the heads keep no per-pair
+    arrays between the passes (gat.gat_head)."""
     x, pairs = term.features, term.pairs
     corrupted = apply_mask(x, plan, params)
-    latent, encoder_backward = gat_stack_forward(params.encoder, corrupted, pairs)
-    recon, decoder_backward = remask_and_decode(latent, plan, params, pairs)
+    latent, encoder_backward = gat_stack_forward(params.encoder, corrupted, pairs, recompute)
+    recon, decoder_backward = remask_and_decode(latent, plan, params, pairs, recompute)
     del latent
     loss, sce_backward, zero_rows = _sce(x, recon, plan.masked_ids, cfg.gamma)
     del recon
@@ -434,7 +442,8 @@ def hgmae_loss(
     Each plan runs the term at its position: the full graph's with upstream
     gradient 1, then the K_eff single-type terms with eta / K_eff. Without a
     pool the terms run one at a time in order; with one, _run_terms runs
-    them two at a time. Either way the calling thread combines the results
+    them two at a time, and their heads recompute their per-pair arrays in
+    the backward. Either way the calling thread combines the results
     in term order: the first term to reach a parameter gives a copy of its
     gradient, and later terms add theirs in place; a parameter no term
     reaches gets zeros. The zero-norm row counts are added the same way.
@@ -442,7 +451,7 @@ def hgmae_loss(
     if cfg.eta != 0.0 and len(terms) == 1:
         warnings.warn("no nonempty edge types; training on the full graph only")
     runs = [
-        (term, plan, params, cfg, cfg.eta / (len(plans) - 1) if i else 1.0)
+        (term, plan, params, cfg, cfg.eta / (len(plans) - 1) if i else 1.0, pool is not None)
         for i, (term, plan) in enumerate(zip(terms, plans))
     ]
     if pool is None:
@@ -478,6 +487,11 @@ def _run_terms(runs: list[tuple], pool: Executor) -> list[tuple]:
     term finishes before any result is read, and a NumericFault is raised as
     the serial loop would raise it: the first failing run's, in run order.
     """
+    # A fixed split, the pool running the subgraph terms in order while the
+    # calling thread runs the full graph's, balances worse: on the 4k world
+    # the subgraph terms together take 1.8x the full graph's, and
+    # pretrain-4k ran 5.15 against 5.65 epochs/s with this schedule, medians
+    # of 6 alternating pairs on a 2-core VM, slower in all 6.
     from concurrent.futures import wait
 
     first, *queued = sorted(range(len(runs)), key=lambda i: -runs[i][0].pairs.nbr.shape[0])
@@ -491,6 +505,12 @@ def _run_terms(runs: list[tuple], pool: Executor) -> list[tuple]:
                 here[i] = _reconstruction_term(*runs[i])
             except NumericFault as fault:
                 here[i] = fault
+    except BaseException:
+        # any other error ends the step as it ends the serial loop: the pool
+        # finishes only the run it has started
+        for future in futures.values():
+            future.cancel()
+        raise
     finally:
         wait(futures.values())
     results = []

@@ -233,11 +233,11 @@ def test_layer_rejects_pairs_built_for_another_graph():
 FUSED_EDGES = np.array([[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [4, 6], [2, 6]])
 
 
-def assert_fused_matches_tape(layer, x_arr, pairs, weight):
+def assert_fused_matches_tape(layer, x_arr, pairs, weight, recompute=False):
     """Layer output, alphas and the gradients of x, W and a of the loss
-    sum(weight * out), hand-written against the generic-op composition,
-    under np.array_equal. Returns the alphas."""
-    fused_out, backward = gat_layer_forward(layer, x_arr, pairs)
+    sum(weight * out), hand-written with the heads' recompute flag against
+    the generic-op composition, under np.array_equal. Returns the alphas."""
+    fused_out, backward = gat_layer_forward(layer, x_arr, pairs, recompute)
     dst, src, order = sorted_pairs(pairs)
     fused_alphas = [
         gat_head(x_arr, w, a, pairs)[1][order]
@@ -309,21 +309,24 @@ def shaped_graph(shape):
 GRAPH_SHAPES = ["star", "ring", "edgeless", "default-subgraph"]
 
 
-@pytest.mark.parametrize("shape", GRAPH_SHAPES)
-def test_fused_head_bit_identical_on_graph_shapes(shape):
+def assert_shaped_head_matches_tape(shape, recompute):
     x_arr, pairs = shaped_graph(shape)
     rng = np.random.default_rng(7)
     layer = init_gat_layer(rng, x_arr.shape[1], 16, 2, "elu")
     weight = rng.standard_normal((x_arr.shape[0], 32))
-    assert_fused_matches_tape(layer, x_arr, pairs, weight)
+    assert_fused_matches_tape(layer, x_arr, pairs, weight, recompute)
 
 
 @pytest.mark.parametrize("shape", GRAPH_SHAPES)
-def test_recomputing_head_bit_identical_on_graph_shapes(shape, monkeypatch):
-    """Every head recomputes its per-pair arrays in its backward, as a head
-    at or above RECOMPUTE_MIN_PAIRS does: the same bits as the tape."""
-    monkeypatch.setattr(gat, "RECOMPUTE_MIN_PAIRS", 0)
-    test_fused_head_bit_identical_on_graph_shapes(shape)
+def test_fused_head_bit_identical_on_graph_shapes(shape):
+    assert_shaped_head_matches_tape(shape, recompute=False)
+
+
+@pytest.mark.parametrize("shape", GRAPH_SHAPES)
+def test_recomputing_head_bit_identical_on_graph_shapes(shape):
+    """Every head recomputes its per-pair arrays in its backward, as the
+    heads of two terms in flight do: the same bits as the tape."""
+    assert_shaped_head_matches_tape(shape, recompute=True)
 
 
 @pytest.mark.parametrize("shape", GRAPH_SHAPES + ["fixture"])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -605,12 +606,12 @@ def test_pretrain_1k_bytes_equal_with_one_and_two_terms_in_flight(blas_threads):
 
 
 # tracemalloc peak of one eta = 1 step on the 1k world above what was held
-# before it, measured on x86-64 with numpy 2.4.6: 4.0 MB with the terms one
-# at a time, 7.4-7.5 MB two at a time. Before the heads at or above
-# gat.RECOMPUTE_MIN_PAIRS (here the full graph's and type 2's) recomputed
-# their per-pair arrays in the backward, one at a time took 7.9 MB. The
-# bounds leave room for two terms' peaks to meet under another schedule.
-STEP_PEAK_1K_MB = {1: 4.5, 2: 8.5}
+# before it, measured on x86-64 with numpy 2.4.6: 5.4 MB with the terms one
+# at a time, their heads keeping their per-pair arrays, and 6.4-6.5 MB two
+# at a time, their heads recomputing them. Before this layout of the
+# closures, one term at a time took 7.9 MB: two terms in flight must stay
+# within that. The bound for one leaves 10% of room.
+STEP_PEAK_1K_MB = {1: 6.0, 2: 7.9}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -656,6 +657,33 @@ def test_terms_on_more_threads_than_cores_add_up_as_one_at_a_time():
         sys.setswitchinterval(interval)
     assert threaded == step(None)
     assert term_threads() == []
+
+
+def test_calling_thread_error_cancels_the_terms_the_pool_has_not_started(monkeypatch):
+    """An error other than NumericFault in the full graph's term ends the
+    step as it ends the serial loop: the pool finishes the term it has
+    started, run 1, and starts no other."""
+    started = threading.Event()
+    ran = []
+
+    def fake_term(term, *_):
+        if term.edge_type is None:
+            assert started.wait(10)
+            raise MemoryError("full graph")
+        started.set()
+        time.sleep(0.5)  # the calling thread cancels the queued runs meanwhile
+        ran.append(term.edge_type)
+        return 1.0, {}, 0
+
+    monkeypatch.setattr(hgmae, "_reconstruction_term", fake_term)
+    runs = [
+        (SimpleNamespace(edge_type=t, pairs=SimpleNamespace(nbr=np.zeros(size))),)
+        for t, size in ((None, 40), (1, 30), (2, 20), (3, 10))
+    ]
+    with hgmae._term_pool(1) as pool:
+        with pytest.raises(MemoryError, match="full graph"):
+            hgmae._run_terms(runs, pool)
+    assert ran == [1]
 
 
 def poison_features(monkeypatch, edge_type):
