@@ -18,10 +18,19 @@ cfg = TrainConfig(epochs=120, d_emb=16, hidden_heads=2, hidden_head_dim=8, rng_s
 
 params, history = pretrain(g, cfg)
 
-print("epoch   total    full-graph   subgraph-mean")
+# zero-norm rows: masked rows whose input or reconstruction is all zeros, so
+# the loss gives them the maximum penalty; they appear while the tokens are
+# still near their zero start
+print("epoch   total    full-graph   subgraph-mean   zero-norm rows")
 for st in history[::20]:
-    print(f"{st.epoch:5d}   {st.loss_total:.4f}   {st.loss_full:.4f}       {st.loss_sub_mean:.4f}")
+    print(
+        f"{st.epoch:5d}   {st.loss_total:.4f}   {st.loss_full:.4f}       {st.loss_sub_mean:.4f}"
+        f"          {st.zero_norm_rows:5d}"
+    )
 print(f"{history[-1].epoch:5d}   {history[-1].loss_total:.4f}   (final)")
+total = sum(st.zero_norm_rows for st in history)
+last = max((st.epoch for st in history if st.zero_norm_rows), default=0)
+print(f"zero-norm rows over all epochs: {total}, the last in epoch {last}")
 
 ratio = history[-1].loss_total / history[0].loss_total
 print(f"\nfinal/epoch-1 loss ratio: {ratio:.3f}")

@@ -209,8 +209,13 @@ def run_embed(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> N
         sdir = seed_dir(out_dir, seed)
         g = graph.load_graph(sdir)
         for name in ("hgmae", "eta0"):
-            params, _ = load_checkpoint(sdir / f"checkpoint_{name}.tsv")
-            hgmae.save_embeddings(hgmae.infer_embeddings(g, params), sdir / f"embeddings_{name}.tsv")
+            path = sdir / f"checkpoint_{name}.tsv"
+            params, _ = load_checkpoint(path)
+            try:
+                emb = hgmae.infer_embeddings(g, params)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+            hgmae.save_embeddings(emb, sdir / f"embeddings_{name}.tsv")
 
 
 def run_pairs(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> None:

@@ -17,13 +17,13 @@ autoencoder this model extends.
 Each term computes its forward pass and then its gradient by hand: the
 encoder stack and remask_and_decode return their outputs with backward
 closures (the heads' closures from gat.py, chained), sce_loss returns the
-loss with its own, and the mask token's gradient sums the gradients of the
-rows it fills. A term runs its backward as soon as its forward pass ends,
-and drops each closure once it has run. A head's closure keeps its input,
-its weights, two n-vectors and its per-pair arrays; when two terms are in
-flight it recomputes the per-pair arrays in its backward instead (the
-recompute flag of gat.gat_head), so each term holds O(n*d) floats between
-its passes.
+loss with its own and its count of zero-norm rows, and the mask token's
+gradient sums the gradients of the rows it fills. A term runs its backward
+as soon as its forward pass ends, and drops each closure once it has run.
+A head's closure keeps its input, its weights, two n-vectors and its
+per-pair arrays; when two terms are in flight it recomputes the per-pair
+arrays in its backward instead (the recompute flag of gat.gat_head), so
+each term holds O(n*d) floats between its passes.
 
 On a small graph the terms run one at a time. When the full graph has at
 least THREADED_MIN_PAIRS message pairs, pretrain runs two at a time, on
@@ -34,7 +34,8 @@ about the memory of one term whose heads keep their arrays. Either way
 hgmae_loss adds the terms' gradients on the calling thread in term order,
 full graph first, then the subgraphs by ascending type id, which makes
 them bit-identical to the same model composed from generic autodiff ops
-(tests/tape.py) and independent of the thread count.
+(tests/tape.py) and independent of the thread count. No count or other
+state outlives a call: each step returns its own in its LossParts.
 
 Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
@@ -292,39 +293,15 @@ def remask_and_decode(
     return recon, backward
 
 
-# Rows whose original or reconstructed vector has exactly zero norm take the
-# maximum penalty instead of poisoning the loss with NaN; this counts them.
-# Expected transiently at the start of training while the tokens sit at zero.
-# Only the calling thread adds to it: a step's terms return their counts,
-# which hgmae_loss adds in term order. It counts only this process's
-# pre-training: experiment.run_pretrain trains in worker processes, so
-# afterwards the caller's count has not moved. A per-run count in
-# pretrain_log_<variant>.tsv is to replace it (ROADMAP).
-_zero_norm_rows_seen = 0
-
-
-def zero_norm_row_count() -> int:
-    return _zero_norm_rows_seen
-
-
-def _count_zero_norm_rows(count: int) -> None:
-    global _zero_norm_rows_seen
-    _zero_norm_rows_seen += count
-
-
 def sce_loss(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float = 1.0):
     """Scaled cosine error (1 - cos(x_i, z_i))**gamma averaged over masked
-    rows: (loss, backward). backward(upstream) returns the gradient of
-    upstream * loss with respect to z. When every masked row has zero norm
-    the loss is the constant 1 and backward is None."""
-    loss, backward, zero_rows = _sce(x, z, masked_ids, gamma)
-    _count_zero_norm_rows(zero_rows)
-    return loss, backward
-
-
-def _sce(x: np.ndarray, z: np.ndarray, masked_ids: np.ndarray, gamma: float):
-    """sce_loss's (loss, backward) and the number of zero-norm rows, which
-    it leaves uncounted."""
+    rows: (loss, backward, zero_rows). backward(upstream) returns the
+    gradient of upstream * loss with respect to z. A masked row whose
+    original or reconstructed vector has exactly zero norm takes the maximum
+    penalty instead of poisoning the loss with NaN; zero_rows counts them.
+    They are expected early in training, while the tokens sit at zero. When
+    every masked row has zero norm the loss is the constant 1 and backward
+    is None."""
     masked_ids = np.asarray(masked_ids, dtype=np.int64)
     m = masked_ids.size
     if m == 0:
@@ -386,6 +363,7 @@ class LossParts:
     total: float
     full: float
     subs: dict[int, float]
+    zero_norm_rows: int
 
     @property
     def sub_mean(self) -> float:
@@ -414,7 +392,7 @@ def _reconstruction_term(
     latent, encoder_backward = gat_stack_forward(params.encoder, corrupted, pairs, recompute)
     recon, decoder_backward = remask_and_decode(latent, plan, params, pairs, recompute)
     del latent
-    loss, sce_backward, zero_rows = _sce(x, recon, plan.masked_ids, cfg.gamma)
+    loss, sce_backward, zero_rows = sce_loss(x, recon, plan.masked_ids, cfg.gamma)
     del recon
     if sce_backward is None:
         return loss, {}, zero_rows
@@ -446,7 +424,7 @@ def hgmae_loss(
     the backward. Either way the calling thread combines the results
     in term order: the first term to reach a parameter gives a copy of its
     gradient, and later terms add theirs in place; a parameter no term
-    reaches gets zeros. The zero-norm row counts are added the same way.
+    reaches gets zeros. LossParts.zero_norm_rows adds up the terms' counts.
     """
     if cfg.eta != 0.0 and len(terms) == 1:
         warnings.warn("no nonempty edge types; training on the full graph only")
@@ -454,15 +432,11 @@ def hgmae_loss(
         (term, plan, params, cfg, cfg.eta / (len(plans) - 1) if i else 1.0, pool is not None)
         for i, (term, plan) in enumerate(zip(terms, plans))
     ]
-    if pool is None:
-        results = [_reconstruction_term(*run) for run in runs]
-    else:
-        results = _run_terms(runs, pool)
+    results = [_reconstruction_term(*r) for r in runs] if pool is None else _run_terms(runs, pool)
     grads: dict[str, np.ndarray] = {}
     losses: dict[int | None, float] = {}
-    for (term, *_), (loss, term_grads, zero_rows) in zip(runs, results):
+    for (term, *_), (loss, term_grads, _) in zip(runs, results):
         losses[term.edge_type] = loss
-        _count_zero_norm_rows(zero_rows)
         for name, g in term_grads.items():
             if name in grads:
                 grads[name] += g
@@ -474,7 +448,7 @@ def hgmae_loss(
         name: grads[name] if name in grads else np.zeros_like(arr)
         for name, arr in params.named_arrays().items()
     }
-    return LossParts(total=total, full=full, subs=losses), grads
+    return LossParts(total, full, losses, sum(result[2] for result in results)), grads
 
 
 def _run_terms(runs: list[tuple], pool: Executor) -> list[tuple]:
@@ -487,11 +461,15 @@ def _run_terms(runs: list[tuple], pool: Executor) -> list[tuple]:
     term finishes before any result is read, and a NumericFault is raised as
     the serial loop would raise it: the first failing run's, in run order.
     """
-    # A fixed split, the pool running the subgraph terms in order while the
-    # calling thread runs the full graph's, balances worse: on the 4k world
-    # the subgraph terms together take 1.8x the full graph's, and
-    # pretrain-4k ran 5.15 against 5.65 epochs/s with this schedule, medians
-    # of 6 alternating pairs on a 2-core VM, slower in all 6.
+    # Two simpler schedules lost to this one on pretrain-4k, in medians of
+    # alternating pairs on a 2-core VM. A fixed split, the pool running the
+    # subgraph terms in order while the calling thread runs the full graph's,
+    # balances worse (the subgraph terms together take 1.8x the full
+    # graph's): 5.15 against 5.65 epochs/s, slower in 6 of 6 pairs. A
+    # two-thread pool running every term largest first, the calling thread
+    # only reading results, was as fast (5.94 against 6.01 epochs/s, seed 17,
+    # 8 pairs of 20 s) but peaked at 83.8 against 80.4 MB RSS, higher in 8 of
+    # 8 pairs; a third glibc malloc arena is the likely cause, unverified.
     from concurrent.futures import wait
 
     first, *queued = sorted(range(len(runs)), key=lambda i: -runs[i][0].pairs.nbr.shape[0])
@@ -539,6 +517,7 @@ class EpochStats:
     loss_total: float
     loss_full: float
     loss_sub_mean: float
+    zero_norm_rows: int
 
 
 # A step's terms run two at a time when the full graph has at least this
@@ -556,7 +535,8 @@ MAX_TERMS_IN_FLIGHT = 2
 def pretrain(
     g: HeteroGraph, cfg: TrainConfig, threads: int | None = None
 ) -> tuple[ModelParams, list[EpochStats]]:
-    """Adam over hgmae_step for cfg.epochs; loss is recorded before each update.
+    """Adam over hgmae_step for cfg.epochs. Each epoch's EpochStats holds
+    its step's loss parts, taken before the update, and zero-norm rows.
 
     threads caps the terms in flight, MAX_TERMS_IN_FLIGHT at most; the
     default is the number of usable CPUs. A graph whose full term has fewer
@@ -585,7 +565,9 @@ def pretrain(
             except NumericFault as fault:
                 raise NumericFault(f"epoch {epoch}: {fault}") from fault
             adam_step(state, params.named_arrays(), grads)
-            history.append(EpochStats(epoch, parts.total, parts.full, parts.sub_mean))
+            history.append(
+                EpochStats(epoch, parts.total, parts.full, parts.sub_mean, parts.zero_norm_rows)
+            )
     return params, history
 
 
@@ -602,6 +584,8 @@ def _term_pool(workers: int):
 
 def infer_embeddings(g: HeteroGraph, params: ModelParams) -> np.ndarray:
     """Encoder output on uncorrupted features over the full graph."""
+    if g.d_in != params.d_in:
+        raise ValueError(f"model takes {params.d_in} features per node, graph has {g.d_in}")
     pairs = build_message_pairs(g.union_edges(), g.num_nodes)
     latent, _ = gat_stack_forward(params.encoder, g.node_features, pairs)
     return latent

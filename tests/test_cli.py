@@ -89,6 +89,23 @@ def test_embed_before_pretrain_reports_missing_checkpoint(tmp_path):
     assert "checkpoint not found" in proc.stderr
 
 
+def test_embed_with_a_checkpoint_of_another_width_names_it(tmp_path):
+    out = tmp_path / "regenerated"
+    narrow = tmp_path / "narrow.config"
+    narrow.write_text(SMOKE.read_text().replace("gen.d_in=16", "gen.d_in=8"))
+    for stage, config in (("generate", SMOKE), ("pretrain", SMOKE), ("generate", narrow)):
+        run_cli(stage, "--config", str(config), "--out", str(out), "--seed", "0", "--quiet")
+    proc = run_cli(
+        "embed", "--config", str(narrow), "--out", str(out), "--seed", "0", "--quiet",
+        check=False,
+    )
+    assert proc.returncode == 1
+    checkpoint = out / "seed_0" / "checkpoint_hgmae.tsv"
+    assert proc.stderr == (
+        f"error: {checkpoint}: model takes 16 features per node, graph has 8\n"
+    )
+
+
 def test_stage_without_artifacts_fails_cleanly(tmp_path):
     proc = run_cli(
         "pretrain", "--config", str(SMOKE), "--out", str(tmp_path / "empty"), "--quiet",

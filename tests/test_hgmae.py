@@ -214,8 +214,9 @@ def test_remask_all_rows_become_token():
 def test_sce_hand_computed_value():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     z = np.array([[1.0, 1.0], [0.0, 2.0]])
-    loss, _ = sce_loss(x, z, np.array([0, 1]), gamma=1.0)
+    loss, _, zero_rows = sce_loss(x, z, np.array([0, 1]), gamma=1.0)
     assert loss == pytest.approx((1.0 - 1.0 / math.sqrt(2.0)) / 2.0, abs=1e-15)
+    assert zero_rows == 0
 
 
 def test_sce_scale_invariance_gives_zero():
@@ -241,14 +242,11 @@ def test_sce_gamma_sharpening():
 def test_sce_zero_norm_row_clamped_and_counted():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     z = np.array([[0.0, 0.0], [0.0, 2.0]])
-    before = hgmae.zero_norm_row_count()
-    loss, _ = sce_loss(x, z, np.array([0, 1]))
+    loss, _, zero_rows = sce_loss(x, z, np.array([0, 1]))
     assert loss == pytest.approx(0.5, abs=1e-15)  # (1 + 0) / 2
-    assert hgmae.zero_norm_row_count() == before + 1
+    assert zero_rows == 1
     # all-bad case pins the loss at the maximum penalty, with no gradient
-    all_bad, backward = sce_loss(x, np.zeros((2, 2)), np.array([0, 1]))
-    assert all_bad == 1.0 and backward is None
-    assert hgmae.zero_norm_row_count() == before + 3
+    assert sce_loss(x, np.zeros((2, 2)), np.array([0, 1])) == (1.0, None, 2)
 
 
 def test_sce_zero_iff_positive_multiples():
@@ -264,7 +262,7 @@ def test_sce_gradient_matches_finite_difference():
     x = rng.standard_normal((5, 3))
     z_arr = rng.standard_normal((5, 3))
 
-    _, backward = sce_loss(x, z_arr, np.array([0, 2, 4]), gamma=2.0)
+    _, backward, _ = sce_loss(x, z_arr, np.array([0, 2, 4]), gamma=2.0)
     analytic = {"z": backward(1.0)}
 
     report = tape.grad_check(
@@ -379,7 +377,7 @@ def assert_step_matches_tape(terms, params, cfg, plans):
     for name, g in grads.items():
         assert g.dtype == want[name].dtype and g.shape == want[name].shape, name
         assert g.tobytes() == want[name].tobytes(), name
-    return grads
+    return parts, grads
 
 
 def steps_match_tape(g, params, cfg, seed=0, steps=3):
@@ -389,7 +387,7 @@ def steps_match_tape(g, params, cfg, seed=0, steps=3):
     state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
     for _ in range(steps):
         plans = make_step_plans(terms, cfg, rng)
-        grads = assert_step_matches_tape(terms, params, cfg, plans)
+        _, grads = assert_step_matches_tape(terms, params, cfg, plans)
         adam_step(state, params.named_arrays(), grads)
     return plans
 
@@ -422,9 +420,10 @@ def test_step_gradients_bit_identical_with_zero_norm_rows(tiny_cfg):
     ring = [(i, (i + 1) % 8) for i in range(8)]
     g = make_graph(16, {0: ring, 1: [(0, 4), (2, 6)]}, d_in=4, seed=5)
     params = fresh_params(g, tiny_cfg, tokens_randomized=False)
-    before = hgmae.zero_norm_row_count()
-    steps_match_tape(g, params, tiny_cfg, steps=1)
-    assert hgmae.zero_norm_row_count() > before
+    terms = plan_graph(g)
+    plans = make_step_plans(terms, tiny_cfg, np.random.default_rng(0))
+    parts, _ = assert_step_matches_tape(terms, params, tiny_cfg, plans)
+    assert parts.zero_norm_rows > 0
 
 
 def test_step_gradients_bit_identical_when_every_masked_row_has_zero_norm(tiny_cfg):
@@ -436,7 +435,7 @@ def test_step_gradients_bit_identical_when_every_masked_row_has_zero_norm(tiny_c
         steps_match_tape(g, params, tiny_cfg, steps=1)
     with pytest.warns(UserWarning, match="full graph only"):
         parts, grads = hgmae_step(plan_graph(g), params, tiny_cfg, np.random.default_rng(0))
-    assert parts.total == 1.0
+    assert parts.total == 1.0 and parts.zero_norm_rows == 3  # half of the 6 rows
     assert not any(grad.any() for grad in grads.values())
 
 
@@ -514,12 +513,21 @@ def world_1k():
     return generate_graph(gen)
 
 
-def pretrain_1k_digests(eta: float, threads: int | None = None) -> dict:
+def pretrain_1k(eta: float, threads: int | None = None):
+    """(world, params, history) of the recorded 1k pretrain run."""
     g = world_1k()
     cfg = dataclasses.replace(
         ExperimentConfig().pretrain, rng_seed=0, epochs=WORLD_1K_EPOCHS, eta=eta
     )
-    params, history = pretrain(g, cfg, threads)
+    return (g, *pretrain(g, cfg, threads))
+
+
+def pretrain_1k_digests(eta: float, threads: int | None = None) -> dict:
+    return run_digests(*pretrain_1k(eta, threads))
+
+
+def run_digests(g, params, history) -> dict:
+    """The loss reprs of a pretrain run and the digest of its embeddings."""
     emb = infer_embeddings(g, params)
     return {
         "loss_repr": [
@@ -578,14 +586,13 @@ def term_threads() -> list[str]:
 
 
 def counted_1k_digests(threads: int) -> dict:
-    """pretrain_1k_digests(1.0, threads), the zero-norm rows it counted and
-    the pool threads left once it has returned."""
+    """pretrain_1k_digests(1.0, threads), the zero-norm rows of each epoch
+    and the pool threads left once pretrain has returned."""
     assert plan_graph(world_1k())[0].pairs.nbr.shape[0] >= hgmae.THREADED_MIN_PAIRS
-    before = hgmae.zero_norm_row_count()
-    digests = pretrain_1k_digests(1.0, threads)
+    g, params, history = pretrain_1k(1.0, threads)
     return {
-        **digests,
-        "zero_norm_rows": hgmae.zero_norm_row_count() - before,
+        **run_digests(g, params, history),
+        "zero_norm_rows": [st.zero_norm_rows for st in history],
         "threads_left": term_threads(),
     }
 
@@ -600,9 +607,33 @@ def test_pretrain_1k_bytes_equal_with_one_and_two_terms_in_flight(blas_threads):
         "print(json.dumps([test_hgmae.counted_1k_digests(t) for t in (1, 2)]))",
         blas_threads,
     )
-    assert serial["zero_norm_rows"] > 0
+    assert sum(serial["zero_norm_rows"]) > 0
     assert serial["threads_left"] == []
     assert threaded == serial
+
+
+def module_globals() -> dict[str, dict[str, str]]:
+    """The repr of every non-callable global of every loaded riskprop module,
+    the interpreter's dunder names aside."""
+    modules = {name: m for name, m in sys.modules.items() if name.split(".")[0] == "riskprop"}
+    return {
+        name: {k: repr(v) for k, v in vars(m).items() if not (callable(v) or k.startswith("__"))}
+        for name, m in sorted(modules.items())
+    }
+
+
+def test_pretrain_leaves_every_module_global_as_it_was():
+    """Stage 1 keeps no state between calls: a serial and a threaded pretrain
+    on the 1k world, whose steps meet zero-norm rows, leave every global of
+    every riskprop module as it was."""
+    g = world_1k()
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, rng_seed=0, epochs=WORLD_1K_EPOCHS)
+    assert plan_graph(g)[0].pairs.nbr.shape[0] >= hgmae.THREADED_MIN_PAIRS
+    before = module_globals()
+    for threads in (1, 2):
+        _, history = pretrain(g, cfg, threads)
+        assert sum(st.zero_norm_rows for st in history) > 0
+    assert module_globals() == before
 
 
 # tracemalloc peak of one eta = 1 step on the 1k world above what was held
@@ -643,10 +674,8 @@ def test_terms_on_more_threads_than_cores_add_up_as_one_at_a_time():
     params = init_params(g.d_in, cfg, np.random.default_rng(0))
 
     def step(pool):
-        before = hgmae.zero_norm_row_count()
         parts, grads = hgmae_step(terms, params, cfg, np.random.default_rng(0), pool)
-        grad_bytes = {k: v.tobytes() for k, v in grads.items()}
-        return parts, grad_bytes, hgmae.zero_norm_row_count() - before
+        return parts, {k: v.tobytes() for k, v in grads.items()}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -655,7 +684,8 @@ def test_terms_on_more_threads_than_cores_add_up_as_one_at_a_time():
             threaded = step(pool)
     finally:
         sys.setswitchinterval(interval)
-    assert threaded == step(None)
+    assert threaded[0].zero_norm_rows > 0
+    assert threaded == step(None)  # LossParts equality covers zero_norm_rows
     assert term_threads() == []
 
 
