@@ -9,6 +9,7 @@ with a diagnostic on any error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -53,24 +54,24 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
 
-def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, tuple[int, ...]]:
+def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     exp = experiment.parse_experiment_config(args.config) if args.config else ExperimentConfig()
-    out_dir = Path(args.out) if args.out else Path(exp.output_dir)
-    seeds = (args.seed,) if args.seed is not None else exp.seeds
-    return exp, out_dir, seeds
+    if args.seed is not None:
+        exp = dataclasses.replace(exp, seeds=(args.seed,))
+    return exp, Path(args.out) if args.out else Path(exp.output_dir)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _, stage, message = COMMANDS[args.command.replace("_", "-")]
     try:
-        exp, out_dir, seeds = _load_config(args)
-        result = stage(exp, out_dir, seeds)
+        exp, out_dir = _load_config(args)
+        result = stage(exp, out_dir, exp.seeds)
         if not args.quiet:
             if message is None:
                 print(experiment.summary_text(result))
             else:
-                print(message.format(n=len(seeds), out=out_dir, seeds=list(seeds)))
+                print(message.format(n=len(exp.seeds), out=out_dir, seeds=list(exp.seeds)))
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

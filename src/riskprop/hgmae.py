@@ -25,17 +25,20 @@ per-pair arrays; when two terms are in flight it recomputes the per-pair
 arrays in its backward instead (the recompute flag of gat.gat_head), so
 each term holds O(n*d) floats between its passes.
 
-On a small graph the terms run one at a time. When the full graph has at
-least THREADED_MIN_PAIRS message pairs, pretrain runs two at a time, on
-the calling thread and one pool thread, if it may use two threads: by
-default it may use every usable CPU, and run_pretrain gives each worker
-process its share. Two terms in flight, their heads recomputing, take
-about the memory of one term whose heads keep their arrays. Either way
-hgmae_loss adds the terms' gradients on the calling thread in term order,
-full graph first, then the subgraphs by ascending type id, which makes
-them bit-identical to the same model composed from generic autodiff ops
-(tests/tape.py) and independent of the thread count. No count or other
-state outlives a call: each step returns its own in its LossParts.
+A step's terms wait in one queue, largest first by message pairs, and
+each thread that runs them takes the next one from it. On a small graph
+the calling thread runs them all. When the full graph has at least
+THREADED_MIN_PAIRS message pairs, pretrain runs two at a time, on the
+calling thread and one helper thread that the step starts and joins, if it
+may use two threads: by default it may use every usable CPU, and
+run_pretrain gives each worker process its share. Two terms in flight,
+their heads recomputing, take about the memory of one term whose heads
+keep their arrays. Either way hgmae_loss adds the terms' gradients on the
+calling thread in term order, full graph first, then the subgraphs by
+ascending type id, which makes them bit-identical to the same model
+composed from generic autodiff ops (tests/tape.py) and independent of the
+thread count. No count, thread or other state outlives a call: each step
+returns its own in its LossParts.
 
 Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
@@ -52,12 +55,12 @@ terms read only those terms.
 
 from __future__ import annotations
 
-import contextlib
 import os
+import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -72,9 +75,6 @@ from .gat import (
 from .graph import HeteroGraph, sorted_unique
 from .optim import AdamState, adam_step
 from .table import Block, Check, read_table, write_table
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 
 class MaskingError(ValueError):
@@ -412,27 +412,27 @@ def hgmae_loss(
     params: ModelParams,
     cfg: TrainConfig,
     plans: list[MaskPlan],
-    pool: Executor | None = None,
+    threads: int = 1,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Combined reconstruction loss for given (replayable) mask plans, and
     its gradient per parameter name.
 
     Each plan runs the term at its position: the full graph's with upstream
-    gradient 1, then the K_eff single-type terms with eta / K_eff. Without a
-    pool the terms run one at a time in order; with one, _run_terms runs
-    them two at a time, and their heads recompute their per-pair arrays in
-    the backward. Either way the calling thread combines the results
-    in term order: the first term to reach a parameter gives a copy of its
-    gradient, and later terms add theirs in place; a parameter no term
-    reaches gets zeros. LossParts.zero_norm_rows adds up the terms' counts.
+    gradient 1, then the K_eff single-type terms with eta / K_eff.
+    _run_terms runs them on `threads` threads, and with more than one the
+    heads recompute their per-pair arrays in the backward. The calling
+    thread then combines the results in term order: the first term to
+    reach a parameter gives a copy of its gradient, and later terms add
+    theirs in place; a parameter no term reaches gets zeros.
+    LossParts.zero_norm_rows adds up the terms' counts.
     """
     if cfg.eta != 0.0 and len(terms) == 1:
         warnings.warn("no nonempty edge types; training on the full graph only")
     runs = [
-        (term, plan, params, cfg, cfg.eta / (len(plans) - 1) if i else 1.0, pool is not None)
+        (term, plan, params, cfg, cfg.eta / (len(plans) - 1) if i else 1.0, threads > 1)
         for i, (term, plan) in enumerate(zip(terms, plans))
     ]
-    results = [_reconstruction_term(*r) for r in runs] if pool is None else _run_terms(runs, pool)
+    results = _run_terms(runs, threads)
     grads: dict[str, np.ndarray] = {}
     losses: dict[int | None, float] = {}
     for (term, *_), (loss, term_grads, _) in zip(runs, results):
@@ -451,53 +451,52 @@ def hgmae_loss(
     return LossParts(total, full, losses, sum(result[2] for result in results)), grads
 
 
-def _run_terms(runs: list[tuple], pool: Executor) -> list[tuple]:
-    """_reconstruction_term of every run, in run order, with the pool's one
-    thread and the calling thread each running one term at a time.
+def _run_terms(runs: list[tuple], threads: int) -> list[tuple]:
+    """_reconstruction_term of every run, in run order, on the calling
+    thread and threads - 1 helper threads joined before it returns.
 
-    The pool queues the runs largest first, by message pairs. The calling
-    thread runs the largest, the full graph's, itself, and then takes back
-    the runs the pool has not started, from the back of its queue. Every
-    term finishes before any result is read, and a NumericFault is raised as
-    the serial loop would raise it: the first failing run's, in run order.
+    The runs wait in one queue, largest first by message pairs, and each
+    thread takes the next from it until it is empty. A NumericFault is
+    kept and the other runs go on; any other error, an interrupt of the
+    calling thread included, empties the queue, so no run starts after it.
+    Once every started run has finished, the first failing run's error, in
+    run order, is raised.
     """
-    # Two simpler schedules lost to this one on pretrain-4k, in medians of
-    # alternating pairs on a 2-core VM. A fixed split, the pool running the
-    # subgraph terms in order while the calling thread runs the full graph's,
-    # balances worse (the subgraph terms together take 1.8x the full
-    # graph's): 5.15 against 5.65 epochs/s, slower in 6 of 6 pairs. A
-    # two-thread pool running every term largest first, the calling thread
-    # only reading results, was as fast (5.94 against 6.01 epochs/s, seed 17,
-    # 8 pairs of 20 s) but peaked at 83.8 against 80.4 MB RSS, higher in 8 of
-    # 8 pairs; a third glibc malloc arena is the likely cause, unverified.
-    from concurrent.futures import wait
+    queue = deque(sorted(range(len(runs)), key=lambda i: -runs[i][0].pairs.nbr.shape[0]))
+    outcomes: dict[int, tuple | BaseException] = {}
 
-    first, *queued = sorted(range(len(runs)), key=lambda i: -runs[i][0].pairs.nbr.shape[0])
-    futures = {i: pool.submit(_reconstruction_term, *runs[i]) for i in queued}
-    here: dict[int, tuple | NumericFault] = {}
-    try:
-        for i in [first, *reversed(queued)]:
-            if i != first and not futures[i].cancel():
-                break  # the pool has started it, and every run queued before it
+    def drain() -> None:
+        while True:
             try:
-                here[i] = _reconstruction_term(*runs[i])
+                i = queue.popleft()
+            except IndexError:
+                return
+            try:
+                outcomes[i] = _reconstruction_term(*runs[i])
             except NumericFault as fault:
-                here[i] = fault
+                outcomes[i] = fault
+            except BaseException as exc:
+                queue.clear()
+                outcomes[i] = exc
+
+    helpers = [threading.Thread(target=drain, name="hgmae-term") for _ in range(threads - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        drain()
+        for helper in helpers:
+            helper.join()
     except BaseException:
-        # any other error ends the step as it ends the serial loop: the pool
-        # finishes only the run it has started
-        for future in futures.values():
-            future.cancel()
+        # an interrupt outside a run, during the join among others
+        queue.clear()
+        for helper in helpers:
+            if helper.is_alive():
+                helper.join()
         raise
-    finally:
-        wait(futures.values())
-    results = []
     for i in range(len(runs)):
-        outcome = here[i] if i in here else futures[i].result()
-        if isinstance(outcome, NumericFault):
-            raise outcome
-        results.append(outcome)
-    return results
+        if isinstance(outcomes.get(i), BaseException):
+            raise outcomes[i]
+    return [outcomes[i] for i in range(len(runs))]
 
 
 def hgmae_step(
@@ -505,10 +504,10 @@ def hgmae_step(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    pool: Executor | None = None,
+    threads: int = 1,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Sample fresh masks, then evaluate the combined loss and its gradient."""
-    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng), pool)
+    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng), threads)
 
 
 @dataclass
@@ -540,9 +539,10 @@ def pretrain(
 
     threads caps the terms in flight, MAX_TERMS_IN_FLIGHT at most; the
     default is the number of usable CPUs. A graph whose full term has fewer
-    than THREADED_MIN_PAIRS message pairs runs its terms one at a time. The
-    bits do not depend on either: every gradient is added in term order on
-    the calling thread.
+    than THREADED_MIN_PAIRS message pairs runs its terms one at a time.
+    Every step starts its helper threads and joins them before it returns,
+    so a forked worker inherits none. The bits do not depend on the thread
+    count: every gradient is added in term order on the calling thread.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(g.d_in, cfg, rng)
@@ -555,31 +555,16 @@ def pretrain(
     if terms[0].pairs.nbr.shape[0] < THREADED_MIN_PAIRS:
         in_flight = 1
     history: list[EpochStats] = []
-    # the pool lives inside this call only: a pool kept at module level would
-    # be inherited without its threads by run_pretrain's forked workers, whose
-    # first step would wait on it forever
-    with _term_pool(in_flight - 1) as pool:
-        for epoch in range(1, cfg.epochs + 1):
-            try:
-                parts, grads = hgmae_step(terms, params, cfg, rng, pool)
-            except NumericFault as fault:
-                raise NumericFault(f"epoch {epoch}: {fault}") from fault
-            adam_step(state, params.named_arrays(), grads)
-            history.append(
-                EpochStats(epoch, parts.total, parts.full, parts.sub_mean, parts.zero_norm_rows)
-            )
+    for epoch in range(1, cfg.epochs + 1):
+        try:
+            parts, grads = hgmae_step(terms, params, cfg, rng, in_flight)
+        except NumericFault as fault:
+            raise NumericFault(f"epoch {epoch}: {fault}") from fault
+        adam_step(state, params.named_arrays(), grads)
+        history.append(
+            EpochStats(epoch, parts.total, parts.full, parts.sub_mean, parts.zero_norm_rows)
+        )
     return params, history
-
-
-def _term_pool(workers: int):
-    """A thread pool of `workers` threads that joins them on exit, or with
-    none a context that yields None. The import waits for the first pool,
-    so that `import riskprop` does not load concurrent.futures."""
-    if workers < 1:
-        return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(workers, thread_name_prefix="hgmae-term")
 
 
 def infer_embeddings(g: HeteroGraph, params: ModelParams) -> np.ndarray:

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from riskprop import experiment
 from riskprop.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +122,24 @@ def test_seed_override_limits_work(tmp_path):
     run_cli("generate", "--config", str(SMOKE), "--out", str(out), "--seed", "1", "--quiet")
     assert (out / "seed_1" / "nodes.tsv").exists()
     assert not (out / "seed_0").exists()
+
+
+def test_negative_seed_override_names_seeds(tmp_path, capsys):
+    assert main(["generate", "--out", str(tmp_path), "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: seeds must be >= 0, got -3\n"
+    assert not any(tmp_path.iterdir())
+
+
+def exit_abruptly(*_):
+    """A pretrain task whose worker process dies without raising."""
+    os._exit(3)
+
+
+def test_dead_pretrain_worker_is_reported_as_an_error(tmp_path, monkeypatch, capfd):
+    # the forked workers inherit the patch
+    monkeypatch.setattr(experiment, "_pretrain_one", exit_abruptly)
+    assert main(["run-all", "--config", str(SMOKE), "--out", str(tmp_path), "--quiet"]) == 1
+    assert capfd.readouterr().err == "error: a pretrain worker exited abruptly\n"
 
 
 def test_bad_config_lists_problems(tmp_path):

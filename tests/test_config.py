@@ -76,6 +76,27 @@ def test_empty_seed_list_rejected():
         ExperimentConfig(seeds=())
 
 
+@pytest.mark.parametrize(
+    "seeds, problem",
+    [
+        ((0, 0), "seeds must be distinct, got 0 twice"),
+        ((1, 2, 1), "seeds must be distinct, got 1 twice"),
+        ((-1,), "seeds must be >= 0, got -1"),
+        ((0, -3), "seeds must be >= 0, got -3"),
+    ],
+)
+def test_repeated_or_negative_seed_rejected(seeds, problem):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(seeds=seeds)
+    assert str(exc.value) == problem
+
+
+def test_repeated_seed_in_a_file_names_the_file(tmp_path):
+    assert _problems(tmp_path, "seeds=0,0\n") == [
+        "exp.config: seeds must be distinct, got 0 twice"
+    ]
+
+
 def _problems(tmp_path, text):
     path = tmp_path / "exp.config"
     path.write_text(text)

@@ -581,13 +581,13 @@ def test_pretrain_1k_world_bit_identical_to_recorded_reference(eta):
 
 
 def term_threads() -> list[str]:
-    """The live threads of a pretrain pool."""
+    """The live helper threads of a step's terms."""
     return [t.name for t in threading.enumerate() if t.name.startswith("hgmae-term")]
 
 
 def counted_1k_digests(threads: int) -> dict:
     """pretrain_1k_digests(1.0, threads), the zero-norm rows of each epoch
-    and the pool threads left once pretrain has returned."""
+    and the helper threads left once pretrain has returned."""
     assert plan_graph(world_1k())[0].pairs.nbr.shape[0] >= hgmae.THREADED_MIN_PAIRS
     g, params, history = pretrain_1k(1.0, threads)
     return {
@@ -601,7 +601,7 @@ def counted_1k_digests(threads: int) -> dict:
 def test_pretrain_1k_bytes_equal_with_one_and_two_terms_in_flight(blas_threads):
     """The 1k world is above the cut-over, so two threads run its terms two
     at a time: the same bytes and zero-norm row count as one at a time, at
-    either BLAS thread count, and no pool thread outlives pretrain."""
+    either BLAS thread count, and no helper thread outlives pretrain."""
     serial, threaded = child_json(
         "import json, test_hgmae; "
         "print(json.dumps([test_hgmae.counted_1k_digests(t) for t in (1, 2)]))",
@@ -651,20 +651,19 @@ def test_step_peak_memory_on_the_1k_world(threads):
     cfg = dataclasses.replace(ExperimentConfig().pretrain, eta=1.0)
     terms = plan_graph(g)
     params = init_params(g.d_in, cfg, np.random.default_rng(0))
-    with hgmae._term_pool(threads - 1) as pool:
-        hgmae_step(terms, params, cfg, np.random.default_rng(0), pool)  # warm-up
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            hgmae_step(terms, params, cfg, np.random.default_rng(1), pool)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+    hgmae_step(terms, params, cfg, np.random.default_rng(0), threads)  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hgmae_step(terms, params, cfg, np.random.default_rng(1), threads)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
     assert peak < STEP_PEAK_1K_MB[threads] * 2**20
 
 
 def test_terms_on_more_threads_than_cores_add_up_as_one_at_a_time():
-    """Four pool threads, more than the two cores of CI, switching as often as
+    """Four helper threads, more than the two cores of CI, switching as often as
     the interpreter allows: the loss parts, gradient bytes and zero-norm
     count equal the serial step's, so no thread's result is lost or
     reordered."""
@@ -673,26 +672,25 @@ def test_terms_on_more_threads_than_cores_add_up_as_one_at_a_time():
     terms = plan_graph(g)
     params = init_params(g.d_in, cfg, np.random.default_rng(0))
 
-    def step(pool):
-        parts, grads = hgmae_step(terms, params, cfg, np.random.default_rng(0), pool)
+    def step(threads):
+        parts, grads = hgmae_step(terms, params, cfg, np.random.default_rng(0), threads)
         return parts, {k: v.tobytes() for k, v in grads.items()}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with hgmae._term_pool(4) as pool:
-            threaded = step(pool)
+        threaded = step(5)
     finally:
         sys.setswitchinterval(interval)
     assert threaded[0].zero_norm_rows > 0
-    assert threaded == step(None)  # LossParts equality covers zero_norm_rows
+    assert threaded == step(1)  # LossParts equality covers zero_norm_rows
     assert term_threads() == []
 
 
 def test_calling_thread_error_cancels_the_terms_the_pool_has_not_started(monkeypatch):
-    """An error other than NumericFault in the full graph's term ends the
-    step as it ends the serial loop: the pool finishes the term it has
-    started, run 1, and starts no other."""
+    """An error other than NumericFault in the full graph's term empties
+    the queue: the other thread finishes the run it has taken, run 1, and
+    takes no other."""
     started = threading.Event()
     ran = []
 
@@ -701,7 +699,7 @@ def test_calling_thread_error_cancels_the_terms_the_pool_has_not_started(monkeyp
             assert started.wait(10)
             raise MemoryError("full graph")
         started.set()
-        time.sleep(0.5)  # the calling thread cancels the queued runs meanwhile
+        time.sleep(0.5)  # the full graph's thread empties the queue meanwhile
         ran.append(term.edge_type)
         return 1.0, {}, 0
 
@@ -710,10 +708,38 @@ def test_calling_thread_error_cancels_the_terms_the_pool_has_not_started(monkeyp
         (SimpleNamespace(edge_type=t, pairs=SimpleNamespace(nbr=np.zeros(size))),)
         for t, size in ((None, 40), (1, 30), (2, 20), (3, 10))
     ]
-    with hgmae._term_pool(1) as pool:
-        with pytest.raises(MemoryError, match="full graph"):
-            hgmae._run_terms(runs, pool)
+    with pytest.raises(MemoryError, match="full graph"):
+        hgmae._run_terms(runs, 2)
     assert ran == [1]
+
+
+def test_helper_thread_error_empties_the_queue(monkeypatch):
+    """An error other than NumericFault on the helper thread empties the
+    queue: the calling thread finishes the run it has taken and takes no
+    other, the step raises the helper's error, and no helper thread is left."""
+    calling_started = threading.Event()
+    started = []
+
+    def fake_term(term, *_):
+        started.append(term.edge_type)
+        if threading.current_thread().name == "hgmae-term":
+            assert calling_started.wait(10)
+            raise RuntimeError(f"helper ran type {term.edge_type}")
+        (helper,) = [t for t in threading.enumerate() if t.name == "hgmae-term"]
+        calling_started.set()
+        helper.join(10)
+        assert not helper.is_alive()  # it has failed and emptied the queue
+        return 1.0, {}, 0
+
+    monkeypatch.setattr(hgmae, "_reconstruction_term", fake_term)
+    runs = [
+        (SimpleNamespace(edge_type=t, pairs=SimpleNamespace(nbr=np.zeros(size))),)
+        for t, size in ((None, 40), (1, 30), (2, 20), (3, 10))
+    ]
+    with pytest.raises(RuntimeError, match="^helper ran type"):
+        hgmae._run_terms(runs, 2)
+    assert len(started) == 2
+    assert term_threads() == []
 
 
 def poison_features(monkeypatch, edge_type):
@@ -731,7 +757,7 @@ def poison_features(monkeypatch, edge_type):
 
 def fault_messages(g, cfg) -> list[str]:
     """pretrain's NumericFault message with the terms one at a time, then
-    two at a time. No pool thread outlives the fault."""
+    two at a time. No helper thread outlives the fault."""
     messages = []
     for threads in (1, 2):
         with pytest.raises(NumericFault) as err:
@@ -749,8 +775,9 @@ def test_threaded_pretrain_fault_names_epoch_and_stage_as_serial(monkeypatch):
 
 @pytest.mark.parametrize("failing", [(None, 2), (0, 2), (1, 2), (2,)])
 def test_threaded_fault_is_the_first_failing_term_in_term_order(monkeypatch, failing):
-    """The calling thread runs the full graph's term and then the smallest
-    ones; the pool runs type 2's, the largest subgraph, first."""
+    """One or two at a time, each thread takes the largest run left and
+    the runs go on past a NumericFault: the fault raised is the first in
+    term order, whichever thread met it and whenever."""
     real_term = hgmae._reconstruction_term
 
     def failing_term(term, *args):
@@ -765,9 +792,9 @@ def test_threaded_fault_is_the_first_failing_term_in_term_order(monkeypatch, fai
 
 
 def test_pool_term_fault_raised_before_a_later_calling_thread_fault(monkeypatch):
-    """Run 1 goes to the pool, which holds it until the calling thread has
-    taken run 2 back from the queue and run it: both fail, and run 1's
-    fault, first in run order though it comes last, is the one raised."""
+    """One thread holds run 1 until the other has taken run 2 from the
+    queue and run it: both fail, and run 1's fault, first in run order
+    though it comes last, is the one raised."""
     taken_back = threading.Event()
 
     def fake_term(term, *_):
@@ -784,9 +811,8 @@ def test_pool_term_fault_raised_before_a_later_calling_thread_fault(monkeypatch)
         (SimpleNamespace(edge_type=t, pairs=SimpleNamespace(nbr=np.zeros(size))),)
         for t, size in ((None, 30), (1, 20), (2, 10))
     ]
-    with hgmae._term_pool(1) as pool:
-        with pytest.raises(NumericFault, match="type 1$"):
-            hgmae._run_terms(runs, pool)
+    with pytest.raises(NumericFault, match="type 1$"):
+        hgmae._run_terms(runs, 2)
 
 
 def test_pretrain_fault_names_epoch_and_op(monkeypatch, two_type_graph, tiny_cfg):
