@@ -103,16 +103,24 @@ def logistic_loss_and_grad(
     w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean log-loss + 0.5*l2*|w|^2 (bias unregularized), with gradients."""
-    m = X.shape[0]
+    logits, e, gw, gb = _logits_and_grad(w, b, X, y, l2)
+    return _loss(logits, e, w, y, l2), gw, gb
+
+
+def _logits_and_grad(
+    w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     logits = X @ w + b
     e = np.exp(-np.abs(logits))
+    residual = _logistic(logits, e) - y
+    gw = X.T @ residual / X.shape[0] + l2 * w
+    return logits, e, gw, float(np.mean(residual))
+
+
+def _loss(logits: np.ndarray, e: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float) -> float:
     # log(1+exp(-|t|)) form avoids overflow in both tails
     nll = np.mean(np.log1p(e) + np.maximum(logits, 0.0) - y * logits)
-    loss = float(nll + 0.5 * l2 * float(w @ w))
-    residual = _logistic(logits, e) - y
-    gw = X.T @ residual / m + l2 * w
-    gb = float(np.mean(residual))
-    return loss, gw, gb
+    return float(nll + 0.5 * l2 * float(w @ w))
 
 
 def _train_logistic(X: np.ndarray, y: np.ndarray, cfg: ClassifierConfig) -> ClassifierModel:
@@ -120,9 +128,13 @@ def _train_logistic(X: np.ndarray, y: np.ndarray, cfg: ClassifierConfig) -> Clas
     Xs = (X - mean) / std
     w = np.zeros(X.shape[1])
     b = 0.0
+    # each row's log-loss lies in [0, |logit| + log 2] for labels in {0, 1},
+    # so these bounds prove the loss finite without computing it
+    logit_bound = 1e300 / X.shape[0]
     for _ in range(cfg.iterations):
-        loss, gw, gb = logistic_loss_and_grad(w, b, Xs, y, cfg.l2)
-        if not np.isfinite(loss):
+        logits, e, gw, gb = _logits_and_grad(w, b, Xs, y, cfg.l2)
+        bounded = np.abs(logits).max() < logit_bound and 0.5 * cfg.l2 * float(w @ w) < 1e300
+        if not bounded and not np.isfinite(_loss(logits, e, w, y, cfg.l2)):
             raise FloatingPointError("logistic training diverged: non-finite loss")
         w -= cfg.lr * gw
         b -= cfg.lr * gb

@@ -5,9 +5,12 @@ union of all edge types; issuer nodes reached become targets. A pair is
 black (label 1) only when the target defaulted strictly after the source;
 ties and earlier defaults carry no directional evidence and stay white.
 White pairs are then uniformly downsampled to the black count, and the
-balanced set is split 80/20 stratified by label. Pairs stay aligned int64
+balanced set is split 80/20 stratified by label. Pairs stay aligned
 columns (CandidatePairs) from enumeration to the saved split; each step
-selects rows.
+selects rows. The enumeration works in narrow types: bfs_hops' hop type,
+int32 node ids (int64 from 2**31 nodes) and int8 labels. build_pairs
+downsamples on those and widens only the rows it keeps to int64, the type
+of every CandidatePairs the public functions return.
 
 The BFS is level-synchronous and multi-source: all sources advance one hop
 together, with one bit per source in each node's row of a packed frontier,
@@ -28,7 +31,7 @@ from .graph import DefaultEvent, HeteroGraph
 from .table import Check, read_table, write_table
 
 # sources per BFS chunk are capped so a chunk's [sources, num_nodes] hop
-# matrix holds at most this many cells
+# matrix holds at most this many cells: 2 MB in int8 hops
 _BFS_CELLS = 1 << 21
 
 
@@ -46,7 +49,8 @@ class PropagationPair:
 
 @dataclass(frozen=True, eq=False)
 class CandidatePairs:
-    """Pairs as aligned int64 columns. Iterating yields PropagationPair rows."""
+    """Pairs as aligned columns, int64 except in the narrow enumeration that
+    build_pairs reads. Iterating yields PropagationPair rows."""
 
     source: np.ndarray
     target: np.ndarray
@@ -77,11 +81,15 @@ def bfs_hops(
     indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, max_hops: int
 ) -> np.ndarray:
     """Hop distance from each source to every node of a CSR graph, within
-    max_hops: a [len(sources), num_nodes] int64 matrix, 0 at the source
-    itself and -1 where the node is out of reach."""
+    max_hops: a [len(sources), num_nodes] matrix, 0 at the source itself and
+    -1 where the node is out of reach. Its type is the narrowest signed
+    integer that holds max_hops: int8 up to 127 hops."""
     n = indptr.shape[0] - 1
     num_sources = sources.shape[0]
-    hops = np.full((num_sources, n), -1, dtype=np.int64)
+    hop_type = next(
+        t for t in (np.int8, np.int16, np.int32, np.int64) if max_hops <= np.iinfo(t).max
+    )
+    hops = np.full((num_sources, n), -1, dtype=hop_type)
     hops[np.arange(num_sources), sources] = 0
     bits = np.zeros((n, -(-num_sources // 64) * 64), dtype=bool)
     bits[sources, np.arange(num_sources)] = True
@@ -115,18 +123,22 @@ def _event_times(g: HeteroGraph, events: list[DefaultEvent]) -> dict[int, int]:
 
 
 def enumerate_candidate_pairs(
-    g: HeteroGraph, events: list[DefaultEvent], n_hops: int
+    g: HeteroGraph, events: list[DefaultEvent], n_hops: int, *, narrow: bool = False
 ) -> CandidatePairs:
-    """All pre-balancing pairs, in (source, target) order; deterministic."""
+    """All pre-balancing pairs, in (source, target) order; deterministic.
+    The columns are int64; with narrow=True they keep the enumeration's own
+    types: int32 node ids (int64 from 2**31 nodes), int8 labels and
+    bfs_hops' hop type."""
     if n_hops < 1:
         raise PairConstructionError("n_hops must be >= 1")
     times = _event_times(g, events)
-    sources = np.array(sorted(nid for nid in times if g.issuer_flags[nid]), dtype=np.int64)
+    id_type = np.int32 if g.num_nodes < 2**31 else np.int64
+    sources = np.array(sorted(nid for nid in times if g.issuer_flags[nid]), dtype=id_type)
     if not sources.size:
         raise PairConstructionError("no defaulted issuers; adjust cascade config")
     time_of = np.full(g.num_nodes, -1, dtype=np.int64)
     time_of[list(times)] = list(times.values())
-    issuer_ids = np.flatnonzero(g.issuer_flags)
+    issuer_ids = np.flatnonzero(g.issuer_flags).astype(id_type)
     indptr, indices = g.union_csr()
     chunk = max(1, _BFS_CELLS // g.num_nodes)
     parts = []
@@ -134,18 +146,26 @@ def enumerate_candidate_pairs(
         chunk_sources = sources[lo : lo + chunk]
         hops = bfs_hops(indptr, indices, chunk_sources, n_hops)[:, issuer_ids]
         rows, cols = np.nonzero(hops > 0)
-        src, dst = chunk_sources[rows], issuer_ids[cols]
-        label = (time_of[dst] > time_of[src]).astype(np.int64)
-        parts.append((src, dst, label, hops[rows, cols]))
-    return CandidatePairs(*(np.concatenate(col) for col in zip(*parts)))
+        src, dst, hop = chunk_sources[rows], issuer_ids[cols], hops[rows, cols]
+        # the int64 indices and the hop matrix go before the label temporaries
+        del rows, cols, hops
+        parts.append((src, dst, (time_of[dst] > time_of[src]).astype(np.int8), hop))
+    pairs = CandidatePairs(*(np.concatenate(col) for col in zip(*parts)))
+    return pairs if narrow else _widen(pairs, slice(None))
+
+
+def _widen(pairs: CandidatePairs, rows) -> CandidatePairs:
+    """The given rows of pairs, with every column as int64."""
+    cols = (pairs.source, pairs.target, pairs.label, pairs.hop)
+    return CandidatePairs(*(col[rows].astype(np.int64) for col in cols))
 
 
 def build_pairs(
     g: HeteroGraph, events: list[DefaultEvent], n_hops: int, seed: int
 ) -> CandidatePairs:
     """Candidate pairs with whites uniformly downsampled to the black count,
-    in (source, target) order."""
-    candidates = enumerate_candidate_pairs(g, events, n_hops)
+    in (source, target) order. Only the rows kept are widened to int64."""
+    candidates = enumerate_candidate_pairs(g, events, n_hops, narrow=True)
     blacks = np.flatnonzero(candidates.label == 1)
     whites = np.flatnonzero(candidates.label == 0)
     if not blacks.size:
@@ -153,7 +173,7 @@ def build_pairs(
     if whites.size > blacks.size:
         rng = np.random.default_rng(seed)
         whites = whites[rng.choice(whites.size, size=blacks.size, replace=False)]
-    return candidates.select(np.sort(np.concatenate([blacks, whites])))
+    return _widen(candidates, np.sort(np.concatenate([blacks, whites])))
 
 
 def split_pairs(pairs: CandidatePairs, train_frac: float, seed: int) -> PairDatasetSplit:

@@ -110,6 +110,32 @@ def test_logistic_gradient_matches_finite_differences():
     assert report.passed
 
 
+DIVERGED = "^logistic training diverged: non-finite loss$"
+
+
+def test_diverging_logits_raise_at_the_first_non_finite_loss():
+    # constant features standardize to zero, so only the bias moves: one
+    # step of lr 1e308 puts every logit at -2e307, and the 30 positives'
+    # log-losses then sum past the float range while the L2 term stays 0
+    rows = [toy_pair(i, i, label=int(i < 30)) for i in range(100)]
+    split = PairDatasetSplit(train=pairs_from_rows(rows), test=pairs_from_rows([]), split_seed=0)
+    fusion_fn = lambda ps: np.ones((len(ps), 1))  # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_classifier(split, fusion_fn, ClassifierConfig(iterations=1, lr=1e308))
+        with pytest.raises(FloatingPointError, match=DIVERGED):
+            train_classifier(split, fusion_fn, ClassifierConfig(iterations=2, lr=1e308))
+
+
+def test_diverging_l2_term_raises_at_the_first_non_finite_loss():
+    # one step of lr 3 gives |w|^2 near 4.5 and logits below 4, so at the
+    # second iteration only 0.5 * l2 * |w|^2 overflows; no numpy operation
+    # overflows, so this raises no RuntimeWarning either
+    split, fusion_fn = separable_split()
+    train_classifier(split, fusion_fn, ClassifierConfig(iterations=1, lr=3.0, l2=1e308))
+    with pytest.raises(FloatingPointError, match=DIVERGED):
+        train_classifier(split, fusion_fn, ClassifierConfig(iterations=2, lr=3.0, l2=1e308))
+
+
 def test_classifier_config_rejects_every_bad_value():
     with pytest.raises(ValueError) as err:
         ClassifierConfig(iterations=-3, lr=-0.1, l2=-5)

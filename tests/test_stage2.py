@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -251,16 +252,55 @@ def test_array_bfs_matches_deque_bfs(n, max_hops):
         assert got == want
 
 
+def test_hops_beyond_int8_match_the_oracles():
+    # a 300-node path: 200 hops need a wider hop type than int8
+    n, n_hops = 300, 200
+    g = make_graph(n, {0: [(u, u + 1) for u in range(n - 1)]}, issuers=range(0, n, 7))
+    events = [DefaultEvent(u, u % 5) for u in range(0, n, 21)]
+    nbrs = neighbor_lists(g)
+    sources = np.array([0, 150, 299])
+    hops = bfs_hops(*g.union_csr(), sources, n_hops)
+    assert hops.dtype == np.int16
+    for row, s in zip(hops, sources.tolist()):
+        assert {v: int(d) for v, d in enumerate(row) if d >= 0} == bfs_distances(nbrs, s, n_hops)
+    got = enumerate_candidate_pairs(g, events, n_hops)
+    for col in ("source", "target", "label", "hop"):
+        assert getattr(got, col).dtype == np.int64
+    assert got.hop.max() > 127
+    want = brute_force_candidate_pairs(g, events, n_hops)
+    assert list(got) == [PropagationPair(*t) for t in want]
+
+
 def test_multi_chunk_enumeration_matches_one_chunk(monkeypatch):
     cfg = dataclasses.replace(GenConfig(), num_nodes=300, rng_seed=2)
     g = generate_graph(cfg)
     events = simulate_cascade(g, cfg)
     whole = enumerate_candidate_pairs(g, events, 3)
+    whole_kept = build_pairs(g, events, 3, seed=4)
     monkeypatch.setattr(pairs_mod, "_BFS_CELLS", 5 * cfg.num_nodes)  # 5 sources per chunk
     chunked = enumerate_candidate_pairs(g, events, 3)
+    chunked_kept = build_pairs(g, events, 3, seed=4)
     for col in ("source", "target", "label", "hop"):
         assert getattr(whole, col).dtype == np.int64
         assert np.array_equal(getattr(whole, col), getattr(chunked, col)), col
+        assert getattr(chunked_kept, col).dtype == np.int64
+        assert np.array_equal(getattr(whole_kept, col), getattr(chunked_kept, col)), col
+
+
+def test_build_pairs_traced_peak_on_a_4k_world():
+    # 4k world 2 has 290,752 candidates; with int64 scratch (a [sources,
+    # nodes] hop matrix and candidate columns held twice) the peak was 26.9 MB
+    cfg = world_4k_config(2)
+    g = generate_graph(cfg)
+    events = simulate_cascade(g, cfg)
+    tracemalloc.start()
+    try:
+        kept = build_pairs(g, events, 3, seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 24_192
+    assert peak <= 16e6, f"build_pairs peaked at {peak / 1e6:.1f} MB"
 
 
 def test_source_with_no_issuer_in_reach_adds_no_pairs():
