@@ -131,13 +131,16 @@ def _train_logistic(X: np.ndarray, y: np.ndarray, cfg: ClassifierConfig) -> Clas
     # each row's log-loss lies in [0, |logit| + log 2] for labels in {0, 1},
     # so these bounds prove the loss finite without computing it
     logit_bound = 1e300 / X.shape[0]
-    for _ in range(cfg.iterations):
-        logits, e, gw, gb = _logits_and_grad(w, b, Xs, y, cfg.l2)
-        bounded = np.abs(logits).max() < logit_bound and 0.5 * cfg.l2 * float(w @ w) < 1e300
-        if not bounded and not np.isfinite(_loss(logits, e, w, y, cfg.l2)):
-            raise FloatingPointError("logistic training diverged: non-finite loss")
-        w -= cfg.lr * gw
-        b -= cfg.lr * gb
+    # a diverging run overflows on its way to the non-finite loss; the
+    # finiteness test below reports it, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.iterations):
+            logits, e, gw, gb = _logits_and_grad(w, b, Xs, y, cfg.l2)
+            bounded = np.abs(logits).max() < logit_bound and 0.5 * cfg.l2 * float(w @ w) < 1e300
+            if not bounded and not np.isfinite(_loss(logits, e, w, y, cfg.l2)):
+                raise FloatingPointError("logistic training diverged: non-finite loss")
+            w -= cfg.lr * gw
+            b -= cfg.lr * gb
     return ClassifierModel(weights=w, bias=b, feat_mean=mean, feat_std=std)
 
 

@@ -14,10 +14,12 @@ that run's artifacts, plus results.tsv (per-seed rows, then mean/std rows
 per condition) and summary.txt at the top level.
 
 The pretrain stage runs its (seed, variant) runs in forked worker
-processes, at most one per usable CPU, and each worker gets its share of
-the CPUs as threads for one run's terms. Each run seeds its own rng from
-(config, seed) and writes its own files, so the bytes do not depend on the
-worker or thread count, and every worker has exited when the stage returns.
+processes, one per usable CPU at most. A CPU no worker uses, at the start or
+once a worker has no task left, lets a running run fork a replica that
+splits its steps' terms with it (hgmae.pretrain). Each run seeds its own rng
+from (config, seed) and writes its own files, so the bytes do not depend on
+the worker count or on which runs got a replica, and every worker and
+replica has exited when the stage returns.
 """
 
 from __future__ import annotations
@@ -167,10 +169,24 @@ def run_generate(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
         synthetic.save_gen_config(gen_cfg, sdir / "gen.config")
 
 
-def _pretrain_one(sdir: Path, variant: str, cfg: TrainConfig, threads: int) -> None:
-    """One pre-training run on the world in sdir, on at most `threads`
-    threads, writing the variant's checkpoint and log."""
-    params, history = hgmae.pretrain(graph.load_graph(sdir), cfg, threads)
+def _pretrain_one(sdir: Path, variant: str, cfg: TrainConfig, tokens: tuple[int, int]) -> None:
+    """One pre-training run on the world in sdir, writing the variant's
+    checkpoint and log. tokens is the (read, write) pipe of spare CPUs, one
+    byte each: the run takes one, without blocking, when pretrain asks for a
+    spare CPU, and writes it back when pretrain returns."""
+    taken = []
+
+    def spare_cpu() -> bool:
+        try:
+            taken.append(os.read(tokens[0], 1))
+        except BlockingIOError:
+            return False
+        return True
+
+    try:
+        params, history = hgmae.pretrain(graph.load_graph(sdir), cfg, spare_cpu)
+    finally:
+        os.write(tokens[1], b"".join(taken))
     save_checkpoint(params, cfg, sdir / f"checkpoint_{variant}.tsv")
     hgmae.save_pretrain_log(history, sdir / f"pretrain_log_{variant}.tsv")
 
@@ -179,11 +195,15 @@ def run_pretrain(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
     """Pre-train the subgraph-aware model and the eta=0 ablation on each world.
 
     Each (seed, variant) run is one task in a pool of forked workers, one
-    per usable CPU at most; the longer hgmae runs are queued first. A worker
-    runs its terms on at most its share of the CPUs (hgmae.pretrain). On the
-    first failed task the queued ones are cancelled and its exception is
-    re-raised here, after the pool has joined every worker; a worker that
-    dies without one raises ChildProcessError.
+    per usable CPU at most; the longer hgmae runs are queued first. Every
+    other usable CPU is a one-byte token on a pipe: the surplus at the
+    start, and one more each time a worker finishes a task with none left
+    in the queue. A run with at least two terms per step reads a token at an
+    epoch boundary, if one is there, to fork a replica (hgmae.pretrain), and
+    writes it back when it ends. On the first failed task the queued ones
+    are cancelled and its exception is re-raised here, after the pool has
+    joined every worker; a worker that dies without one raises
+    ChildProcessError.
     """
     # imported here, not at the top: they add about 30 ms and 2 MB to every
     # `import riskprop`, and only this stage uses them
@@ -198,19 +218,27 @@ def run_pretrain(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
     ]
     cpus = len(os.sched_getaffinity(0))
     workers = min(len(tasks), cpus)
-    threads = max(1, cpus // workers)
-    # fork, not spawn: a spawn pool starts a resource-tracker process that
-    # stays alive after the pool has shut down
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_pretrain_one, *task, threads) for task in tasks]
-        try:
-            for future in as_completed(futures):
-                future.result()
-        except BrokenProcessPool as exc:
-            raise ChildProcessError("a pretrain worker exited abruptly") from exc
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    tokens = os.pipe()
+    os.set_blocking(tokens[0], False)
+    try:
+        os.write(tokens[1], b"+" * (cpus - workers))
+        # fork, not spawn: a spawn pool starts a resource-tracker process that
+        # stays alive after the pool has shut down
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_pretrain_one, *task, tokens) for task in tasks]
+            try:
+                for done, future in enumerate(as_completed(futures), 1):
+                    future.result()
+                    if len(tasks) - done < workers:  # its worker has no task left
+                        os.write(tokens[1], b"+")
+            except BrokenProcessPool as exc:
+                raise ChildProcessError("a pretrain worker exited abruptly") from exc
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        os.close(tokens[0])
+        os.close(tokens[1])
 
 
 def run_embed(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -> None:

@@ -20,14 +20,10 @@ row gather, one multiply by the pair weights and, in the backward, one row
 sum for the per-pair dots. Only the add into the prefix runs per slot.
 Blocks live only inside one call.
 
-A head's backward closure holds its input x, its weights and two
-n-vectors: each receiver's max score and its softmax denominator. By
-default it also keeps z = x @ W.T, the scores' signs, exp and the
-attention weights. With recompute=True it recomputes them in its backward
-instead, with the forward's own operations, so none of its per-pair arrays
-outlives a call: a caller running two terms at once passes it to keep both
-inside one term's memory. A layer's closure adds only the ELU layer's
-output and the mask of its positive entries.
+A head's backward closure holds its input x, its weights, two n-vectors
+(each receiver's max score and its softmax denominator), z = x @ W.T, the
+scores' signs, exp and the attention weights. A layer's closure adds only
+the ELU layer's output and the mask of its positive entries.
 
 The layout does not change any float sum. numpy's bincount starts every bin
 at +0.0 and adds its entries in input order; a receiver's entries in slot
@@ -269,17 +265,14 @@ def _scores(
     return z, np.where(positive, s, LEAKY_SLOPE * s), positive
 
 
-def gat_head(
-    x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs, recompute: bool = False
-):
+def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
     """One attention head: (output [n, d_head], alpha per slot entry,
     backward).
 
     backward(g) takes the gradient of the output and returns the gradients
     of x, w and a. alpha grouped by receiver sums to 1. The closure keeps x,
-    w, a and two n-vectors, each receiver's max score and its softmax
-    denominator. It also keeps z, the scores' signs, exp and alpha, unless
-    recompute is set: then the backward recomputes them bit for bit.
+    w, a, z, the scores' signs, exp, alpha and two n-vectors, each
+    receiver's max score and its softmax denominator.
     """
     recv, n = pairs.recv, pairs.num_nodes
     d = w.shape[0]
@@ -293,16 +286,8 @@ def gat_head(
     alpha = ez / denom[recv]
     out, _ = _jagged_matmul(pairs, alpha, z)
     NumericFault.check(out, "gat_head")
-    kept = None if recompute else (z, positive, ez, alpha)
 
     def backward(g):
-        if kept is None:
-            z, e, positive = _scores(x, w, a_recv, a_send, pairs)
-            e += shift[recv]
-            ez = np.exp(e, out=e)
-            alpha = ez / denom[recv]
-        else:
-            z, positive, ez, alpha = kept
         d_pairs = denom[recv]
         # one pass over g[nbr] gives the transposed aggregation and, at each
         # entry's mirror, the row dot g[recv] . z[nbr] with its factors in
@@ -315,12 +300,12 @@ def gat_head(
         weights *= alpha
         weights /= d_pairs
         g_denom = np.bincount(recv, weights=weights, minlength=n)
-        del weights, alpha
+        del weights
         g_e = np.divide(g_alpha, d_pairs, out=g_alpha)
         g_e += g_denom[recv]
         g_e *= ez
         np.multiply(g_e, LEAKY_SLOPE, out=g_e, where=~positive)
-        del ez, d_pairs, positive
+        del d_pairs
         g_recv = np.bincount(recv, weights=g_e, minlength=n)
         # sender-keyed: bin s reads its entries' mirrors, i.e. the pairs (r, s)
         g_send = np.bincount(recv, weights=g_e[pairs.mirror], minlength=n)
@@ -335,22 +320,20 @@ def gat_head(
     return out, alpha, backward
 
 
-def gat_layer_forward(
-    params: GATLayerParams, x: np.ndarray, pairs: MessagePairs, recompute: bool = False
-):
+def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs):
     """One attention layer on features x [n, d_in]: (output, backward).
 
     backward(g) takes the gradient of the output and returns (gradient of x,
     [W gradient, a gradient] of each head in order, flattened). The closure
-    keeps the heads' closures, built with recompute as gat_head takes it,
-    and, for an ELU layer, the output and the mask of its positive entries.
+    keeps the heads' closures and, for an ELU layer, the output and the mask
+    of its positive entries.
     """
     n = x.shape[0]
     if pairs.num_nodes != n:
         raise ValueError(f"message pairs cover {pairs.num_nodes} nodes, features have {n}")
     outs, head_backwards = [], []
     for w, a in zip(params.weights, params.attn):
-        head_out, _, head_backward = gat_head(x, w, a, pairs, recompute)
+        head_out, _, head_backward = gat_head(x, w, a, pairs)
         outs.append(head_out)
         head_backwards.append(head_backward)
     out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
@@ -386,15 +369,13 @@ def gat_layer_forward(
     return out, backward
 
 
-def gat_stack_forward(
-    layers: list[GATLayerParams], x: np.ndarray, pairs: MessagePairs, recompute: bool = False
-):
+def gat_stack_forward(layers: list[GATLayerParams], x: np.ndarray, pairs: MessagePairs):
     """Layers in order: (output, backward). backward(g) returns (gradient of
     x, every layer's head gradients in layer order, flattened as
     gat_layer_forward lists them)."""
     backwards = []
     for layer in layers:
-        x, layer_backward = gat_layer_forward(layer, x, pairs, recompute)
+        x, layer_backward = gat_layer_forward(layer, x, pairs)
         backwards.append(layer_backward)
 
     def backward(g):

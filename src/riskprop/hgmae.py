@@ -19,26 +19,23 @@ encoder stack and remask_and_decode return their outputs with backward
 closures (the heads' closures from gat.py, chained), sce_loss returns the
 loss with its own and its count of zero-norm rows, and the mask token's
 gradient sums the gradients of the rows it fills. A term runs its backward
-as soon as its forward pass ends, and drops each closure once it has run.
-A head's closure keeps its input, its weights, two n-vectors and its
-per-pair arrays; when two terms are in flight it recomputes the per-pair
-arrays in its backward instead (the recompute flag of gat.gat_head), so
-each term holds O(n*d) floats between its passes.
+as soon as its forward pass ends, and drops each closure once it has run,
+so a process holds one term's forward state at a time.
 
-A step's terms wait in one queue, largest first by message pairs, and
-each thread that runs them takes the next one from it. On a small graph
-the calling thread runs them all. When the full graph has at least
-THREADED_MIN_PAIRS message pairs, pretrain runs two at a time, on the
-calling thread and one helper thread that the step starts and joins, if it
-may use two threads: by default it may use every usable CPU, and
-run_pretrain gives each worker process its share. Two terms in flight,
-their heads recomputing, take about the memory of one term whose heads
-keep their arrays. Either way hgmae_loss adds the terms' gradients on the
-calling thread in term order, full graph first, then the subgraphs by
-ascending type id, which makes them bit-identical to the same model
-composed from generic autodiff ops (tests/tape.py) and independent of the
-thread count. No count, thread or other state outlives a call: each step
-returns its own in its LossParts.
+A run alone runs a step's terms in term order: the full graph first, then
+the subgraphs by ascending type id. A run that gets a second CPU forks a
+replica at an epoch boundary (pretrain). The replica inherits the
+parameters, the Adam state, the rng and the terms bit for bit, and from then
+on both processes draw the same mask plans at every step. Each runs a fixed
+share of the terms, dealt by message pairs, largest first: caller, replica,
+replica, caller, and so on. The replica sends its terms' results to the
+caller over one pipe and reads the caller's from another; then both add
+every term's gradient in term order and take the same Adam step. Either way
+hgmae_loss adds the gradients in term order, which makes them bit-identical
+to the same model composed from generic autodiff ops (tests/tape.py) and
+independent of whether and when a replica started. No count, process or
+other state outlives a call: each step returns its own in its LossParts,
+and pretrain reaps its replica before it returns or raises.
 
 Inference re-runs the encoder on uncorrupted features over the full graph;
 no masking, no subgraphs.
@@ -56,9 +53,10 @@ terms read only those terms.
 from __future__ import annotations
 
 import os
-import threading
+import pickle
+import sys
 import warnings
-from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -272,17 +270,15 @@ def remask_and_decode(
     plan: MaskPlan,
     params: ModelParams,
     pairs: MessagePairs,
-    recompute: bool = False,
 ):
     """Replace masked latent rows with the re-mask token, then run the
-    decoder, its heads built with recompute as gat.gat_head takes it:
-    (reconstruction, backward). backward(g) returns (gradient of latent,
-    gradient of the re-mask token, decoder head gradients)."""
+    decoder: (reconstruction, backward). backward(g) returns (gradient of
+    latent, gradient of the re-mask token, decoder head gradients)."""
     masked = plan.masked_ids
     remasked = latent.copy()
     remasked[masked] = params.remask_token
     NumericFault.check(remasked, "remask")
-    recon, decoder_backward = gat_stack_forward(params.decoder, remasked, pairs, recompute)
+    recon, decoder_backward = gat_stack_forward(params.decoder, remasked, pairs)
 
     def backward(g):
         g_latent, grads = decoder_backward(g)
@@ -378,19 +374,17 @@ def _reconstruction_term(
     params: ModelParams,
     cfg: TrainConfig,
     upstream: float,
-    recompute: bool = False,
 ) -> tuple[float, dict[str, np.ndarray], int]:
     """One masked reconstruction term, forward and then backward: (loss, the
     gradient of upstream * loss per parameter name, the number of zero-norm
     rows). A parameter the term does not reach has no entry: the mask token
     when no row gets it, and every parameter when the loss is the constant 1.
     Each backward closure is dropped once it has run, which frees the
-    forward state it kept; with recompute, the heads keep no per-pair
-    arrays between the passes (gat.gat_head)."""
+    forward state it kept."""
     x, pairs = term.features, term.pairs
     corrupted = apply_mask(x, plan, params)
-    latent, encoder_backward = gat_stack_forward(params.encoder, corrupted, pairs, recompute)
-    recon, decoder_backward = remask_and_decode(latent, plan, params, pairs, recompute)
+    latent, encoder_backward = gat_stack_forward(params.encoder, corrupted, pairs)
+    recon, decoder_backward = remask_and_decode(latent, plan, params, pairs)
     del latent
     loss, sce_backward, zero_rows = sce_loss(x, recon, plan.masked_ids, cfg.gamma)
     del recon
@@ -412,31 +406,44 @@ def hgmae_loss(
     params: ModelParams,
     cfg: TrainConfig,
     plans: list[MaskPlan],
-    threads: int = 1,
+    link: _Link | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Combined reconstruction loss for given (replayable) mask plans, and
     its gradient per parameter name.
 
     Each plan runs the term at its position: the full graph's with upstream
-    gradient 1, then the K_eff single-type terms with eta / K_eff.
-    _run_terms runs them on `threads` threads, and with more than one the
-    heads recompute their per-pair arrays in the backward. The calling
-    thread then combines the results in term order: the first term to
-    reach a parameter gives a copy of its gradient, and later terms add
-    theirs in place; a parameter no term reaches gets zeros.
-    LossParts.zero_norm_rows adds up the terms' counts.
+    gradient 1, then the K_eff single-type terms with eta / K_eff. Without
+    a link every term runs here, in term order; with one, only the link's
+    share does, and the link trades their outcomes for the other
+    process's. A process stops its terms at its first NumericFault, and the
+    first fault in term order among all outcomes is raised. Otherwise the
+    results are combined in term order: the first term to reach a parameter
+    gives a copy of its gradient, and later terms add theirs in place; a
+    parameter no term reaches gets zeros. LossParts.zero_norm_rows adds up
+    the terms' counts.
     """
     if cfg.eta != 0.0 and len(terms) == 1:
         warnings.warn("no nonempty edge types; training on the full graph only")
-    runs = [
-        (term, plan, params, cfg, cfg.eta / (len(plans) - 1) if i else 1.0, threads > 1)
-        for i, (term, plan) in enumerate(zip(terms, plans))
-    ]
-    results = _run_terms(runs, threads)
+    outcomes: dict[int, tuple | NumericFault] = {}
+    for i in range(len(plans)) if link is None else link.share:
+        upstream = cfg.eta / (len(plans) - 1) if i else 1.0
+        try:
+            outcomes[i] = _reconstruction_term(terms[i], plans[i], params, cfg, upstream)
+        except NumericFault as fault:
+            # this process's later terms come later in term order too
+            outcomes[i] = fault
+            break
+    if link is not None:
+        outcomes = link.exchange(outcomes)
     grads: dict[str, np.ndarray] = {}
     losses: dict[int | None, float] = {}
-    for (term, *_), (loss, term_grads, _) in zip(runs, results):
-        losses[term.edge_type] = loss
+    zero_rows = 0
+    for i in sorted(outcomes):
+        if isinstance(outcomes[i], NumericFault):
+            raise outcomes[i]
+        loss, term_grads, rows = outcomes[i]
+        losses[terms[i].edge_type] = loss
+        zero_rows += rows
         for name, g in term_grads.items():
             if name in grads:
                 grads[name] += g
@@ -448,55 +455,7 @@ def hgmae_loss(
         name: grads[name] if name in grads else np.zeros_like(arr)
         for name, arr in params.named_arrays().items()
     }
-    return LossParts(total, full, losses, sum(result[2] for result in results)), grads
-
-
-def _run_terms(runs: list[tuple], threads: int) -> list[tuple]:
-    """_reconstruction_term of every run, in run order, on the calling
-    thread and threads - 1 helper threads joined before it returns.
-
-    The runs wait in one queue, largest first by message pairs, and each
-    thread takes the next from it until it is empty. A NumericFault is
-    kept and the other runs go on; any other error, an interrupt of the
-    calling thread included, empties the queue, so no run starts after it.
-    Once every started run has finished, the first failing run's error, in
-    run order, is raised.
-    """
-    queue = deque(sorted(range(len(runs)), key=lambda i: -runs[i][0].pairs.nbr.shape[0]))
-    outcomes: dict[int, tuple | BaseException] = {}
-
-    def drain() -> None:
-        while True:
-            try:
-                i = queue.popleft()
-            except IndexError:
-                return
-            try:
-                outcomes[i] = _reconstruction_term(*runs[i])
-            except NumericFault as fault:
-                outcomes[i] = fault
-            except BaseException as exc:
-                queue.clear()
-                outcomes[i] = exc
-
-    helpers = [threading.Thread(target=drain, name="hgmae-term") for _ in range(threads - 1)]
-    try:
-        for helper in helpers:
-            helper.start()
-        drain()
-        for helper in helpers:
-            helper.join()
-    except BaseException:
-        # an interrupt outside a run, during the join among others
-        queue.clear()
-        for helper in helpers:
-            if helper.is_alive():
-                helper.join()
-        raise
-    for i in range(len(runs)):
-        if isinstance(outcomes.get(i), BaseException):
-            raise outcomes[i]
-    return [outcomes[i] for i in range(len(runs))]
+    return LossParts(total, full, losses, zero_rows), grads
 
 
 def hgmae_step(
@@ -504,10 +463,117 @@ def hgmae_step(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    threads: int = 1,
+    link: _Link | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Sample fresh masks, then evaluate the combined loss and its gradient."""
-    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng), threads)
+    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng), link)
+
+
+class _Link:
+    """One end of the pipes between a run and its replica: the term indices
+    this process runs, in term order, and the files it reads the other
+    process's outcomes from and writes its own to. pid is the replica's on
+    the caller's end and None on the replica's."""
+
+    def __init__(self, share: list[int], reader, writer, pid: int | None):
+        self.share = share
+        self.reader = reader
+        self.writer = writer
+        self.pid = pid
+
+    def exchange(self, outcomes: dict) -> dict:
+        """outcomes together with the other process's. The replica sends
+        first and the caller reads first, so neither blocks writing more
+        than a pipe holds while the other writes too. ChildProcessError if
+        the other process has gone."""
+        try:
+            if self.pid is None:
+                self._send(outcomes)
+            theirs = pickle.load(self.reader)
+            if self.pid is not None:
+                self._send(outcomes)
+        except (EOFError, OSError, pickle.UnpicklingError) as exc:
+            raise ChildProcessError(self._gone()) from exc
+        return {**outcomes, **theirs}
+
+    def _send(self, outcomes: dict) -> None:
+        self.writer.write(pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL))
+        self.writer.flush()
+
+    def _gone(self) -> str:
+        """Why the other process stopped answering; on the caller's end,
+        the replica's exit, once reaped."""
+        if self.pid is None:
+            return "the pretrain caller has gone"
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return f"pretrain replica (pid {pid}) {how}"
+
+    def close(self, kill: bool) -> None:
+        """Close both pipes and reap the replica, first killing it if kill
+        is set; a no-op for the pipes already closed or a replica reaped."""
+        for f in (self.writer, self.reader):
+            try:
+                f.close()
+            except OSError:  # the unsent rest of a message the replica will not read
+                pass
+        if self.pid is not None:
+            if kill:
+                import signal
+
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _shares(terms: list[Term]) -> tuple[list[int], list[int]]:
+    """(the caller's term indices, the replica's), each in term order: by
+    message pairs, largest first, the terms are dealt caller, replica,
+    replica, caller, and so on, so each side gets a large and a small term
+    of every four."""
+    by_size = sorted(range(len(terms)), key=lambda i: -terms[i].pairs.nbr.shape[0])
+    caller = sorted(i for rank, i in enumerate(by_size) if rank % 4 in (0, 3))
+    return caller, sorted(set(range(len(terms))) - set(caller))
+
+
+def _fork_replica(
+    terms: list[Term],
+    params: ModelParams,
+    state: AdamState,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    steps: int,
+) -> _Link:
+    """Fork a replica that runs its share of the next `steps` steps and
+    their Adam updates, and return the caller's end of its link. The replica
+    exits at the end, at a NumericFault (the caller raises it) and when the
+    caller has gone; any other error it prints, and exits with status 1."""
+    caller, replica = _shares(terms)
+    down, up = os.pipe(), os.pipe()  # caller to replica, replica to caller
+    pid = os.fork()
+    if pid == 0:
+        status = 0
+        try:
+            os.close(down[1])
+            os.close(up[0])
+            link = _Link(replica, open(down[0], "rb"), open(up[1], "wb"), None)
+            for _ in range(steps):
+                _, grads = hgmae_step(terms, params, cfg, rng, link)
+                adam_step(state, params.named_arrays(), grads)
+        except (NumericFault, ChildProcessError, KeyboardInterrupt):
+            pass  # the caller raises the same fault, has gone or is interrupted too
+        except Exception:
+            import traceback
+
+            status = 1
+            traceback.print_exc()
+        finally:
+            sys.stderr.flush()
+            os._exit(status)  # never return into the caller's code
+    os.close(down[0])
+    os.close(up[1])
+    return _Link(caller, open(up[0], "rb"), open(down[1], "wb"), pid)
 
 
 @dataclass
@@ -519,51 +585,63 @@ class EpochStats:
     zero_norm_rows: int
 
 
-# A step's terms run two at a time when the full graph has at least this
-# many message pairs, and one at a time below it. Measured on a 2-core VM
-# with one BLAS thread, eta = 1, against one at a time: 0.83-0.94x at
-# n = 200 (3,736 pairs), 1.2-1.5x at 1k (19,368 pairs) and 1.6-2.2x at 4k
-# (78,684 pairs).
-THREADED_MIN_PAIRS = 10_000
-# at most this many terms in flight: two terms' working sets together stay
-# within the peak one term had before its backward recomputed its forward
-# arrays, and on the benchmark's 2-core VM a third thread has no core
-MAX_TERMS_IN_FLIGHT = 2
+# A direct call on a graph whose full term has at least this many message
+# pairs forks a replica when it may use two CPUs. Measured on a 2-core VM
+# with one BLAS thread, eta = 1, ms per epoch alone and with a replica from
+# epoch 1, 3 rounds: 14.8-17.5 and 10.9-15.8 at n = 200 (3,736 pairs),
+# 56-79 and 35-46 at 1k (19,368 pairs), 252-326 and 168-186 at 4k (78,594
+# pairs). The replica pays off below the cut too; the cut keeps short direct
+# calls on small graphs, such as a benchmark's 2-epoch warm-up, in one
+# process. run_pretrain hands its spare CPUs to runs of any size.
+REPLICA_MIN_PAIRS = 10_000
 
 
 def pretrain(
-    g: HeteroGraph, cfg: TrainConfig, threads: int | None = None
+    g: HeteroGraph, cfg: TrainConfig, spare_cpu: Callable[[], bool] | None = None
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Adam over hgmae_step for cfg.epochs. Each epoch's EpochStats holds
     its step's loss parts, taken before the update, and zero-norm rows.
 
-    threads caps the terms in flight, MAX_TERMS_IN_FLIGHT at most; the
-    default is the number of usable CPUs. A graph whose full term has fewer
-    than THREADED_MIN_PAIRS message pairs runs its terms one at a time.
-    Every step starts its helper threads and joins them before it returns,
-    so a forked worker inherits none. The bits do not depend on the thread
-    count: every gradient is added in term order on the calling thread.
+    A run with at least two terms per step calls spare_cpu() at each epoch
+    boundary until it returns True: the run may then use one more CPU, and
+    forks a replica that runs its share of every step left. The CPU is the
+    caller's again once pretrain returns. By default a graph whose full
+    term has at least REPLICA_MIN_PAIRS message pairs gets one at the first
+    epoch if this process may use two CPUs, and any other graph never. The
+    bits do not depend on whether or when the replica starts. The replica
+    has been reaped when pretrain returns or raises.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(g.d_in, cfg, rng)
     state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
     terms = plan_graph(g)
-    if threads is None:
-        threads = len(os.sched_getaffinity(0))
-    terms_per_step = len(terms) if cfg.eta != 0.0 else 1
-    in_flight = min(threads, MAX_TERMS_IN_FLIGHT, terms_per_step)
-    if terms[0].pairs.nbr.shape[0] < THREADED_MIN_PAIRS:
-        in_flight = 1
-    history: list[EpochStats] = []
-    for epoch in range(1, cfg.epochs + 1):
-        try:
-            parts, grads = hgmae_step(terms, params, cfg, rng, in_flight)
-        except NumericFault as fault:
-            raise NumericFault(f"epoch {epoch}: {fault}") from fault
-        adam_step(state, params.named_arrays(), grads)
-        history.append(
-            EpochStats(epoch, parts.total, parts.full, parts.sub_mean, parts.zero_norm_rows)
+    if spare_cpu is None:
+        spare = (
+            terms[0].pairs.nbr.shape[0] >= REPLICA_MIN_PAIRS
+            and len(os.sched_getaffinity(0)) > 1
         )
+        spare_cpu = lambda: spare  # noqa: E731
+    splits = cfg.eta != 0.0 and len(terms) > 1
+    history: list[EpochStats] = []
+    link = None
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            if link is None and splits and spare_cpu():
+                link = _fork_replica(terms, params, state, cfg, rng, cfg.epochs - epoch + 1)
+            try:
+                parts, grads = hgmae_step(terms, params, cfg, rng, link)
+            except (NumericFault, ChildProcessError) as exc:
+                raise type(exc)(f"epoch {epoch}: {exc}") from exc
+            adam_step(state, params.named_arrays(), grads)
+            history.append(
+                EpochStats(epoch, parts.total, parts.full, parts.sub_mean, parts.zero_norm_rows)
+            )
+    except BaseException:
+        if link is not None:
+            link.close(kill=True)
+        raise
+    if link is not None:
+        link.close(kill=False)
     return params, history
 
 

@@ -113,17 +113,18 @@ def test_logistic_gradient_matches_finite_differences():
 DIVERGED = "^logistic training diverged: non-finite loss$"
 
 
+@pytest.mark.filterwarnings("error")
 def test_diverging_logits_raise_at_the_first_non_finite_loss():
     # constant features standardize to zero, so only the bias moves: one
     # step of lr 1e308 puts every logit at -2e307, and the 30 positives'
-    # log-losses then sum past the float range while the L2 term stays 0
+    # log-losses then sum past the float range while the L2 term stays 0.
+    # The overflows on the way raise no numpy warning, even as errors.
     rows = [toy_pair(i, i, label=int(i < 30)) for i in range(100)]
     split = PairDatasetSplit(train=pairs_from_rows(rows), test=pairs_from_rows([]), split_seed=0)
     fusion_fn = lambda ps: np.ones((len(ps), 1))  # noqa: E731
-    with np.errstate(over="ignore", invalid="ignore"):
-        train_classifier(split, fusion_fn, ClassifierConfig(iterations=1, lr=1e308))
-        with pytest.raises(FloatingPointError, match=DIVERGED):
-            train_classifier(split, fusion_fn, ClassifierConfig(iterations=2, lr=1e308))
+    train_classifier(split, fusion_fn, ClassifierConfig(iterations=1, lr=1e308))
+    with pytest.raises(FloatingPointError, match=DIVERGED):
+        train_classifier(split, fusion_fn, ClassifierConfig(iterations=2, lr=1e308))
 
 
 def test_diverging_l2_term_raises_at_the_first_non_finite_loss():

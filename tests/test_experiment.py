@@ -1,6 +1,7 @@
 """The pretrain stage's worker pool: byte-identical outputs at any worker
-count, no process left behind, whether the stage succeeds or fails, and no
-pool module loaded by `import riskprop`."""
+count and whichever runs get a spare CPU, no process left behind, whether
+the stage succeeds or fails, and no pool module loaded by `import
+riskprop`."""
 
 import dataclasses
 import multiprocessing
@@ -8,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -87,14 +89,14 @@ def in_process_bytes(smoke, worlds, tmp_path_factory):
     return files
 
 
-def pretrained_copy(smoke, worlds, out: Path) -> Path:
+def pretrained_copy(smoke, worlds, out: Path, seeds=None) -> Path:
     shutil.copytree(worlds, out)
-    run_pretrain(smoke, out, smoke.seeds)
+    run_pretrain(smoke, out, smoke.seeds if seeds is None else seeds)
     return out
 
 
-def assert_bytes_match(smoke, out: Path, expected) -> None:
-    for seed in smoke.seeds:
+def assert_bytes_match(smoke, out: Path, expected, seeds=None) -> None:
+    for seed in smoke.seeds if seeds is None else seeds:
         sdir = seed_dir(out, seed)
         for variant in VARIANTS:
             got = (
@@ -120,6 +122,59 @@ def test_run_pretrain_one_worker_bytes_equal(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out = pretrained_copy(smoke, worlds, tmp_path / "out")
     assert_bytes_match(smoke, out, in_process_bytes)
+    assert_no_children()
+
+
+def record_forks(monkeypatch, marks: Path) -> None:
+    """Make every replica fork, in any process, leave a file under marks
+    named for the steps it runs; the forked workers inherit the patch."""
+    marks.mkdir()
+    real_fork = hgmae._fork_replica
+
+    def fork(*args):
+        (marks / str(args[-1])).touch()
+        return real_fork(*args)
+
+    monkeypatch.setattr(hgmae, "_fork_replica", fork)
+
+
+def test_surplus_cpu_goes_to_the_hgmae_run_at_its_first_epoch(
+    monkeypatch, smoke, worlds, in_process_bytes, tmp_path
+):
+    """One seed on three CPUs: two workers, and one token from the start,
+    which the hgmae run takes at epoch 1; eta0 has one term per step and
+    takes none."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    record_forks(monkeypatch, tmp_path / "forks")
+    out = pretrained_copy(smoke, worlds, tmp_path / "out", seeds=(0,))
+    assert sorted(p.name for p in (tmp_path / "forks").iterdir()) == [str(smoke.pretrain.epochs)]
+    assert_bytes_match(smoke, out, in_process_bytes, seeds=(0,))
+    assert_no_children()
+
+
+def test_a_worker_with_no_task_left_hands_its_cpu_to_a_running_run(
+    monkeypatch, smoke, worlds, in_process_bytes, tmp_path
+):
+    """One seed on two CPUs: no token at the start; the hgmae run waits
+    for the one the eta0 run's worker hands over when it finishes, and
+    forks a replica with it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    record_forks(monkeypatch, tmp_path / "forks")
+    real_pretrain = hgmae.pretrain
+
+    def waiting_pretrain(g, cfg, spare_cpu):
+        if cfg.eta != 0.0:
+            deadline = time.monotonic() + 60
+            while not spare_cpu():
+                assert time.monotonic() < deadline, "no spare CPU came"
+                time.sleep(0.01)
+            return real_pretrain(g, cfg, lambda: True)
+        return real_pretrain(g, cfg, spare_cpu)
+
+    monkeypatch.setattr(hgmae, "pretrain", waiting_pretrain)
+    out = pretrained_copy(smoke, worlds, tmp_path / "out", seeds=(0,))
+    assert sorted(p.name for p in (tmp_path / "forks").iterdir()) == [str(smoke.pretrain.epochs)]
+    assert_bytes_match(smoke, out, in_process_bytes, seeds=(0,))
     assert_no_children()
 
 

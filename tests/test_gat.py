@@ -233,11 +233,11 @@ def test_layer_rejects_pairs_built_for_another_graph():
 FUSED_EDGES = np.array([[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [4, 6], [2, 6]])
 
 
-def assert_fused_matches_tape(layer, x_arr, pairs, weight, recompute=False):
+def assert_fused_matches_tape(layer, x_arr, pairs, weight):
     """Layer output, alphas and the gradients of x, W and a of the loss
-    sum(weight * out), hand-written with the heads' recompute flag against
-    the generic-op composition, under np.array_equal. Returns the alphas."""
-    fused_out, backward = gat_layer_forward(layer, x_arr, pairs, recompute)
+    sum(weight * out), hand-written against the generic-op composition,
+    under np.array_equal. Returns the alphas."""
+    fused_out, backward = gat_layer_forward(layer, x_arr, pairs)
     dst, src, order = sorted_pairs(pairs)
     fused_alphas = [
         gat_head(x_arr, w, a, pairs)[1][order]
@@ -309,24 +309,13 @@ def shaped_graph(shape):
 GRAPH_SHAPES = ["star", "ring", "edgeless", "default-subgraph"]
 
 
-def assert_shaped_head_matches_tape(shape, recompute):
+@pytest.mark.parametrize("shape", GRAPH_SHAPES)
+def test_fused_head_bit_identical_on_graph_shapes(shape):
     x_arr, pairs = shaped_graph(shape)
     rng = np.random.default_rng(7)
     layer = init_gat_layer(rng, x_arr.shape[1], 16, 2, "elu")
     weight = rng.standard_normal((x_arr.shape[0], 32))
-    assert_fused_matches_tape(layer, x_arr, pairs, weight, recompute)
-
-
-@pytest.mark.parametrize("shape", GRAPH_SHAPES)
-def test_fused_head_bit_identical_on_graph_shapes(shape):
-    assert_shaped_head_matches_tape(shape, recompute=False)
-
-
-@pytest.mark.parametrize("shape", GRAPH_SHAPES)
-def test_recomputing_head_bit_identical_on_graph_shapes(shape):
-    """Every head recomputes its per-pair arrays in its backward, as the
-    heads of two terms in flight do: the same bits as the tape."""
-    assert_shaped_head_matches_tape(shape, recompute=True)
+    assert_fused_matches_tape(layer, x_arr, pairs, weight)
 
 
 @pytest.mark.parametrize("shape", GRAPH_SHAPES + ["fixture"])

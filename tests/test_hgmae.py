@@ -5,11 +5,9 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,8 +489,8 @@ def test_pretrain_bit_identical_to_recorded_reference(eta):
 # order on five times the receivers. At n = 1000, OpenBLAS splits the weight
 # gradient's matmul by thread count and the embeddings move in the last bit,
 # so the digests are computed in a child process with BLAS on one thread.
-# The world is above hgmae.THREADED_MIN_PAIRS, so the child, on two usable
-# CPUs, runs two terms at a time. Re-record only for a change meant to move these bits:
+# The world is above hgmae.REPLICA_MIN_PAIRS, so the child, on two usable
+# CPUs, forks a replica. Re-record only for a change meant to move these bits:
 #     PYTHONPATH=src:tests python -c "import test_hgmae; test_hgmae.record_1k('<commit>')"
 REFERENCE_1K_PATH = Path(__file__).parent / "pretrain_1k_reference.json"
 WORLD_1K_NODES = 1000
@@ -513,17 +511,17 @@ def world_1k():
     return generate_graph(gen)
 
 
-def pretrain_1k(eta: float, threads: int | None = None):
+def pretrain_1k(eta: float):
     """(world, params, history) of the recorded 1k pretrain run."""
     g = world_1k()
     cfg = dataclasses.replace(
         ExperimentConfig().pretrain, rng_seed=0, epochs=WORLD_1K_EPOCHS, eta=eta
     )
-    return (g, *pretrain(g, cfg, threads))
+    return (g, *pretrain(g, cfg))
 
 
-def pretrain_1k_digests(eta: float, threads: int | None = None) -> dict:
-    return run_digests(*pretrain_1k(eta, threads))
+def pretrain_1k_digests(eta: float) -> dict:
+    return run_digests(*pretrain_1k(eta))
 
 
 def run_digests(g, params, history) -> dict:
@@ -538,7 +536,7 @@ def run_digests(g, params, history) -> dict:
     }
 
 
-def child_json(code: str, blas_threads: str = "1"):
+def child_json(code: str, blas_threads: str = "1", timeout: float = 600):
     """The JSON that `code` prints in a child process with this directory
     and src/ on its path and `blas_threads` BLAS threads."""
     here = Path(__file__).resolve().parent
@@ -550,7 +548,7 @@ def child_json(code: str, blas_threads: str = "1"):
         capture_output=True,
         text=True,
         check=True,
-        timeout=600,
+        timeout=timeout,
     )
     return json.loads(proc.stdout)
 
@@ -580,36 +578,123 @@ def test_pretrain_1k_world_bit_identical_to_recorded_reference(eta):
     assert one_thread_1k_digests(eta) == want
 
 
-def term_threads() -> list[str]:
-    """The live helper threads of a step's terms."""
-    return [t.name for t in threading.enumerate() if t.name.startswith("hgmae-term")]
+def spare_cpu_at(epoch: int | None):
+    """A spare_cpu source for pretrain that answers True from its epoch-th
+    call on, which pretrain makes at that epoch; with None, never."""
+    calls = []
+
+    def spare_cpu() -> bool:
+        calls.append(None)
+        return epoch is not None and len(calls) >= epoch
+
+    return spare_cpu
 
 
-def counted_1k_digests(threads: int) -> dict:
-    """pretrain_1k_digests(1.0, threads), the zero-norm rows of each epoch
-    and the helper threads left once pretrain has returned."""
-    assert plan_graph(world_1k())[0].pairs.nbr.shape[0] >= hgmae.THREADED_MIN_PAIRS
-    g, params, history = pretrain_1k(1.0, threads)
-    return {
-        **run_digests(g, params, history),
-        "zero_norm_rows": [st.zero_norm_rows for st in history],
-        "threads_left": term_threads(),
-    }
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def default_world():
+    return build_world(ExperimentConfig(), 0)[1]
+
+
+# per world: (epochs, the later epoch a replica starts at)
+REPLICA_STARTS = {"default": (20, 7), "1k": (WORLD_1K_EPOCHS, 2)}
+
+
+def replica_start_digests(world: str) -> list[dict]:
+    """The digests, the zero-norm rows and the replica's step count of one
+    pretrain run per replica start: epoch 1, REPLICA_STARTS' later epoch and
+    never, on the default world or the 1k world. Each run leaves no child."""
+    g = default_world() if world == "default" else world_1k()
+    epochs, later = REPLICA_STARTS[world]
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, rng_seed=0, epochs=epochs)
+    real_fork = hgmae._fork_replica
+    results = []
+    for start in (1, later, None):
+        forked = []
+
+        def fork(*args):
+            forked.append(args[-1])
+            return real_fork(*args)
+
+        hgmae._fork_replica = fork
+        try:
+            params, history = pretrain(g, cfg, spare_cpu_at(start))
+        finally:
+            hgmae._fork_replica = real_fork
+        params_bytes = b"".join(a.tobytes() for a in params.named_arrays().values())
+        results.append({
+            **run_digests(g, params, history),
+            "params_sha256": hashlib.sha256(params_bytes).hexdigest(),
+            "zero_norm_rows": [st.zero_norm_rows for st in history],
+            "replica_steps": forked,
+            "no_child_left": no_child_left(),
+        })
+    return results
+
+
+def assert_replica_start_leaves_the_bits_unchanged(world: str, blas_threads: str) -> None:
+    """A replica from epoch 1, from a later epoch and none at all give the
+    same parameter and embedding bytes, loss reprs and zero-norm rows, and
+    leave no child process."""
+    runs = child_json(
+        "import json, test_hgmae; "
+        f"print(json.dumps(test_hgmae.replica_start_digests({world!r})))",
+        blas_threads,
+    )
+    epochs, later = REPLICA_STARTS[world]
+    assert [run.pop("replica_steps") for run in runs] == [[epochs], [epochs - later + 1], []]
+    assert all(run.pop("no_child_left") for run in runs)
+    assert sum(runs[0]["zero_norm_rows"]) > 0
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_pretrain_1k_bytes_equal_with_one_and_two_terms_in_flight(blas_threads):
-    """The 1k world is above the cut-over, so two threads run its terms two
-    at a time: the same bytes and zero-norm row count as one at a time, at
-    either BLAS thread count, and no helper thread outlives pretrain."""
-    serial, threaded = child_json(
-        "import json, test_hgmae; "
-        "print(json.dumps([test_hgmae.counted_1k_digests(t) for t in (1, 2)]))",
-        blas_threads,
-    )
-    assert sum(serial["zero_norm_rows"]) > 0
-    assert serial["threads_left"] == []
-    assert threaded == serial
+    """The 1k world's terms one at a time in one process, and two at a time
+    split with a replica from either of its two epochs: the same bytes at
+    either BLAS thread count."""
+    assert_replica_start_leaves_the_bits_unchanged("1k", blas_threads)
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_replica_start_epoch_leaves_the_default_world_bits_unchanged(blas_threads):
+    assert_replica_start_leaves_the_bits_unchanged("default", blas_threads)
+
+
+def test_shares_deal_full_and_type_0_to_the_caller():
+    """Largest first by message pairs, dealt caller, replica, replica,
+    caller: the full graph and type 0 against types 2 and 1."""
+    for g in (default_world(), world_1k()):
+        terms = plan_graph(g)
+        assert [t.edge_type for t in terms] == [None, 0, 1, 2]
+        sizes = [t.pairs.nbr.shape[0] for t in terms]
+        assert sizes[0] > sizes[3] > sizes[2] > sizes[1]
+        assert hgmae._shares(terms) == ([0, 1], [2, 3])
+
+
+@pytest.mark.parametrize(
+    "cpus, world, forks", [({0, 1}, "1k", True), ({0}, "1k", False), ({0, 1}, "default", False)]
+)
+def test_direct_call_forks_on_a_large_graph_with_two_cpus(monkeypatch, cpus, world, forks):
+    g = world_1k() if world == "1k" else default_world()
+    forked = []
+    real_fork = hgmae._fork_replica
+
+    def fork(*args):
+        forked.append(args[-1])
+        return real_fork(*args)
+
+    monkeypatch.setattr(hgmae, "_fork_replica", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    pretrain(g, dataclasses.replace(ExperimentConfig().pretrain, epochs=1))
+    assert forked == ([1] if forks else [])
+    assert no_child_left()
 
 
 def module_globals() -> dict[str, dict[str, str]]:
@@ -623,123 +708,51 @@ def module_globals() -> dict[str, dict[str, str]]:
 
 
 def test_pretrain_leaves_every_module_global_as_it_was():
-    """Stage 1 keeps no state between calls: a serial and a threaded pretrain
-    on the 1k world, whose steps meet zero-norm rows, leave every global of
-    every riskprop module as it was."""
+    """Stage 1 keeps no state between calls: a pretrain on the 1k world
+    without a replica and one with a replica from epoch 1, whose steps meet
+    zero-norm rows, leave every global of every riskprop module as it was."""
     g = world_1k()
     cfg = dataclasses.replace(ExperimentConfig().pretrain, rng_seed=0, epochs=WORLD_1K_EPOCHS)
-    assert plan_graph(g)[0].pairs.nbr.shape[0] >= hgmae.THREADED_MIN_PAIRS
     before = module_globals()
-    for threads in (1, 2):
-        _, history = pretrain(g, cfg, threads)
+    for start in (None, 1):
+        _, history = pretrain(g, cfg, spare_cpu_at(start))
         assert sum(st.zero_norm_rows for st in history) > 0
     assert module_globals() == before
+    assert no_child_left()
 
 
 # tracemalloc peak of one eta = 1 step on the 1k world above what was held
-# before it, measured on x86-64 with numpy 2.4.6: 5.4 MB with the terms one
-# at a time, their heads keeping their per-pair arrays, and 6.4-6.5 MB two
-# at a time, their heads recomputing them. Before this layout of the
-# closures, one term at a time took 7.9 MB: two terms in flight must stay
-# within that. The bound for one leaves 10% of room.
-STEP_PEAK_1K_MB = {1: 6.0, 2: 7.9}
+# before it, in the calling process, measured on x86-64 with numpy 2.4.6:
+# 5.4 MB, with the terms all in this process or half of them in a replica,
+# since a process runs one term at a time, its heads keeping their per-pair
+# arrays. Before this layout of the closures it took 7.9 MB. The bound
+# leaves 10% of room.
+STEP_PEAK_1K_MB = 6.0
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_step_peak_memory_on_the_1k_world(threads):
+@pytest.mark.parametrize("processes", [1, 2])
+def test_step_peak_memory_on_the_1k_world(processes):
     g = world_1k()
     cfg = dataclasses.replace(ExperimentConfig().pretrain, eta=1.0)
     terms = plan_graph(g)
     params = init_params(g.d_in, cfg, np.random.default_rng(0))
-    hgmae_step(terms, params, cfg, np.random.default_rng(0), threads)  # warm-up
+    hgmae_step(terms, params, cfg, np.random.default_rng(0))  # warm-up
+    rng = np.random.default_rng(1)
+    link = None
+    if processes == 2:
+        state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
+        link = hgmae._fork_replica(terms, params, state, cfg, rng, 1)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        hgmae_step(terms, params, cfg, np.random.default_rng(1), threads)
+        hgmae_step(terms, params, cfg, rng, link)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < STEP_PEAK_1K_MB[threads] * 2**20
-
-
-def test_terms_on_more_threads_than_cores_add_up_as_one_at_a_time():
-    """Four helper threads, more than the two cores of CI, switching as often as
-    the interpreter allows: the loss parts, gradient bytes and zero-norm
-    count equal the serial step's, so no thread's result is lost or
-    reordered."""
-    g = world_1k()
-    cfg = dataclasses.replace(ExperimentConfig().pretrain, eta=1.0)
-    terms = plan_graph(g)
-    params = init_params(g.d_in, cfg, np.random.default_rng(0))
-
-    def step(threads):
-        parts, grads = hgmae_step(terms, params, cfg, np.random.default_rng(0), threads)
-        return parts, {k: v.tobytes() for k, v in grads.items()}
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = step(5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded[0].zero_norm_rows > 0
-    assert threaded == step(1)  # LossParts equality covers zero_norm_rows
-    assert term_threads() == []
-
-
-def test_calling_thread_error_cancels_the_terms_the_pool_has_not_started(monkeypatch):
-    """An error other than NumericFault in the full graph's term empties
-    the queue: the other thread finishes the run it has taken, run 1, and
-    takes no other."""
-    started = threading.Event()
-    ran = []
-
-    def fake_term(term, *_):
-        if term.edge_type is None:
-            assert started.wait(10)
-            raise MemoryError("full graph")
-        started.set()
-        time.sleep(0.5)  # the full graph's thread empties the queue meanwhile
-        ran.append(term.edge_type)
-        return 1.0, {}, 0
-
-    monkeypatch.setattr(hgmae, "_reconstruction_term", fake_term)
-    runs = [
-        (SimpleNamespace(edge_type=t, pairs=SimpleNamespace(nbr=np.zeros(size))),)
-        for t, size in ((None, 40), (1, 30), (2, 20), (3, 10))
-    ]
-    with pytest.raises(MemoryError, match="full graph"):
-        hgmae._run_terms(runs, 2)
-    assert ran == [1]
-
-
-def test_helper_thread_error_empties_the_queue(monkeypatch):
-    """An error other than NumericFault on the helper thread empties the
-    queue: the calling thread finishes the run it has taken and takes no
-    other, the step raises the helper's error, and no helper thread is left."""
-    calling_started = threading.Event()
-    started = []
-
-    def fake_term(term, *_):
-        started.append(term.edge_type)
-        if threading.current_thread().name == "hgmae-term":
-            assert calling_started.wait(10)
-            raise RuntimeError(f"helper ran type {term.edge_type}")
-        (helper,) = [t for t in threading.enumerate() if t.name == "hgmae-term"]
-        calling_started.set()
-        helper.join(10)
-        assert not helper.is_alive()  # it has failed and emptied the queue
-        return 1.0, {}, 0
-
-    monkeypatch.setattr(hgmae, "_reconstruction_term", fake_term)
-    runs = [
-        (SimpleNamespace(edge_type=t, pairs=SimpleNamespace(nbr=np.zeros(size))),)
-        for t, size in ((None, 40), (1, 30), (2, 20), (3, 10))
-    ]
-    with pytest.raises(RuntimeError, match="^helper ran type"):
-        hgmae._run_terms(runs, 2)
-    assert len(started) == 2
-    assert term_threads() == []
+        if link is not None:
+            link.close(kill=False)
+    assert no_child_left()
+    assert peak < STEP_PEAK_1K_MB * 2**20
 
 
 def poison_features(monkeypatch, edge_type):
@@ -756,63 +769,133 @@ def poison_features(monkeypatch, edge_type):
 
 
 def fault_messages(g, cfg) -> list[str]:
-    """pretrain's NumericFault message with the terms one at a time, then
-    two at a time. No helper thread outlives the fault."""
+    """pretrain's NumericFault message without a replica, then with one
+    from epoch 1. No child process outlives the fault."""
     messages = []
-    for threads in (1, 2):
+    for start in (None, 1):
         with pytest.raises(NumericFault) as err:
-            pretrain(g, cfg, threads)
-        assert term_threads() == []
+            pretrain(g, cfg, spare_cpu_at(start))
+        assert no_child_left()
         messages.append(str(err.value))
     return messages
 
 
-def test_threaded_pretrain_fault_names_epoch_and_stage_as_serial(monkeypatch):
-    poison_features(monkeypatch, 1)
+def test_replica_pretrain_fault_names_epoch_and_stage_as_alone(monkeypatch):
+    poison_features(monkeypatch, 1)  # a term of the replica's share
     cfg = dataclasses.replace(ExperimentConfig().pretrain, epochs=2)
-    assert fault_messages(world_1k(), cfg) == ["epoch 1: non-finite output from mask"] * 2
+    assert fault_messages(default_world(), cfg) == ["epoch 1: non-finite output from mask"] * 2
 
 
-@pytest.mark.parametrize("failing", [(None, 2), (0, 2), (1, 2), (2,)])
-def test_threaded_fault_is_the_first_failing_term_in_term_order(monkeypatch, failing):
-    """One or two at a time, each thread takes the largest run left and
-    the runs go on past a NumericFault: the fault raised is the first in
-    term order, whichever thread met it and whenever."""
-    real_term = hgmae._reconstruction_term
+def fail_at_step(monkeypatch, step: int, fail) -> None:
+    """Call fail(term) before every term of each pretrain call's step-th
+    step and later ones, counted by the process that runs them: a replica
+    inherits the count."""
+    steps = []
+    real_plan_graph = hgmae.plan_graph
+    real_plans, real_term = hgmae.make_step_plans, hgmae._reconstruction_term
+
+    def planning_anew(g):
+        steps.clear()
+        return real_plan_graph(g)
+
+    def counting_plans(*args):
+        steps.append(None)
+        return real_plans(*args)
 
     def failing_term(term, *args):
-        if term.edge_type in failing:
-            raise NumericFault(f"non-finite output from type {term.edge_type}")
+        if len(steps) >= step:
+            fail(term)
         return real_term(term, *args)
 
+    monkeypatch.setattr(hgmae, "plan_graph", planning_anew)
+    monkeypatch.setattr(hgmae, "make_step_plans", counting_plans)
     monkeypatch.setattr(hgmae, "_reconstruction_term", failing_term)
-    cfg = dataclasses.replace(ExperimentConfig().pretrain, epochs=2)
-    want = f"epoch 1: non-finite output from type {failing[0]}"
-    assert fault_messages(world_1k(), cfg) == [want] * 2
 
 
-def test_pool_term_fault_raised_before_a_later_calling_thread_fault(monkeypatch):
-    """One thread holds run 1 until the other has taken run 2 from the
-    queue and run it: both fail, and run 1's fault, first in run order
-    though it comes last, is the one raised."""
-    taken_back = threading.Event()
+@pytest.mark.parametrize("failing", [(None, 2), (0, 2), (1, 2), (2,), (1,)])
+def test_replica_fault_is_the_first_failing_term_in_term_order(monkeypatch, failing):
+    """Types 1 and 2 are the replica's, which sends its outcomes first: the
+    fault raised is the first in term order, whichever process met it."""
 
-    def fake_term(term, *_):
-        if term.edge_type == 1:
-            assert taken_back.wait(10)
-        elif term.edge_type == 2:
-            taken_back.set()
-        if term.edge_type is not None:
+    def fail(term):
+        if term.edge_type in failing:
             raise NumericFault(f"non-finite output from type {term.edge_type}")
-        return 1.0, {}, 0
 
-    monkeypatch.setattr(hgmae, "_reconstruction_term", fake_term)
-    runs = [
-        (SimpleNamespace(edge_type=t, pairs=SimpleNamespace(nbr=np.zeros(size))),)
-        for t, size in ((None, 30), (1, 20), (2, 10))
-    ]
-    with pytest.raises(NumericFault, match="type 1$"):
-        hgmae._run_terms(runs, 2)
+    fail_at_step(monkeypatch, 3, fail)
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, epochs=4)
+    want = f"epoch 3: non-finite output from type {failing[0]}"
+    assert fault_messages(default_world(), cfg) == [want] * 2
+
+
+@pytest.mark.parametrize(
+    "signal_or_status, reason", [(9, "was killed by signal 9"), (None, "exited with status 1")]
+)
+def test_replica_that_dies_in_mid_step_is_named(monkeypatch, capfd, signal_or_status, reason):
+    """A replica killed in its second step, or failing there with an error
+    other than a NumericFault, makes the caller raise ChildProcessError
+    naming it within seconds, and is reaped."""
+    caller = os.getpid()
+
+    def die(term):
+        if os.getpid() != caller:
+            if signal_or_status is None:
+                raise MemoryError("the replica ran out")
+            os.kill(os.getpid(), signal_or_status)
+
+    fail_at_step(monkeypatch, 2, die)
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, epochs=3)
+    t0 = time.perf_counter()
+    with pytest.raises(ChildProcessError) as err:
+        pretrain(default_world(), cfg, spare_cpu_at(1))
+    assert time.perf_counter() - t0 < 10
+    assert no_child_left()
+    pid = str(err.value).split("(pid ")[1].split(")")[0]
+    assert str(err.value) == f"epoch 2: pretrain replica (pid {pid}) {reason}"
+    if signal_or_status is None:
+        assert "MemoryError: the replica ran out" in capfd.readouterr().err
+
+
+def test_interrupted_caller_leaves_no_replica(monkeypatch):
+    caller, steps = os.getpid(), []
+    real_adam_step = hgmae.adam_step
+
+    def interrupted_adam_step(*args):
+        real_adam_step(*args)
+        steps.append(None)
+        if os.getpid() == caller and len(steps) == 2:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(hgmae, "adam_step", interrupted_adam_step)
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, epochs=4)
+    with pytest.raises(KeyboardInterrupt):
+        pretrain(default_world(), cfg, spare_cpu_at(1))
+    assert no_child_left()
+
+
+def large_exchange_digests() -> list[dict]:
+    """run_digests of two epochs on the default world with 4,096-wide
+    hidden heads, with a replica from epoch 1 and without one, and the
+    bytes of one term's gradients."""
+    g = default_world()
+    cfg = dataclasses.replace(
+        ExperimentConfig().pretrain, rng_seed=0, epochs=2, hidden_heads=1, hidden_head_dim=4096
+    )
+    runs = [run_digests(g, *pretrain(g, cfg, spare_cpu_at(start))) for start in (1, None)]
+    params = init_params(g.d_in, cfg, np.random.default_rng(0))
+    grad_bytes = sum(a.nbytes for a in params.named_arrays().values())
+    return runs + [grad_bytes, no_child_left()]
+
+
+def test_exchange_larger_than_a_pipe_holds_completes():
+    """Each process sends its two terms' gradients, more than 1 MB each:
+    the replica sends first, so the two do not block each other."""
+    with_replica, alone, grad_bytes, left = child_json(
+        "import json, test_hgmae; print(json.dumps(test_hgmae.large_exchange_digests()))",
+        timeout=120,
+    )
+    assert grad_bytes > 2**20
+    assert with_replica == alone
+    assert left
 
 
 def test_pretrain_fault_names_epoch_and_op(monkeypatch, two_type_graph, tiny_cfg):
