@@ -20,10 +20,12 @@ row gather, one multiply by the pair weights and, in the backward, one row
 sum for the per-pair dots. Only the add into the prefix runs per slot.
 Blocks live only inside one call.
 
-A head's backward closure holds its input x, its weights, two n-vectors
-(each receiver's max score and its softmax denominator), z = x @ W.T, the
-scores' signs, exp and the attention weights. A layer's closure adds only
-the ELU layer's output and the mask of its positive entries.
+A head's backward closure holds its input x, its weights, each receiver's
+softmax denominator, z = x @ W.T, the scores' signs and their exp; it
+recomputes the attention weights from the last two, the forward's own
+operands, so the same bits. A layer's closure adds only the ELU layer's
+output and the mask of its positive entries. Each closure is dropped once it
+has run, which frees what it kept.
 
 The layout does not change any float sum. numpy's bincount starts every bin
 at +0.0 and adds its entries in input order; a receiver's entries in slot
@@ -271,8 +273,8 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
 
     backward(g) takes the gradient of the output and returns the gradients
     of x, w and a. alpha grouped by receiver sums to 1. The closure keeps x,
-    w, a, z, the scores' signs, exp, alpha and two n-vectors, each
-    receiver's max score and its softmax denominator.
+    w, a, z, the scores' signs, their exp and each receiver's softmax
+    denominator, and recomputes alpha from the last two.
     """
     recv, n = pairs.recv, pairs.num_nodes
     d = w.shape[0]
@@ -289,6 +291,7 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
 
     def backward(g):
         d_pairs = denom[recv]
+        alpha = ez / d_pairs  # the forward's division, on the same operands
         # one pass over g[nbr] gives the transposed aggregation and, at each
         # entry's mirror, the row dot g[recv] . z[nbr] with its factors in
         # the same order
@@ -298,6 +301,7 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
         # in place, each step is the same rounded operation on the same operands
         weights = np.negative(g_alpha)
         weights *= alpha
+        del alpha
         weights /= d_pairs
         g_denom = np.bincount(recv, weights=weights, minlength=n)
         del weights
@@ -323,10 +327,11 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
 def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs):
     """One attention layer on features x [n, d_in]: (output, backward).
 
-    backward(g) takes the gradient of the output and returns (gradient of x,
-    [W gradient, a gradient] of each head in order, flattened). The closure
-    keeps the heads' closures and, for an ELU layer, the output and the mask
-    of its positive entries.
+    backward(g), which runs once, takes the gradient of the output and
+    returns (gradient of x, [W gradient, a gradient] of each head in order,
+    flattened). The closure keeps the heads' closures, each dropped once it
+    has run, and, for an ELU layer, the output and the mask of its positive
+    entries.
     """
     n = x.shape[0]
     if pairs.num_nodes != n:
@@ -339,26 +344,27 @@ def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs
     out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
     width = out.shape[1] // len(outs)
     del outs
-    positive = None
+    elu_out = positive = None
     if params.activation == "elu":
         # in place: the positive entries keep their value, the rest take expm1
         positive = out > 0
-        np.copyto(out, np.expm1(out), where=~positive)
+        np.expm1(out, out=out, where=~positive)
         NumericFault.check(out, "elu")
+        elu_out = out  # an identity layer's closure does not keep its output
 
     def backward(g):
         g_x, grads = None, []
-        for h, head_backward in enumerate(head_backwards):
+        for h in range(len(head_backwards)):
             cols = slice(h * width, (h + 1) * width)
             # the head gathers rows of its slice, faster from a contiguous copy
             if positive is None:
                 g_head = np.ascontiguousarray(g[:, cols])
             else:
                 # times the ELU derivative: 1 at positive entries, out + 1 elsewhere
-                g_head = out[:, cols] + 1.0
+                g_head = elu_out[:, cols] + 1.0
                 np.copyto(g_head, 1.0, where=positive[:, cols])
                 np.multiply(g[:, cols], g_head, out=g_head)
-            g_x_head, g_w, g_a = head_backward(g_head)
+            g_x_head, g_w, g_a = head_backwards.pop(0)(g_head)
             grads += [g_w, g_a]
             if g_x is None:
                 g_x = g_x_head
@@ -370,9 +376,10 @@ def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs
 
 
 def gat_stack_forward(layers: list[GATLayerParams], x: np.ndarray, pairs: MessagePairs):
-    """Layers in order: (output, backward). backward(g) returns (gradient of
-    x, every layer's head gradients in layer order, flattened as
-    gat_layer_forward lists them)."""
+    """Layers in order: (output, backward). backward(g), which runs once,
+    returns (gradient of x, every layer's head gradients in layer order,
+    flattened as gat_layer_forward lists them). Each layer's closure is
+    dropped once it has run."""
     backwards = []
     for layer in layers:
         x, layer_backward = gat_layer_forward(layer, x, pairs)
@@ -380,8 +387,8 @@ def gat_stack_forward(layers: list[GATLayerParams], x: np.ndarray, pairs: Messag
 
     def backward(g):
         grads = []
-        for layer_backward in reversed(backwards):
-            g, layer_grads = layer_backward(g)
+        while backwards:
+            g, layer_grads = backwards.pop()(g)
             grads = layer_grads + grads
         return g, grads
 

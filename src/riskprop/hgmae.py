@@ -537,6 +537,12 @@ def _shares(terms: list[Term]) -> tuple[list[int], list[int]]:
     return caller, sorted(set(range(len(terms))) - set(caller))
 
 
+# A diverging run overflows on its way to a non-finite stage output, which
+# NumericFault reports whatever the warnings filter; numpy's warnings stay off
+# in the step loops.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _fork_replica(
     terms: list[Term],
     params: ModelParams,
@@ -558,9 +564,10 @@ def _fork_replica(
             os.close(down[1])
             os.close(up[0])
             link = _Link(replica, open(down[0], "rb"), open(up[1], "wb"), None)
-            for _ in range(steps):
-                _, grads = hgmae_step(terms, params, cfg, rng, link)
-                adam_step(state, params.named_arrays(), grads)
+            with np.errstate(**_QUIET):
+                for _ in range(steps):
+                    _, grads = hgmae_step(terms, params, cfg, rng, link)
+                    adam_step(state, params.named_arrays(), grads)
         except (NumericFault, ChildProcessError, KeyboardInterrupt):
             pass  # the caller raises the same fault, has gone or is interrupted too
         except Exception:
@@ -625,17 +632,18 @@ def pretrain(
     history: list[EpochStats] = []
     link = None
     try:
-        for epoch in range(1, cfg.epochs + 1):
-            if link is None and splits and spare_cpu():
-                link = _fork_replica(terms, params, state, cfg, rng, cfg.epochs - epoch + 1)
-            try:
-                parts, grads = hgmae_step(terms, params, cfg, rng, link)
-            except (NumericFault, ChildProcessError) as exc:
-                raise type(exc)(f"epoch {epoch}: {exc}") from exc
-            adam_step(state, params.named_arrays(), grads)
-            history.append(
-                EpochStats(epoch, parts.total, parts.full, parts.sub_mean, parts.zero_norm_rows)
-            )
+        with np.errstate(**_QUIET):
+            for epoch in range(1, cfg.epochs + 1):
+                if link is None and splits and spare_cpu():
+                    link = _fork_replica(terms, params, state, cfg, rng, cfg.epochs - epoch + 1)
+                try:
+                    parts, grads = hgmae_step(terms, params, cfg, rng, link)
+                except (NumericFault, ChildProcessError) as exc:
+                    raise type(exc)(f"epoch {epoch}: {exc}") from exc
+                adam_step(state, params.named_arrays(), grads)
+                history.append(EpochStats(
+                    epoch, parts.total, parts.full, parts.sub_mean, parts.zero_norm_rows
+                ))
     except BaseException:
         if link is not None:
             link.close(kill=True)

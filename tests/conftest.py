@@ -8,7 +8,19 @@ from riskprop.hgmae import ModelParams, TrainConfig, init_params
 ACCEPTANCE_LINES: list[str] = []
 
 
+def numpy_build() -> str:
+    """numpy's version and the BLAS it was built against: the bit-identity
+    references were recorded with one build, and another may move a bit."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    terminalreporter.write_line(numpy_build())
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:

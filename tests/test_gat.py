@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,39 @@ def test_fused_head_bit_identical_to_tape_composition(heads, activation):
     # isolated nodes attend only to themselves
     isolated = np.isin(sorted_pairs(pairs)[0], [7, 8])
     assert all(np.array_equal(alpha[isolated], [1.0, 1.0]) for alpha in fused_alphas)
+
+
+@pytest.mark.parametrize(
+    "heads,activation,kept", [(1, "identity", False), (4, "identity", False), (4, "elu", True)]
+)
+def test_closures_keep_no_alpha_and_only_an_elu_output(heads, activation, kept):
+    """With its backward closure alive, a head's returned alpha is freed
+    once the caller drops it, and so is a layer's output unless the layer
+    is ELU. The closures still give the gradients of a run that kept both."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((9, 5))
+    g = rng.standard_normal((9, 3 * heads))
+    layer = init_gat_layer(rng, 5, 3, heads, activation)
+    pairs = build_message_pairs(FUSED_EDGES, 9)
+    w, a = layer.weights[0], layer.attn[0]
+    _, alpha, head_backward = gat_head(x, w, a, pairs)
+    alpha_ref = weakref.ref(alpha)
+    del alpha
+    assert alpha_ref() is None
+    out, backward = gat_layer_forward(layer, x, pairs)
+    out_ref = weakref.ref(out)
+    del out
+    assert (out_ref() is not None) == kept
+
+    # the same forwards, with alpha and the output held by the caller
+    _, kept_alpha, kept_head_backward = gat_head(x, w, a, pairs)
+    kept_out, kept_backward = gat_layer_forward(layer, x, pairs)
+    g_head = np.ascontiguousarray(g[:, :3])
+    (got_x, got_grads), (want_x, want_grads) = backward(g), kept_backward(g)
+    got = [*head_backward(g_head), got_x, *got_grads]
+    want = [*kept_head_backward(g_head), want_x, *want_grads]
+    assert len(got) == len(want) == 4 + 2 * heads
+    assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
 
 def shaped_edges(shape):

@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -723,11 +725,13 @@ def test_pretrain_leaves_every_module_global_as_it_was():
 
 # tracemalloc peak of one eta = 1 step on the 1k world above what was held
 # before it, in the calling process, measured on x86-64 with numpy 2.4.6:
-# 5.4 MB, with the terms all in this process or half of them in a replica,
-# since a process runs one term at a time, its heads keeping their per-pair
-# arrays. Before this layout of the closures it took 7.9 MB. The bound
-# leaves 10% of room.
-STEP_PEAK_1K_MB = 6.0
+# 4.2 MB, with the terms all in this process or half of them in a replica,
+# since a process runs one term at a time. Its heads keep their per-pair
+# arrays but not alpha, which the backward recomputes; the identity layers'
+# outputs are not kept; and each closure is dropped once it has run. Keeping
+# alpha and every output it took 5.4 MB, and before this layout of the
+# closures 7.9 MB. The bound leaves 10% of room.
+STEP_PEAK_1K_MB = 4.7
 
 
 @pytest.mark.parametrize("processes", [1, 2])
@@ -896,6 +900,37 @@ def test_exchange_larger_than_a_pipe_holds_completes():
     assert grad_bytes > 2**20
     assert with_replica == alone
     assert left
+
+
+def lr_outcomes(action: str, replica_from: int | None) -> list[str]:
+    """Per learning rate, from sane to diverging in the mask and in a head,
+    the digest of a 40-epoch pretrain's parameters on the default world or
+    the NumericFault it raises, under the warnings filter action."""
+    g = default_world()
+    outcomes = []
+    for lr in (1e3, 1e30, 1e200):
+        cfg = dataclasses.replace(ExperimentConfig().pretrain, rng_seed=0, epochs=40, lr=lr)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            try:
+                params, _ = pretrain(g, cfg, spare_cpu_at(replica_from))
+            except NumericFault as fault:
+                outcomes.append(f"NumericFault: {fault}")
+                continue
+        params_bytes = b"".join(a.tobytes() for a in params.named_arrays().values())
+        outcomes.append(hashlib.sha256(params_bytes).hexdigest())
+    return outcomes
+
+
+def test_numeric_faults_do_not_depend_on_the_warnings_filter():
+    """A run that overflows ends the same, parameters or NumericFault, with
+    numpy's warnings as errors or only shown, alone or with a replica."""
+    want = lr_outcomes("default", None)
+    assert want[0].isalnum()
+    assert all(re.match(r"NumericFault: epoch \d+: non-finite output from ", o) for o in want[1:])
+    for action, replica_from in [("error", None), ("default", 1), ("error", 1)]:
+        assert lr_outcomes(action, replica_from) == want, (action, replica_from)
+    assert no_child_left()
 
 
 def test_pretrain_fault_names_epoch_and_op(monkeypatch, two_type_graph, tiny_cfg):
