@@ -24,16 +24,14 @@ so a process holds one term's forward state at a time.
 
 A run alone runs a step's terms in term order: the full graph first, then
 the subgraphs by ascending type id. A run that gets a second CPU forks a
-replica at an epoch boundary (pretrain). The replica inherits the
-parameters, the Adam state, the rng and the terms bit for bit, and from then
-on both processes draw the same mask plans at every step. Each runs a fixed
-share of the terms, dealt by message pairs, largest first: caller, replica,
-replica, caller, and so on. The replica sends its terms' results to the
-caller over one pipe and reads the caller's from another; then both add
-every term's gradient in term order and take the same Adam step. Either way
-hgmae_loss adds the gradients in term order, which makes them bit-identical
-to the same model composed from generic autodiff ops (tests/tape.py) and
-independent of whether and when a replica started. No count, process or
+replica at an epoch boundary (pretrain): a term server that keeps only the
+terms and the config. Each step the caller draws the mask plans, sends the
+replica's with the parameters, runs its own share of the terms and reads
+the replica's outcomes back; the shares are dealt by message pairs, largest
+first: caller, replica, replica, caller, and so on. The caller alone adds
+the gradients, in term order, and takes the Adam step: the gradients are
+bit-identical to the same model composed from generic autodiff ops
+(tests/tape.py), whether and when a replica started. No count, process or
 other state outlives a call: each step returns its own in its LossParts,
 and pretrain reaps its replica before it returns or raises.
 
@@ -54,6 +52,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import sys
 import warnings
 from collections.abc import Callable
@@ -198,36 +197,38 @@ class ModelParams:
         return out
 
 
+def _layers(d_in: int, cfg: TrainConfig) -> dict[str, list[tuple[int, int, int, str]]]:
+    """Each stack's attention layers in order, as (heads, width per head,
+    fan-in, activation): a two-layer encoder (multi-head hidden,
+    single-head output) and a one-layer decoder."""
+    return {
+        "encoder": [
+            (cfg.hidden_heads, cfg.hidden_head_dim, d_in, "elu"),
+            (1, cfg.d_emb, cfg.hidden_heads * cfg.hidden_head_dim, "identity"),
+        ],
+        "decoder": [(1, d_in, cfg.d_emb, "identity")],
+    }
+
+
 def init_params(d_in: int, cfg: TrainConfig, rng: np.random.Generator) -> ModelParams:
-    """Two-layer encoder (multi-head hidden, single-head output), one-layer
-    decoder; tokens start at zero. Layers draw in order, W before a."""
-    encoder = [
-        init_gat_layer(rng, d_in, cfg.hidden_head_dim, cfg.hidden_heads, "elu"),
-        init_gat_layer(rng, cfg.hidden_heads * cfg.hidden_head_dim, cfg.d_emb, 1, "identity"),
-    ]
-    decoder = [init_gat_layer(rng, cfg.d_emb, d_in, 1, "identity")]
-    return ModelParams(
-        encoder=encoder,
-        decoder=decoder,
-        mask_token=np.zeros(d_in),
-        remask_token=np.zeros(cfg.d_emb),
-    )
+    """The layers of _layers, drawn in order, W before a; tokens start at zero."""
+    stacks = {
+        stack: [init_gat_layer(rng, fan_in, width, heads, act)
+                for heads, width, fan_in, act in layers]
+        for stack, layers in _layers(d_in, cfg).items()
+    }
+    return ModelParams(**stacks, mask_token=np.zeros(d_in), remask_token=np.zeros(cfg.d_emb))
 
 
 def param_shapes(d_in: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
     """The names and shapes of init_params(d_in, cfg).named_arrays(), in
     the same order, worked out without allocating an array."""
-    hidden = cfg.hidden_heads * cfg.hidden_head_dim
-    layers = (
-        ("encoder.0", cfg.hidden_heads, cfg.hidden_head_dim, d_in),
-        ("encoder.1", 1, cfg.d_emb, hidden),
-        ("decoder.0", 1, d_in, cfg.d_emb),
-    )
     shapes: dict[str, tuple[int, ...]] = {}
-    for prefix, heads, d_out, fan_in in layers:
-        for h in range(heads):
-            shapes[f"{prefix}.head{h}.W"] = (d_out, fan_in)
-            shapes[f"{prefix}.head{h}.a"] = (2 * d_out,)
+    for stack, layers in _layers(d_in, cfg).items():
+        for li, (heads, width, fan_in, _) in enumerate(layers):
+            for h in range(heads):
+                shapes[f"{stack}.{li}.head{h}.W"] = (width, fan_in)
+                shapes[f"{stack}.{li}.head{h}.a"] = (2 * width,)
     shapes["mask_token"] = (d_in,)
     shapes["remask_token"] = (cfg.d_emb,)
     return shapes
@@ -401,40 +402,51 @@ def _reconstruction_term(
     return loss, grads, zero_rows
 
 
+def _run_terms(
+    terms: list[Term], params: ModelParams, cfg: TrainConfig, plans: list[MaskPlan], share
+) -> dict[int, tuple | NumericFault]:
+    """The outcome of each term whose index is in share, run in that order
+    with plans[i]: the full graph's with upstream gradient 1, a single-type
+    term with eta / K_eff. The terms stop at the first NumericFault, which
+    is its term's outcome."""
+    outcomes: dict[int, tuple | NumericFault] = {}
+    for i in share:
+        upstream = cfg.eta / (len(terms) - 1) if i else 1.0
+        try:
+            outcomes[i] = _reconstruction_term(terms[i], plans[i], params, cfg, upstream)
+        except NumericFault as fault:
+            # the later terms of a share come later in term order too
+            outcomes[i] = fault
+            break
+    return outcomes
+
+
 def hgmae_loss(
     terms: list[Term],
     params: ModelParams,
     cfg: TrainConfig,
     plans: list[MaskPlan],
-    link: _Link | None = None,
+    replica: _Replica | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Combined reconstruction loss for given (replayable) mask plans, and
     its gradient per parameter name.
 
-    Each plan runs the term at its position: the full graph's with upstream
-    gradient 1, then the K_eff single-type terms with eta / K_eff. Without
-    a link every term runs here, in term order; with one, only the link's
-    share does, and the link trades their outcomes for the other
-    process's. A process stops its terms at its first NumericFault, and the
-    first fault in term order among all outcomes is raised. Otherwise the
-    results are combined in term order: the first term to reach a parameter
-    gives a copy of its gradient, and later terms add theirs in place; a
-    parameter no term reaches gets zeros. LossParts.zero_norm_rows adds up
-    the terms' counts.
+    Each plan runs the term at its position. Without a replica every term
+    runs here, in term order; with one, this process runs its share and the
+    replica the rest. The first NumericFault in term order among all
+    outcomes is raised. Otherwise the results are combined in term order:
+    the first term to reach a parameter gives a copy of its gradient, and
+    later terms add theirs in place; a parameter no term reaches gets
+    zeros. LossParts.zero_norm_rows adds up the terms' counts.
     """
     if cfg.eta != 0.0 and len(terms) == 1:
         warnings.warn("no nonempty edge types; training on the full graph only")
-    outcomes: dict[int, tuple | NumericFault] = {}
-    for i in range(len(plans)) if link is None else link.share:
-        upstream = cfg.eta / (len(plans) - 1) if i else 1.0
-        try:
-            outcomes[i] = _reconstruction_term(terms[i], plans[i], params, cfg, upstream)
-        except NumericFault as fault:
-            # this process's later terms come later in term order too
-            outcomes[i] = fault
-            break
-    if link is not None:
-        outcomes = link.exchange(outcomes)
+    if replica is None:
+        outcomes = _run_terms(terms, params, cfg, plans, range(len(plans)))
+    else:
+        replica.send(params, plans)
+        outcomes = _run_terms(terms, params, cfg, plans, replica.caller_share)
+        outcomes.update(replica.receive())
     grads: dict[str, np.ndarray] = {}
     losses: dict[int | None, float] = {}
     zero_rows = 0
@@ -463,68 +475,10 @@ def hgmae_step(
     params: ModelParams,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    link: _Link | None = None,
+    replica: _Replica | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray]]:
     """Sample fresh masks, then evaluate the combined loss and its gradient."""
-    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng), link)
-
-
-class _Link:
-    """One end of the pipes between a run and its replica: the term indices
-    this process runs, in term order, and the files it reads the other
-    process's outcomes from and writes its own to. pid is the replica's on
-    the caller's end and None on the replica's."""
-
-    def __init__(self, share: list[int], reader, writer, pid: int | None):
-        self.share = share
-        self.reader = reader
-        self.writer = writer
-        self.pid = pid
-
-    def exchange(self, outcomes: dict) -> dict:
-        """outcomes together with the other process's. The replica sends
-        first and the caller reads first, so neither blocks writing more
-        than a pipe holds while the other writes too. ChildProcessError if
-        the other process has gone."""
-        try:
-            if self.pid is None:
-                self._send(outcomes)
-            theirs = pickle.load(self.reader)
-            if self.pid is not None:
-                self._send(outcomes)
-        except (EOFError, OSError, pickle.UnpicklingError) as exc:
-            raise ChildProcessError(self._gone()) from exc
-        return {**outcomes, **theirs}
-
-    def _send(self, outcomes: dict) -> None:
-        self.writer.write(pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL))
-        self.writer.flush()
-
-    def _gone(self) -> str:
-        """Why the other process stopped answering; on the caller's end,
-        the replica's exit, once reaped."""
-        if self.pid is None:
-            return "the pretrain caller has gone"
-        pid, self.pid = self.pid, None
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        return f"pretrain replica (pid {pid}) {how}"
-
-    def close(self, kill: bool) -> None:
-        """Close both pipes and reap the replica, first killing it if kill
-        is set; a no-op for the pipes already closed or a replica reaped."""
-        for f in (self.writer, self.reader):
-            try:
-                f.close()
-            except OSError:  # the unsent rest of a message the replica will not read
-                pass
-        if self.pid is not None:
-            if kill:
-                import signal
-
-                os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+    return hgmae_loss(terms, params, cfg, make_step_plans(terms, cfg, rng), replica)
 
 
 def _shares(terms: list[Term]) -> tuple[list[int], list[int]]:
@@ -543,44 +497,84 @@ def _shares(terms: list[Term]) -> tuple[list[int], list[int]]:
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _fork_replica(
-    terms: list[Term],
-    params: ModelParams,
-    state: AdamState,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    steps: int,
-) -> _Link:
-    """Fork a replica that runs its share of the next `steps` steps and
-    their Adam updates, and return the caller's end of its link. The replica
-    exits at the end, at a NumericFault (the caller raises it) and when the
-    caller has gone; any other error it prints, and exits with status 1."""
-    caller, replica = _shares(terms)
-    down, up = os.pipe(), os.pipe()  # caller to replica, replica to caller
-    pid = os.fork()
-    if pid == 0:
-        status = 0
-        try:
-            os.close(down[1])
-            os.close(up[0])
-            link = _Link(replica, open(down[0], "rb"), open(up[1], "wb"), None)
-            with np.errstate(**_QUIET):
-                for _ in range(steps):
-                    _, grads = hgmae_step(terms, params, cfg, rng, link)
-                    adam_step(state, params.named_arrays(), grads)
-        except (NumericFault, ChildProcessError, KeyboardInterrupt):
-            pass  # the caller raises the same fault, has gone or is interrupted too
-        except Exception:
-            import traceback
+class _Replica:
+    """A forked process that runs its share of the terms for the caller.
 
-            status = 1
-            traceback.print_exc()
-        finally:
-            sys.stderr.flush()
-            os._exit(status)  # never return into the caller's code
-    os.close(down[0])
-    os.close(up[1])
-    return _Link(caller, open(up[0], "rb"), open(down[1], "wb"), pid)
+    It keeps nothing between requests but the terms and the config it was
+    forked with: each request carries the parameters and the mask plans of
+    its share, and it answers with its share's outcomes, as _run_terms returns
+    them. It exits when the caller closes the pipe, and at any other error
+    prints it and exits with status 1."""
+
+    def __init__(self, terms: list[Term], cfg: TrainConfig):
+        self.caller_share, self.share = _shares(terms)
+        down, up = os.pipe(), os.pipe()  # caller to replica, replica to caller
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 0
+            try:
+                os.close(down[1])
+                os.close(up[0])
+                reader, writer = open(down[0], "rb"), open(up[1], "wb")
+                with np.errstate(**_QUIET):
+                    while True:
+                        try:
+                            params, plans = pickle.load(reader)
+                        except EOFError:  # the caller has closed the pipe
+                            break
+                        outcomes = _run_terms(terms, params, cfg, plans, self.share)
+                        writer.write(pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL))
+                        writer.flush()
+            except KeyboardInterrupt:
+                pass  # the caller is interrupted too
+            except Exception:
+                import traceback
+
+                status = 1
+                traceback.print_exc()
+            finally:
+                sys.stderr.flush()
+                os._exit(status)  # never return into the caller's code
+        os.close(down[0])
+        os.close(up[1])
+        self.reader, self.writer = open(up[0], "rb"), open(down[1], "wb")
+
+    def send(self, params: ModelParams, plans: list[MaskPlan]) -> None:
+        """Ask for the replica's share of one step. ChildProcessError if it has gone."""
+        request = (params, {i: plans[i] for i in self.share})
+        try:
+            self.writer.write(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+            self.writer.flush()
+        except OSError as exc:
+            raise ChildProcessError(self._gone()) from exc
+
+    def receive(self) -> dict:
+        """The outcomes of the last request. ChildProcessError if the replica has gone."""
+        try:
+            return pickle.load(self.reader)
+        except (EOFError, OSError, pickle.UnpicklingError) as exc:
+            raise ChildProcessError(self._gone()) from exc
+
+    def _gone(self) -> str:
+        """Why the replica stopped answering: its exit, once reaped."""
+        pid, code = self.pid, self.close(kill=False)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return f"pretrain replica (pid {pid}) {how}"
+
+    def close(self, kill: bool) -> int | None:
+        """Close both pipes and reap the replica, first killing it if kill
+        is set: its exit code, or None if it had been reaped before."""
+        for f in (self.writer, self.reader):
+            try:
+                f.close()
+            except OSError:  # the unsent rest of a request the replica will not read
+                pass
+        if self.pid is None:
+            return None
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 @dataclass
@@ -611,11 +605,13 @@ def pretrain(
 
     A run with at least two terms per step calls spare_cpu() at each epoch
     boundary until it returns True: the run may then use one more CPU, and
-    forks a replica that runs its share of every step left. The CPU is the
-    caller's again once pretrain returns. By default a graph whose full
-    term has at least REPLICA_MIN_PAIRS message pairs gets one at the first
-    epoch if this process may use two CPUs, and any other graph never. The
-    bits do not depend on whether or when the replica starts. The replica
+    forks a replica that runs its share of every step left, from the
+    parameters and mask plans this process sends it each step. This process
+    alone draws the masks and takes the Adam steps, so the bits do not
+    depend on whether or when the replica starts. The CPU is the caller's
+    again once pretrain returns. By default a graph whose full term has at
+    least REPLICA_MIN_PAIRS message pairs gets one at the first epoch if
+    this process may use two CPUs, and any other graph never. The replica
     has been reaped when pretrain returns or raises.
     """
     rng = np.random.default_rng(cfg.rng_seed)
@@ -630,14 +626,14 @@ def pretrain(
         spare_cpu = lambda: spare  # noqa: E731
     splits = cfg.eta != 0.0 and len(terms) > 1
     history: list[EpochStats] = []
-    link = None
+    replica = None
     try:
         with np.errstate(**_QUIET):
             for epoch in range(1, cfg.epochs + 1):
-                if link is None and splits and spare_cpu():
-                    link = _fork_replica(terms, params, state, cfg, rng, cfg.epochs - epoch + 1)
+                if replica is None and splits and spare_cpu():
+                    replica = _Replica(terms, cfg)
                 try:
-                    parts, grads = hgmae_step(terms, params, cfg, rng, link)
+                    parts, grads = hgmae_step(terms, params, cfg, rng, replica)
                 except (NumericFault, ChildProcessError) as exc:
                     raise type(exc)(f"epoch {epoch}: {exc}") from exc
                 adam_step(state, params.named_arrays(), grads)
@@ -645,11 +641,11 @@ def pretrain(
                     epoch, parts.total, parts.full, parts.sub_mean, parts.zero_norm_rows
                 ))
     except BaseException:
-        if link is not None:
-            link.close(kill=True)
+        if replica is not None:
+            replica.close(kill=True)
         raise
-    if link is not None:
-        link.close(kill=False)
+    if replica is not None:
+        replica.close(kill=False)
     return params, history
 
 

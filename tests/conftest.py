@@ -1,6 +1,12 @@
+import multiprocessing
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from riskprop import hgmae
 from riskprop.graph import HeteroGraph
 from riskprop.hgmae import ModelParams, TrainConfig, init_params
 
@@ -25,6 +31,56 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def child_pids() -> list[int]:
+    """Every live or unreaped child of this process: the /proc entries whose
+    parent pid is ours."""
+    me, found = os.getpid(), []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            with open(entry / "stat") as f:
+                stat = f.read()
+        except OSError:  # exited while we looked
+            continue
+        # "pid (comm) state ppid ...": comm may hold spaces and parentheses
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            found.append(int(entry.name))
+    return found
+
+
+def assert_no_child_left() -> None:
+    """No child of this process is alive or unreaped: no pool worker, no
+    pretrain replica, no zombie."""
+    assert multiprocessing.active_children() == []
+    if sys.platform == "linux":
+        assert child_pids() == []
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process is left")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test ends with no child process left."""
+    yield
+    assert_no_child_left()
+
+
+def record_fork_epochs(monkeypatch, mark) -> None:
+    """Make pretrain call mark(epoch) with the epoch it forks a replica at,
+    in whichever process forks it; forked pool workers inherit the patch."""
+    real_replica = hgmae._Replica
+
+    def fork(terms, cfg):
+        mark(sys._getframe(1).f_locals["epoch"])  # pretrain's epoch loop
+        return real_replica(terms, cfg)
+
+    monkeypatch.setattr(hgmae, "_Replica", fork)
 
 
 def make_graph(n, edge_lists, d_in=4, issuers=None, seed=0):

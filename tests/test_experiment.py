@@ -1,10 +1,9 @@
 """The pretrain stage's worker pool: byte-identical outputs at any worker
-count and whichever runs get a spare CPU, no process left behind, whether
-the stage succeeds or fails, and no pool module loaded by `import
-riskprop`."""
+count and whichever runs get a spare CPU, no process left behind (each
+test's teardown checks it, see conftest.py), whether the stage succeeds or
+fails, and no pool module loaded by `import riskprop`."""
 
 import dataclasses
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -31,33 +30,11 @@ from riskprop.experiment import (
 )
 from riskprop.graph import GraphFormatError, load_graph
 
+from conftest import record_fork_epochs
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SMOKE = REPO_ROOT / "configs" / "smoke.config"
 VARIANTS = ("hgmae", "eta0")
-
-
-def child_pids() -> list[int]:
-    """Every live or unreaped child of this process: the /proc entries whose
-    parent pid is ours."""
-    me, found = os.getpid(), []
-    for entry in Path("/proc").iterdir():
-        if not entry.name.isdigit():
-            continue
-        try:
-            with open(entry / "stat") as f:
-                stat = f.read()
-        except OSError:  # exited while we looked
-            continue
-        # "pid (comm) state ppid ...": comm may hold spaces and parentheses
-        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
-            found.append(int(entry.name))
-    return found
-
-
-def assert_no_children() -> None:
-    assert multiprocessing.active_children() == []
-    if sys.platform == "linux":
-        assert child_pids() == []
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +89,6 @@ def test_run_pretrain_bytes_equal_in_process_and_no_process_left(
     assert len(smoke.seeds) * len(VARIANTS) == 4
     out = pretrained_copy(smoke, worlds, tmp_path / "out")
     assert_bytes_match(smoke, out, in_process_bytes)
-    assert_no_children()
 
 
 def test_run_pretrain_one_worker_bytes_equal(
@@ -122,20 +98,13 @@ def test_run_pretrain_one_worker_bytes_equal(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out = pretrained_copy(smoke, worlds, tmp_path / "out")
     assert_bytes_match(smoke, out, in_process_bytes)
-    assert_no_children()
 
 
 def record_forks(monkeypatch, marks: Path) -> None:
     """Make every replica fork, in any process, leave a file under marks
-    named for the steps it runs; the forked workers inherit the patch."""
+    named for the epoch it forks at."""
     marks.mkdir()
-    real_fork = hgmae._fork_replica
-
-    def fork(*args):
-        (marks / str(args[-1])).touch()
-        return real_fork(*args)
-
-    monkeypatch.setattr(hgmae, "_fork_replica", fork)
+    record_fork_epochs(monkeypatch, lambda epoch: (marks / str(epoch)).touch())
 
 
 def test_surplus_cpu_goes_to_the_hgmae_run_at_its_first_epoch(
@@ -147,9 +116,8 @@ def test_surplus_cpu_goes_to_the_hgmae_run_at_its_first_epoch(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     record_forks(monkeypatch, tmp_path / "forks")
     out = pretrained_copy(smoke, worlds, tmp_path / "out", seeds=(0,))
-    assert sorted(p.name for p in (tmp_path / "forks").iterdir()) == [str(smoke.pretrain.epochs)]
+    assert sorted(p.name for p in (tmp_path / "forks").iterdir()) == ["1"]
     assert_bytes_match(smoke, out, in_process_bytes, seeds=(0,))
-    assert_no_children()
 
 
 def test_a_worker_with_no_task_left_hands_its_cpu_to_a_running_run(
@@ -173,9 +141,8 @@ def test_a_worker_with_no_task_left_hands_its_cpu_to_a_running_run(
 
     monkeypatch.setattr(hgmae, "pretrain", waiting_pretrain)
     out = pretrained_copy(smoke, worlds, tmp_path / "out", seeds=(0,))
-    assert sorted(p.name for p in (tmp_path / "forks").iterdir()) == [str(smoke.pretrain.epochs)]
+    assert sorted(p.name for p in (tmp_path / "forks").iterdir()) == ["1"]
     assert_bytes_match(smoke, out, in_process_bytes, seeds=(0,))
-    assert_no_children()
 
 
 def test_run_pretrain_fault_names_epoch_and_stage(monkeypatch, smoke, worlds, tmp_path):
@@ -193,7 +160,6 @@ def test_run_pretrain_fault_names_epoch_and_stage(monkeypatch, smoke, worlds, tm
     monkeypatch.setattr(hgmae, "adam_step", poisoning_adam_step)
     with pytest.raises(NumericFault, match=r"^epoch 3: non-finite output from gat_head$"):
         pretrained_copy(smoke, worlds, tmp_path / "out")
-    assert_no_children()
 
 
 def test_run_pairs_names_the_events_line_of_an_unknown_node(smoke, worlds, tmp_path):

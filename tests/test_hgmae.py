@@ -42,7 +42,7 @@ from riskprop.optim import AdamState, adam_step
 from riskprop.synthetic import GenConfig, generate_graph
 
 import tape
-from conftest import fresh_params, make_graph
+from conftest import assert_no_child_left, fresh_params, make_graph, record_fork_epochs
 from oracles import dense_hgmae_loss
 
 
@@ -592,14 +592,6 @@ def spare_cpu_at(epoch: int | None):
     return spare_cpu
 
 
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 def default_world():
     return build_world(ExperimentConfig(), 0)[1]
 
@@ -609,33 +601,25 @@ REPLICA_STARTS = {"default": (20, 7), "1k": (WORLD_1K_EPOCHS, 2)}
 
 
 def replica_start_digests(world: str) -> list[dict]:
-    """The digests, the zero-norm rows and the replica's step count of one
+    """The digests, the zero-norm rows and the replica's fork epochs of one
     pretrain run per replica start: epoch 1, REPLICA_STARTS' later epoch and
     never, on the default world or the 1k world. Each run leaves no child."""
     g = default_world() if world == "default" else world_1k()
     epochs, later = REPLICA_STARTS[world]
     cfg = dataclasses.replace(ExperimentConfig().pretrain, rng_seed=0, epochs=epochs)
-    real_fork = hgmae._fork_replica
     results = []
     for start in (1, later, None):
         forked = []
-
-        def fork(*args):
-            forked.append(args[-1])
-            return real_fork(*args)
-
-        hgmae._fork_replica = fork
-        try:
+        with pytest.MonkeyPatch.context() as mp:
+            record_fork_epochs(mp, forked.append)
             params, history = pretrain(g, cfg, spare_cpu_at(start))
-        finally:
-            hgmae._fork_replica = real_fork
+        assert_no_child_left()
         params_bytes = b"".join(a.tobytes() for a in params.named_arrays().values())
         results.append({
             **run_digests(g, params, history),
             "params_sha256": hashlib.sha256(params_bytes).hexdigest(),
             "zero_norm_rows": [st.zero_norm_rows for st in history],
-            "replica_steps": forked,
-            "no_child_left": no_child_left(),
+            "fork_epochs": forked,
         })
     return results
 
@@ -649,9 +633,8 @@ def assert_replica_start_leaves_the_bits_unchanged(world: str, blas_threads: str
         f"print(json.dumps(test_hgmae.replica_start_digests({world!r})))",
         blas_threads,
     )
-    epochs, later = REPLICA_STARTS[world]
-    assert [run.pop("replica_steps") for run in runs] == [[epochs], [epochs - later + 1], []]
-    assert all(run.pop("no_child_left") for run in runs)
+    later = REPLICA_STARTS[world][1]
+    assert [run.pop("fork_epochs") for run in runs] == [[1], [later], []]
     assert sum(runs[0]["zero_norm_rows"]) > 0
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -680,23 +663,65 @@ def test_shares_deal_full_and_type_0_to_the_caller():
         assert hgmae._shares(terms) == ([0, 1], [2, 3])
 
 
+def outcome_bytes(outcomes: dict) -> dict:
+    return {
+        i: (repr(loss), {name: g.tobytes() for name, g in grads.items()}, rows)
+        for i, (loss, grads, rows) in outcomes.items()
+    }
+
+
+def test_replica_holds_no_state(monkeypatch):
+    """A replica answers each request from the parameters and plans in it
+    alone: two requests from two rng seeds, sent in both orders, get what
+    _run_terms gives on the replica's share in this process, bit for bit.
+    It never draws a mask or takes an Adam step, and exits 0 once the
+    caller closes the pipe."""
+    caller = os.getpid()
+
+    def caller_only(fn):
+        def wrapped(*args):
+            assert os.getpid() == caller, f"{fn.__name__} ran in the replica"
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(hgmae, "adam_step", caller_only(adam_step))
+    monkeypatch.setattr(hgmae, "make_step_plans", caller_only(make_step_plans))
+    g = default_world()
+    cfg = ExperimentConfig().pretrain
+    terms = plan_graph(g)
+    share = hgmae._shares(terms)[1]
+    requests = [
+        (fresh_params(g, cfg, seed), make_step_plans(terms, cfg, np.random.default_rng(seed)))
+        for seed in (0, 1)
+    ]
+    want = [
+        outcome_bytes(hgmae._run_terms(terms, params, cfg, plans, share))
+        for params, plans in requests
+    ]
+    assert want[0] != want[1]
+    replica = hgmae._Replica(terms, cfg)
+    try:
+        for order in ((0, 1), (1, 0)):
+            for r in order:
+                params, plans = requests[r]
+                replica.send(params, plans)
+                assert outcome_bytes(replica.receive()) == want[r]
+    finally:
+        code = replica.close(kill=False)
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "cpus, world, forks", [({0, 1}, "1k", True), ({0}, "1k", False), ({0, 1}, "default", False)]
 )
 def test_direct_call_forks_on_a_large_graph_with_two_cpus(monkeypatch, cpus, world, forks):
     g = world_1k() if world == "1k" else default_world()
     forked = []
-    real_fork = hgmae._fork_replica
-
-    def fork(*args):
-        forked.append(args[-1])
-        return real_fork(*args)
-
-    monkeypatch.setattr(hgmae, "_fork_replica", fork)
+    record_fork_epochs(monkeypatch, forked.append)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     pretrain(g, dataclasses.replace(ExperimentConfig().pretrain, epochs=1))
     assert forked == ([1] if forks else [])
-    assert no_child_left()
 
 
 def module_globals() -> dict[str, dict[str, str]]:
@@ -720,7 +745,6 @@ def test_pretrain_leaves_every_module_global_as_it_was():
         _, history = pretrain(g, cfg, spare_cpu_at(start))
         assert sum(st.zero_norm_rows for st in history) > 0
     assert module_globals() == before
-    assert no_child_left()
 
 
 # tracemalloc peak of one eta = 1 step on the 1k world above what was held
@@ -741,21 +765,16 @@ def test_step_peak_memory_on_the_1k_world(processes):
     terms = plan_graph(g)
     params = init_params(g.d_in, cfg, np.random.default_rng(0))
     hgmae_step(terms, params, cfg, np.random.default_rng(0))  # warm-up
-    rng = np.random.default_rng(1)
-    link = None
-    if processes == 2:
-        state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
-        link = hgmae._fork_replica(terms, params, state, cfg, rng, 1)
+    replica = hgmae._Replica(terms, cfg) if processes == 2 else None
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        hgmae_step(terms, params, cfg, rng, link)
+        hgmae_step(terms, params, cfg, np.random.default_rng(1), replica)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-        if link is not None:
-            link.close(kill=False)
-    assert no_child_left()
+        if replica is not None:
+            replica.close(kill=False)
     assert peak < STEP_PEAK_1K_MB * 2**20
 
 
@@ -774,12 +793,11 @@ def poison_features(monkeypatch, edge_type):
 
 def fault_messages(g, cfg) -> list[str]:
     """pretrain's NumericFault message without a replica, then with one
-    from epoch 1. No child process outlives the fault."""
+    from epoch 1."""
     messages = []
     for start in (None, 1):
         with pytest.raises(NumericFault) as err:
             pretrain(g, cfg, spare_cpu_at(start))
-        assert no_child_left()
         messages.append(str(err.value))
     return messages
 
@@ -792,19 +810,20 @@ def test_replica_pretrain_fault_names_epoch_and_stage_as_alone(monkeypatch):
 
 def fail_at_step(monkeypatch, step: int, fail) -> None:
     """Call fail(term) before every term of each pretrain call's step-th
-    step and later ones, counted by the process that runs them: a replica
-    inherits the count."""
+    step and later ones, counted by the process that runs them: each step
+    runs its share of the terms once in the caller and once in a replica,
+    which inherits the count when it is forked."""
     steps = []
     real_plan_graph = hgmae.plan_graph
-    real_plans, real_term = hgmae.make_step_plans, hgmae._reconstruction_term
+    real_run_terms, real_term = hgmae._run_terms, hgmae._reconstruction_term
 
     def planning_anew(g):
         steps.clear()
         return real_plan_graph(g)
 
-    def counting_plans(*args):
+    def counting_run_terms(*args):
         steps.append(None)
-        return real_plans(*args)
+        return real_run_terms(*args)
 
     def failing_term(term, *args):
         if len(steps) >= step:
@@ -812,14 +831,14 @@ def fail_at_step(monkeypatch, step: int, fail) -> None:
         return real_term(term, *args)
 
     monkeypatch.setattr(hgmae, "plan_graph", planning_anew)
-    monkeypatch.setattr(hgmae, "make_step_plans", counting_plans)
+    monkeypatch.setattr(hgmae, "_run_terms", counting_run_terms)
     monkeypatch.setattr(hgmae, "_reconstruction_term", failing_term)
 
 
 @pytest.mark.parametrize("failing", [(None, 2), (0, 2), (1, 2), (2,), (1,)])
 def test_replica_fault_is_the_first_failing_term_in_term_order(monkeypatch, failing):
-    """Types 1 and 2 are the replica's, which sends its outcomes first: the
-    fault raised is the first in term order, whichever process met it."""
+    """Types 1 and 2 are the replica's: the fault raised is the first in
+    term order, whichever process met it."""
 
     def fail(term):
         if term.edge_type in failing:
@@ -852,7 +871,6 @@ def test_replica_that_dies_in_mid_step_is_named(monkeypatch, capfd, signal_or_st
     with pytest.raises(ChildProcessError) as err:
         pretrain(default_world(), cfg, spare_cpu_at(1))
     assert time.perf_counter() - t0 < 10
-    assert no_child_left()
     pid = str(err.value).split("(pid ")[1].split(")")[0]
     assert str(err.value) == f"epoch 2: pretrain replica (pid {pid}) {reason}"
     if signal_or_status is None:
@@ -860,6 +878,7 @@ def test_replica_that_dies_in_mid_step_is_named(monkeypatch, capfd, signal_or_st
 
 
 def test_interrupted_caller_leaves_no_replica(monkeypatch):
+    """The teardown check in conftest.py finds no replica left."""
     caller, steps = os.getpid(), []
     real_adam_step = hgmae.adam_step
 
@@ -873,7 +892,6 @@ def test_interrupted_caller_leaves_no_replica(monkeypatch):
     cfg = dataclasses.replace(ExperimentConfig().pretrain, epochs=4)
     with pytest.raises(KeyboardInterrupt):
         pretrain(default_world(), cfg, spare_cpu_at(1))
-    assert no_child_left()
 
 
 def large_exchange_digests() -> list[dict]:
@@ -887,19 +905,21 @@ def large_exchange_digests() -> list[dict]:
     runs = [run_digests(g, *pretrain(g, cfg, spare_cpu_at(start))) for start in (1, None)]
     params = init_params(g.d_in, cfg, np.random.default_rng(0))
     grad_bytes = sum(a.nbytes for a in params.named_arrays().values())
-    return runs + [grad_bytes, no_child_left()]
+    assert_no_child_left()
+    return runs + [grad_bytes]
 
 
 def test_exchange_larger_than_a_pipe_holds_completes():
-    """Each process sends its two terms' gradients, more than 1 MB each:
-    the replica sends first, so the two do not block each other."""
-    with_replica, alone, grad_bytes, left = child_json(
+    """Each request carries the parameters, and each answer two terms'
+    gradients, more than 1 MB each: the caller sends its request before it
+    runs its own terms and reads the answer after, so neither process
+    blocks the other."""
+    with_replica, alone, grad_bytes = child_json(
         "import json, test_hgmae; print(json.dumps(test_hgmae.large_exchange_digests()))",
         timeout=120,
     )
     assert grad_bytes > 2**20
     assert with_replica == alone
-    assert left
 
 
 def lr_outcomes(action: str, replica_from: int | None) -> list[str]:
@@ -930,7 +950,6 @@ def test_numeric_faults_do_not_depend_on_the_warnings_filter():
     assert all(re.match(r"NumericFault: epoch \d+: non-finite output from ", o) for o in want[1:])
     for action, replica_from in [("error", None), ("default", 1), ("error", 1)]:
         assert lr_outcomes(action, replica_from) == want, (action, replica_from)
-    assert no_child_left()
 
 
 def test_pretrain_fault_names_epoch_and_op(monkeypatch, two_type_graph, tiny_cfg):
