@@ -103,18 +103,20 @@ def logistic_loss_and_grad(
     w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean log-loss + 0.5*l2*|w|^2 (bias unregularized), with gradients."""
-    logits, e, gw, gb = _logits_and_grad(w, b, X, y, l2)
+    logits, _, e, gw, gb = _logits_and_grad(w, b, X, y, l2)
     return _loss(logits, e, w, y, l2), gw, gb
 
 
 def _logits_and_grad(
     w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The logits, |logits|, exp(-|logits|) and the two gradients."""
     logits = X @ w + b
-    e = np.exp(-np.abs(logits))
+    magnitude = np.abs(logits)
+    e = np.exp(-magnitude)
     residual = _logistic(logits, e) - y
     gw = X.T @ residual / X.shape[0] + l2 * w
-    return logits, e, gw, float(np.mean(residual))
+    return logits, magnitude, e, gw, float(np.mean(residual))
 
 
 def _loss(logits: np.ndarray, e: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float) -> float:
@@ -131,12 +133,13 @@ def _train_logistic(X: np.ndarray, y: np.ndarray, cfg: ClassifierConfig) -> Clas
     # each row's log-loss lies in [0, |logit| + log 2] for labels in {0, 1},
     # so these bounds prove the loss finite without computing it
     logit_bound = 1e300 / X.shape[0]
+    y = y.astype(np.float64)  # once, not in every step's float arithmetic
     # a diverging run overflows on its way to the non-finite loss; the
     # finiteness test below reports it, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.iterations):
-            logits, e, gw, gb = _logits_and_grad(w, b, Xs, y, cfg.l2)
-            bounded = np.abs(logits).max() < logit_bound and 0.5 * cfg.l2 * float(w @ w) < 1e300
+            logits, magnitude, e, gw, gb = _logits_and_grad(w, b, Xs, y, cfg.l2)
+            bounded = magnitude.max() < logit_bound and 0.5 * cfg.l2 * float(w @ w) < 1e300
             if not bounded and not np.isfinite(_loss(logits, e, w, y, cfg.l2)):
                 raise FloatingPointError("logistic training diverged: non-finite loss")
             w -= cfg.lr * gw

@@ -295,7 +295,7 @@ def run_evaluate(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
             rows.append(ResultRow(cond, seed, m["micro_f1"], m["accuracy"], m["auc"]))
     results = ConditionResults(rows=rows)
     write_table(out_dir / "results.tsv", RESULTS, list(zip(*_results_rows(results))))
-    atomic_write_text(out_dir / "summary.txt", summary_text(results))
+    atomic_write_text(out_dir / "summary.txt", [summary_text(results)])
     return results
 
 

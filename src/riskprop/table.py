@@ -7,13 +7,18 @@ is a tuple of `(name, kind)` columns, kind int, float or str, and at most one
 write and from the header on read. Floats are written with %.17g, so a round
 trip is bit-identical.
 
-Reading is one pass, and a 0-byte file fails as empty. Each column is
-converted whole with Python's int() and float() semantics, cell by cell only
-if that fails, and the caller's row checks are masks over the rows. Every
-step marks the rows it finds bad, in the order a line is checked: the column
-count, then each column in order, its cells, its checks and, for an int
-column holding a value past int64, the int64 range. GraphFormatError names
-the first marked line and its first step's reason.
+A table streams in chunks of rows of at most _CHUNK_CELLS cells: writing
+formats and writes one chunk at a time, and reading reads, splits and
+converts one chunk of lines at a time, so no more than one chunk's cells are
+Python objects at once. A str column keeps one object per distinct value.
+A 0-byte file fails as empty. Each chunk's column is converted whole with
+Python's int() and float() semantics, cell by cell only if that fails; a
+column holding an int past int64 is Python ints. The masks of bad rows are
+joined across chunks, and the caller's row checks are masks over whole
+columns. Every step marks the rows it finds bad, in the order a line is
+checked: the column count, then each column in order, its cells, its checks
+and, for an int column holding a value past int64, the int64 range.
+GraphFormatError names the first marked line and its first step's reason.
 
 A record is one `key<sep>value` line per dataclass field, parsed by the
 field's annotation (int, float, str or tuple[X, ...]); a dataclass-valued
@@ -29,12 +34,16 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 import tempfile
 from dataclasses import fields, is_dataclass
 from functools import partial, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import (
+    Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_args, get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -64,15 +73,23 @@ class Check(NamedTuple):
 
 _FORMATS = {int: "%d", float: "%.17g", str: "%s"}
 _DTYPES = {int: np.int64, float: np.float64}
+# a chunk's rows hold at most this many cells (at least one row), as
+# synthetic._PAIR_CHUNK bounds the generator's draws; read_table also reads
+# this many characters at a time
+_CHUNK_CELLS = 1 << 14
+# where str.splitlines breaks a line; universal newlines leave no "\r"
+_BREAKS = ("\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_intern = np.frompyfunc(sys.intern, 1, 1)
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+def atomic_write_text(path: Path | str, pieces: Iterable[str]) -> None:
+    """Write the text, given in pieces, via a temp file in the same directory
+    plus rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -93,20 +110,58 @@ def _layout(schema: Sequence, width: int) -> tuple[list[str], list[tuple]]:
     return names, spans
 
 
+def _chunk_rows(ncols: int) -> int:
+    return max(1, _CHUNK_CELLS // max(1, ncols))
+
+
 def write_table(path: Path | str, schema: Sequence, columns: Sequence) -> None:
     """Atomically write a table from one column per schema entry (a [rows, d]
-    array for the block), formatting it as a whole."""
+    array for the block), formatting it a chunk of rows at a time."""
     widths = [np.shape(c)[1] for s, c in zip(schema, columns) if isinstance(s, Block)]
     names, spans = _layout(schema, widths[0] if widths else 0)
-    grid = np.empty((len(columns[0]), len(names)), dtype=object)
     formats = np.empty(len(names), dtype=object)
-    for (_, kind, span), values in zip(spans, columns):
-        # numeric cells become the Python ints and floats that % formats
-        grid[:, span] = values if kind is str else np.asarray(values, dtype=_DTYPES[kind])
+    for _, kind, span in spans:
         formats[span] = _FORMATS[kind]
     row = "\t".join(formats) + "\n"
-    body = row * len(grid) % tuple(grid.ravel().tolist())
-    atomic_write_text(path, "\t".join(names) + "\n" + body)
+    num_rows, step = len(columns[0]), _chunk_rows(len(names))
+
+    def chunks():
+        yield "\t".join(names) + "\n"
+        for lo in range(0, num_rows, step):
+            grid = np.empty((min(step, num_rows - lo), len(names)), dtype=object)
+            for (_, kind, span), values in zip(spans, columns):
+                values = values[lo : lo + step]
+                # numeric cells become the Python ints and floats that % formats
+                grid[:, span] = values if kind is str else np.asarray(values, dtype=_DTYPES[kind])
+            yield row * len(grid) % tuple(grid.ravel().tolist())
+
+    atomic_write_text(path, chunks())
+
+
+def _read_lines(f) -> Iterator[list[str]]:
+    """The lines of text file f, split as f.read().splitlines() splits them,
+    in one list per _CHUNK_CELLS characters read: a line the read cuts short
+    is carried into the next list."""
+    tail = ""
+    while piece := f.read(_CHUNK_CELLS):
+        lines = (tail + piece).splitlines()
+        tail = "" if piece.endswith(_BREAKS) else lines.pop()
+        yield lines
+    if tail:
+        yield [tail]
+
+
+def _batches(pieces: Iterable[list[str]], rows: int) -> Iterator[list[str]]:
+    """The lines of `pieces` in lists of `rows` lines, then one list of the
+    rest, which may be empty."""
+    pending: list[str] = []
+    for lines in pieces:
+        pending += lines
+        if len(pending) >= rows:
+            cut = len(pending) - len(pending) % rows
+            yield from (pending[lo : lo + rows] for lo in range(0, cut, rows))
+            del pending[:cut]
+    yield pending
 
 
 def read_table(path: Path | str, schema: Sequence, checks: Sequence[Check] = ()) -> list:
@@ -115,43 +170,74 @@ def read_table(path: Path | str, schema: Sequence, checks: Sequence[Check] = ())
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"table file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines:  # a 0-byte file
-        raise GraphFormatError(f"{path}:1: empty file")
-    header = lines[0].split("\t")
-    names, spans = _layout(schema, len(header) - len(schema) + 1)
-    if header != names:
-        raise GraphFormatError(f"{path}:1: bad header {lines[0]!r}")
-    body, ncols = lines[1:], len(names)
-    tabs = list(map(str.count, body, repeat("\t")))
-    ragged = np.zeros(len(body), dtype=bool)
-    if tabs.count(ncols - 1) != len(body):  # blank ragged lines: their column count is the fault
-        ragged = np.not_equal(tabs, ncols - 1)
-        body = ["\t" * (ncols - 1) if r else line for line, r in zip(body, ragged)]
-    grid = np.array("\t".join(body).split("\t") if body else [], dtype=object).reshape(-1, ncols)
-    # (mask of bad rows, reason for row i), in the order a line is checked
-    steps = [(ragged, lambda i: f"expected {ncols} columns, got {tabs[i] + 1}")]
-    cols: dict[str, np.ndarray] = {}
-    for col, (name, kind, span) in zip(schema, spans):
-        def bad_cell(i, name=name, j=span):
-            return f"bad {name} {grid[i, j]!r}"
+    with path.open() as f:
+        pieces = filter(None, _read_lines(f))
+        first = next(pieces, None)
+        if first is None:  # a 0-byte file
+            raise GraphFormatError(f"{path}:1: empty file")
+        header = first[0].split("\t")
+        names, spans = _layout(schema, len(header) - len(schema) + 1)
+        if header != names:
+            raise GraphFormatError(f"{path}:1: bad header {first[0]!r}")
+        ncols, rows = len(names), _chunk_rows(len(names))
+        # per chunk: the ragged-line mask, and each column's values and mask of bad cells
+        ragged: list[np.ndarray] = []
+        parts: list[list[np.ndarray]] = [[] for _ in schema]
+        bad_parts: list[list[np.ndarray]] = [[] for _ in schema]
+        kept: dict[int, list[str]] = {}  # a chunk's first row -> its lines, if a fault showed
+        start = 0
+        for lines in _batches(chain([first[1:]], pieces), rows):
+            tabs = list(map(str.count, lines, repeat("\t")))
+            ragged.append(np.zeros(len(lines), dtype=bool))
+            body = lines
+            # blank ragged lines: their column count is the fault
+            if tabs.count(ncols - 1) != len(lines):
+                ragged[-1] = np.not_equal(tabs, ncols - 1)
+                body = ["\t" * (ncols - 1) if r else line for line, r in zip(lines, ragged[-1])]
+                kept[start] = lines
+            grid = np.array("\t".join(body).split("\t") if body else [], dtype=object)
+            grid = grid.reshape(-1, ncols)
+            for col, (_, kind, span), values, bad in zip(schema, spans, parts, bad_parts):
+                if kind is str:
+                    values.append(_intern(grid[:, span]))
+                    continue
+                cells, cell_bad = _convert_cells(grid[:, span], kind)
+                values.append(cells)
+                bad.append(cell_bad.any(axis=1) if isinstance(col, Block) else cell_bad)
+                if cells.dtype == object or bad[-1].any():
+                    kept[start] = lines
+            start += len(lines)
 
-        if kind is str:
-            cols[name] = grid[:, span]
-        else:
-            cols[name], bad = _convert_cells(grid[:, span], kind)
-            if isinstance(col, Block):
-                steps.append((bad.any(axis=1), lambda i, what=col.what: f"bad {what}"))
-            else:
-                steps.append((bad, bad_cell))
+    def line(i):  # body row i's text, from the chunk kept for its fault
+        return kept[i - i % rows][i % rows]
+
+    def width(i):
+        return line(i).count("\t") + 1
+
+    # (mask of bad rows, reason for row i), in the order a line is checked
+    steps = [(np.concatenate(ragged), lambda i: f"expected {ncols} columns, got {width(i)}")]
+    cols: dict[str, np.ndarray] = {}
+    for col, (name, kind, span), values, bad in zip(schema, spans, parts, bad_parts):
+        def bad_cell(i, name=name, j=span):
+            cell = line(i).split("\t")[j]
+            return f"bad {name} {cell!r}"
+
+        # an int column with a chunk of Python ints joins as Python ints;
+        # each column's chunks are freed once joined
+        cols[name] = np.concatenate(values)
+        values.clear()
+        if isinstance(col, Block):
+            steps.append((np.concatenate(bad), lambda i, what=col.what: f"bad {what}"))
+        elif kind is not str:
+            steps.append((np.concatenate(bad), bad_cell))
         for check in (c for c in checks if c.column == name):
             steps.append((np.asarray(check.bad(cols), dtype=bool), partial(_reason, check, cols)))
         if cols[name].dtype == object and kind is int:  # Python ints: past int64 is bad
             wide = (cols[name] < -(2**63)) | (cols[name] >= 2**63)
             steps.append((np.asarray(wide, dtype=bool), bad_cell))
-    faults = np.stack([mask for mask, _ in steps])  # [step, row]
-    if not faults.any():
+    if not any(mask.any() for mask, _ in steps):
         return list(cols.values())
+    faults = np.stack([mask for mask, _ in steps])  # [step, row]
     i = int(np.argmax(faults.any(axis=0)))
     raise GraphFormatError(f"{path}:{i + 2}: {steps[np.argmax(faults[:, i])][1](i)}")
 
@@ -281,7 +367,7 @@ def write_record(path: Path | str, record, removed: Mapping[str, str] = {}) -> N
     """Atomically write one `key=value` line per leaf field not in `removed`."""
     keys = [key for key in record_fields(type(record)) if key not in removed]
     values = [reduce(getattr, key.split("."), record) for key in keys]
-    atomic_write_text(path, "".join(f"{k}={format_value(v)}\n" for k, v in zip(keys, values)))
+    atomic_write_text(path, (f"{k}={format_value(v)}\n" for k, v in zip(keys, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +390,7 @@ def write_model_file(path: Path | str, tag: str, echo: dict, arrays: dict) -> No
     head += [f"# config\t{key}\t{format_value(value)}" for key, value in echo.items()]
     head += [f"# tensor\t{name}\t{format_value(arr.shape)}" for name, arr in arrays.items()]
     head.append(f"# checksum\t{digest}")
-    atomic_write_text(Path(path), "\n".join(head + data_lines) + "\n")
+    atomic_write_text(path, (line + "\n" for line in head + data_lines))
 
 
 def _required_entries(path, lines, kinds: Mapping[str, type]) -> dict[str, tuple[int, object]]:

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,18 @@ def no_child_left():
     """Every test ends with no child process left."""
     yield
     assert_no_child_left()
+
+
+def traced_peak(fn):
+    """fn()'s result, and the tracemalloc peak in bytes while it ran above
+    what was traced as held when it was called."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def record_fork_epochs(monkeypatch, mark) -> None:

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -42,7 +41,13 @@ from riskprop.optim import AdamState, adam_step
 from riskprop.synthetic import GenConfig, generate_graph
 
 import tape
-from conftest import assert_no_child_left, fresh_params, make_graph, record_fork_epochs
+from conftest import (
+    assert_no_child_left,
+    fresh_params,
+    make_graph,
+    record_fork_epochs,
+    traced_peak,
+)
 from oracles import dense_hgmae_loss
 
 
@@ -766,13 +771,11 @@ def test_step_peak_memory_on_the_1k_world(processes):
     params = init_params(g.d_in, cfg, np.random.default_rng(0))
     hgmae_step(terms, params, cfg, np.random.default_rng(0))  # warm-up
     replica = hgmae._Replica(terms, cfg) if processes == 2 else None
-    tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        hgmae_step(terms, params, cfg, np.random.default_rng(1), replica)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        _, peak = traced_peak(
+            lambda: hgmae_step(terms, params, cfg, np.random.default_rng(1), replica)
+        )
     finally:
-        tracemalloc.stop()
         if replica is not None:
             replica.close(kill=False)
     assert peak < STEP_PEAK_1K_MB * 2**20

@@ -22,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +41,7 @@ from riskprop.pairs import (
 )
 from riskprop.synthetic import GenConfig, generate_graph, simulate_cascade
 
-from conftest import make_graph
+from conftest import make_graph, traced_peak
 from oracles import (
     bfs_distances,
     brute_force_candidate_pairs,
@@ -293,14 +292,22 @@ def test_build_pairs_traced_peak_on_a_4k_world():
     cfg = world_4k_config(2)
     g = generate_graph(cfg)
     events = simulate_cascade(g, cfg)
-    tracemalloc.start()
-    try:
-        kept = build_pairs(g, events, 3, seed=17)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    kept, peak = traced_peak(lambda: build_pairs(g, events, 3, seed=17))
     assert len(kept) == 24_192
     assert peak <= 16e6, f"build_pairs peaked at {peak / 1e6:.1f} MB"
+
+
+def test_graph_save_and_load_traced_peaks_on_a_4k_world(tmp_path):
+    # 4k world 2: 4,000 node rows and 37,222 edge rows. Streamed in chunks
+    # of 2**14 cells, save_graph peaked at 1.7 MB and load_graph at 4.2 MB
+    # (x86-64, numpy 2.4.6); holding each whole table as Python objects,
+    # 6.8 and 12.4 MB. The bounds leave about 20% of room.
+    g = generate_graph(world_4k_config(2))
+    _, save_peak = traced_peak(lambda: save_graph(g, tmp_path))
+    loaded, load_peak = traced_peak(lambda: load_graph(tmp_path))
+    assert np.array_equal(loaded.node_features, g.node_features)
+    assert save_peak <= 2.1e6, f"save_graph peaked at {save_peak / 1e6:.1f} MB"
+    assert load_peak <= 5.0e6, f"load_graph peaked at {load_peak / 1e6:.1f} MB"
 
 
 def test_source_with_no_issuer_in_reach_adds_no_pairs():

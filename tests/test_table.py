@@ -19,7 +19,14 @@ from riskprop.graph import (
     sorted_unique,
 )
 from riskprop.hgmae import TrainConfig, load_embeddings, save_embeddings
-from riskprop.pairs import PairDatasetSplit, PropagationPair, load_pairs, save_pairs
+from riskprop import table as table_mod
+from riskprop.pairs import (
+    PAIRS,
+    PairDatasetSplit,
+    PropagationPair,
+    load_pairs,
+    save_pairs,
+)
 from riskprop.synthetic import load_task_features, save_task_features
 from riskprop.table import (
     Block,
@@ -91,18 +98,25 @@ _CODEC_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("lineno, text, reason", _CODEC_FAULTS)
-def test_codec_error_names_first_bad_line(tmp_path, lineno, text, reason):
-    path = tmp_path / "t.tsv"
+def assert_codec_fault(path, lineno, text, reason, rows_ahead=0):
+    """The table above with line `lineno` replaced by `text`, a later fault
+    on line 4 and `rows_ahead` good rows after the header, fails naming the
+    shifted line and `reason`."""
     block = [[2, 3], [4, 5], [6, 7]]
     write_table(path, SCHEMA, [["a", "b", "c"], [0, 1, 2], [1.5, 2.5, 3.5], block])
     lines = path.read_text().splitlines()
     lines[lineno - 1] = text
     lines[3] = "c\tlater\t3.5\t6\t7"  # a fault further down is not the one reported
+    lines[1:1] = ["a\t0\t1.5\t2\t3"] * rows_ahead
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(GraphFormatError) as err:
         read_table(path, SCHEMA)
-    assert str(err.value) == f"{path}:{lineno}: {reason}"
+    assert str(err.value) == f"{path}:{lineno + rows_ahead if lineno > 1 else 1}: {reason}"
+
+
+@pytest.mark.parametrize("lineno, text, reason", _CODEC_FAULTS)
+def test_codec_error_names_first_bad_line(tmp_path, lineno, text, reason):
+    assert_codec_fault(tmp_path / "t.tsv", lineno, text, reason)
 
 
 def test_checks_run_after_their_column_and_in_order(tmp_path):
@@ -186,12 +200,9 @@ _LOADER_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "table, lineno, text, reason",
-    _LOADER_FAULTS,
-    ids=[f"{t}:{n}-{i}" for i, (t, n, _, _) in enumerate(_LOADER_FAULTS)],
-)
-def test_loader_fault_is_graph_format_error_naming_line(tmp_path, table, lineno, text, reason):
+def assert_loader_fault(tmp_path, table, lineno, text, reason):
+    """`table`'s artifact with line `lineno` replaced by `text` fails to load
+    naming that line and `reason`."""
     path, load = _write_artifacts(tmp_path)[table]
     lines = path.read_text().splitlines()
     lines[lineno - 1] = text
@@ -199,6 +210,192 @@ def test_loader_fault_is_graph_format_error_naming_line(tmp_path, table, lineno,
     with pytest.raises(GraphFormatError) as err:
         load()
     assert str(err.value) == f"{path}:{lineno}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "table, lineno, text, reason",
+    _LOADER_FAULTS,
+    ids=[f"{t}:{n}-{i}" for i, (t, n, _, _) in enumerate(_LOADER_FAULTS)],
+)
+def test_loader_fault_is_graph_format_error_naming_line(tmp_path, table, lineno, text, reason):
+    assert_loader_fault(tmp_path, table, lineno, text, reason)
+
+
+# ---------------------------------------------------------------------------
+# streaming: the codec in chunks of 1, 2 and 3 rows
+
+
+def chunk_rows(monkeypatch, rows: int, ncols: int) -> None:
+    """Make the codec stream `rows` rows of `ncols` cells per chunk."""
+    monkeypatch.setattr(table_mod, "_CHUNK_CELLS", rows * ncols)
+
+
+def one_shot_text(schema, columns) -> str:
+    """The table as one format over every cell, each by its kind's %
+    format, tab-joined, one line per row: the unchunked codec's bytes."""
+    names, texts = [], []  # texts: one list of cell texts per header column
+    for col, values in zip(schema, columns):
+        if isinstance(col, Block):
+            block = np.asarray(values, dtype=np.float64)
+            names += [f"{col.prefix}{j}" for j in range(block.shape[1])]
+            texts += [["%.17g" % x for x in block[:, j].tolist()] for j in range(block.shape[1])]
+        else:
+            name, kind = col
+            names.append(name)
+            fmt = {int: "%d", float: "%.17g", str: "%s"}[kind]
+            cells = values if kind is str else np.asarray(values).tolist()
+            texts.append([fmt % x for x in cells])
+    return "\t".join(names) + "\n" + "".join("\t".join(row) + "\n" for row in zip(*texts))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_streamed_write_equals_one_shot_format(tmp_path, monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    path = tmp_path / "t.tsv"
+    for n in sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows + 1}):
+        names = [["a", "b%d", "c d", "%s"][i % 4] for i in range(n)]
+        counts = rng.integers(-(2**62), 2**62, size=n)
+        scores, block = rng.standard_normal(n) / 3, rng.standard_normal((n, 2)) * 1e10
+        tables = [
+            (SCHEMA, [names, counts, scores, block]),
+            ((("id", int), Block("e", "e")), [counts.tolist(), np.zeros((n, 0))]),
+        ]
+        for schema, columns in tables:
+            want = one_shot_text(schema, columns)
+            chunk_rows(monkeypatch, rows, want.partition("\n")[0].count("\t") + 1)
+            write_table(path, schema, columns)
+            assert path.read_bytes() == want.encode(), (n, schema)
+            got = read_table(path, schema)
+            assert [len(col) for col in got] == [n] * len(schema)
+            assert got[1].tolist() == np.asarray(columns[1]).tolist()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_streamed_save_pairs_equals_one_shot_format(tmp_path, monkeypatch, rows):
+    chunk_rows(monkeypatch, rows, 5)
+    path = tmp_path / "pairs.tsv"
+    for n_train, n_test in [(0, 0), (1, 0), (0, 1), (rows - 1, 1), (rows, rows + 1)]:
+        train = [PropagationPair(i, i + 1, i % 2, 1 + i % 3) for i in range(n_train)]
+        test = [PropagationPair(i + 1, i, 1 - i % 2, 2) for i in range(n_test)]
+        split = PairDatasetSplit(pairs_from_rows(train), pairs_from_rows(test), split_seed=0)
+        save_pairs(split, path)
+        columns = [
+            [p.source_id for p in train + test],
+            [p.target_id for p in train + test],
+            [p.hop_distance for p in train + test],
+            [p.label for p in train + test],
+            ["train"] * n_train + ["test"] * n_test,
+        ]
+        assert path.read_bytes() == one_shot_text(PAIRS, columns).encode()
+        loaded = load_pairs(path)
+        assert list(loaded.train) == train and list(loaded.test) == test
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_streamed_str_column_keeps_one_object_per_value(tmp_path, monkeypatch, rows):
+    path = tmp_path / "t.tsv"
+    names = [["rel-0", "rel-1", "rel-2"][i % 3] for i in range(10)]
+    write_table(path, SCHEMA, [names, list(range(10)), [0.5] * 10, np.zeros((10, 1))])
+    chunk_rows(monkeypatch, rows, 4)
+    got = read_table(path, SCHEMA)[0]
+    assert got.tolist() == names
+    assert len({id(name) for name in got}) == 3
+
+
+# a blank line is ragged: its column count is the fault
+_BLANK_LINE = (3, "", "expected 5 columns, got 1")
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("lineno, text, reason", [*_CODEC_FAULTS, _BLANK_LINE])
+def test_codec_fault_in_a_later_chunk_names_its_line(
+    tmp_path, monkeypatch, rows, lineno, text, reason
+):
+    """Three good rows ahead put a fault below the header past the first chunk."""
+    chunk_rows(monkeypatch, rows, 5)
+    assert_codec_fault(tmp_path / "t.tsv", lineno, text, reason, rows_ahead=3)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_int_past_int64_in_a_later_chunk_reaches_checks_as_a_python_int(
+    tmp_path, monkeypatch, rows
+):
+    chunk_rows(monkeypatch, rows, 5)
+    path = tmp_path / "t.tsv"
+    write_table(path, SCHEMA, [["a"] * 8, list(range(8)), [0.5] * 8, np.zeros((8, 2))])
+    big = 2**64 + 1
+    path.write_text(path.read_text().replace("a\t6\t", f"a\t{big}\t"))
+    check = Check("count", lambda c: c["count"] > 6, "count {count} is too big")
+    with pytest.raises(GraphFormatError) as err:
+        read_table(path, SCHEMA, [check])
+    assert str(err.value) == f"{path}:8: count {big} is too big"
+    with pytest.raises(GraphFormatError) as err:
+        read_table(path, SCHEMA)
+    assert str(err.value) == f"{path}:8: bad count '{big}'"
+
+
+_LATER_LOADER_FAULTS = [
+    *_LOADER_FAULTS,
+    ("events", 3, "", "expected 2 columns, got 1"),
+    ("edges", 3, "rel-0\t99999999999999999999\t2",
+     "edge references unknown node id 99999999999999999999"),
+]
+
+
+@pytest.mark.parametrize(
+    "table_name, lineno, text, reason",
+    _LATER_LOADER_FAULTS,
+    ids=[f"{t}:{n}-{i}" for i, (t, n, _, _) in enumerate(_LATER_LOADER_FAULTS)],
+)
+def test_loader_fault_in_a_later_chunk_names_its_line(
+    tmp_path, monkeypatch, table_name, lineno, text, reason
+):
+    """One row per chunk and one character per read, so every fault below
+    the header lies in the second chunk."""
+    monkeypatch.setattr(table_mod, "_CHUNK_CELLS", 1)
+    assert_loader_fault(tmp_path, table_name, lineno, text, reason)
+
+
+# every line break str.splitlines knows, "\r\n" and "\r" as universal
+# newlines translate them, and texts that end without a break
+_BREAKS = ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_BREAK_TEXTS = [
+    "".join(f"l{i}{brk}" for i, brk in enumerate(_BREAKS)),
+    "a\r\n\r\n\rb\r",
+    "\n\nc\u2028\u2029\x85",
+    "no break at the end\x0bend",
+    "",
+    "\r",
+]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 1 << 14])
+def test_read_lines_split_as_read_text_splitlines(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(table_mod, "_CHUNK_CELLS", size)
+    path = tmp_path / "t.txt"
+    for text in _BREAK_TEXTS:
+        path.write_text(text, newline="")
+        with path.open() as f:
+            got = [line for lines in table_mod._read_lines(f) for line in lines]
+        assert got == path.read_text().splitlines(), text
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_table_lines_may_end_in_any_break(tmp_path, monkeypatch, rows):
+    path = tmp_path / "t.tsv"
+    n = 2 * len(_BREAKS) + 1
+    columns = [
+        [f"n{i}" for i in range(n)], list(range(n)), [i / 3 for i in range(n)],
+        np.arange(2.0 * n).reshape(n, 2),
+    ]
+    write_table(path, SCHEMA, columns)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + _BREAKS[i % len(_BREAKS)] for i, line in enumerate(lines)),
+                    newline="")
+    chunk_rows(monkeypatch, rows, 5)
+    names, counts, scores, block = read_table(path, SCHEMA)
+    assert names.tolist() == columns[0] and counts.tolist() == columns[1]
+    assert scores.tolist() == columns[2] and block.tobytes() == columns[3].tobytes()
 
 
 def _write_model_files(tmp_path):
