@@ -21,11 +21,16 @@ sum for the per-pair dots. Only the add into the prefix runs per slot.
 Blocks live only inside one call.
 
 A head's backward closure holds its input x, its weights, each receiver's
-softmax denominator, z = x @ W.T, the scores' signs and their exp; it
-recomputes the attention weights from the last two, the forward's own
-operands, so the same bits. A layer's closure adds only the ELU layer's
-output and the mask of its positive entries. Each closure is dropped once it
-has run, which frees what it kept.
+softmax denominator, the scores' signs and their exp. It recomputes what it
+needs from those, each with the forward's own operation on the forward's
+own operands, so the same bits: z = x @ W.T, and the attention weights
+ez / denom[recv]. The transposed pass reads the weights at the mirrors,
+alpha[mirror[k]] = ez[mirror[k]] / denom[nbr[k]], since recv[mirror[k]] ==
+nbr[k]; so the per-entry alpha is formed only after that pass. A layer's
+closure adds only the ELU layer's output, whose positive entries are
+exactly those of its argument, since expm1 of a non-positive number is
+non-positive. Each closure is dropped once it has run, which
+frees what it kept.
 
 The layout does not change any float sum. numpy's bincount starts every bin
 at +0.0 and adds its entries in input order; a receiver's entries in slot
@@ -273,8 +278,9 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
 
     backward(g) takes the gradient of the output and returns the gradients
     of x, w and a. alpha grouped by receiver sums to 1. The closure keeps x,
-    w, a, z, the scores' signs, their exp and each receiver's softmax
-    denominator, and recomputes alpha from the last two.
+    w, a, the scores' signs, their exp and each receiver's softmax
+    denominator; it recomputes z = x @ w.T from the first two and alpha from
+    the last two.
     """
     recv, n = pairs.recv, pairs.num_nodes
     d = w.shape[0]
@@ -290,14 +296,19 @@ def gat_head(x: np.ndarray, w: np.ndarray, a: np.ndarray, pairs: MessagePairs):
     NumericFault.check(out, "gat_head")
 
     def backward(g):
-        d_pairs = denom[recv]
-        alpha = ez / d_pairs  # the forward's division, on the same operands
+        z = x @ w.T  # the forward's projection, the same call on the same operands
+        # alpha[mirror]: the forward's division on the same operands, since
+        # recv[mirror[k]] == nbr[k]
+        mirrored_alpha = ez[pairs.mirror] / denom[pairs.nbr]
         # one pass over g[nbr] gives the transposed aggregation and, at each
         # entry's mirror, the row dot g[recv] . z[nbr] with its factors in
         # the same order
-        g_agg, mirrored_dots = _jagged_matmul(pairs, alpha[pairs.mirror], g, dot_with=z)
+        g_agg, mirrored_dots = _jagged_matmul(pairs, mirrored_alpha, g, dot_with=z)
+        del mirrored_alpha
         g_alpha = mirrored_dots[pairs.mirror]
         del mirrored_dots
+        d_pairs = denom[recv]
+        alpha = ez / d_pairs  # the forward's division, on the same operands
         # in place, each step is the same rounded operation on the same operands
         weights = np.negative(g_alpha)
         weights *= alpha
@@ -330,8 +341,8 @@ def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs
     backward(g), which runs once, takes the gradient of the output and
     returns (gradient of x, [W gradient, a gradient] of each head in order,
     flattened). The closure keeps the heads' closures, each dropped once it
-    has run, and, for an ELU layer, the output and the mask of its positive
-    entries.
+    has run, and, for an ELU layer, the output, whose positive entries are
+    those of its argument.
     """
     n = x.shape[0]
     if pairs.num_nodes != n:
@@ -344,11 +355,10 @@ def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs
     out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
     width = out.shape[1] // len(outs)
     del outs
-    elu_out = positive = None
+    elu_out = None
     if params.activation == "elu":
         # in place: the positive entries keep their value, the rest take expm1
-        positive = out > 0
-        np.expm1(out, out=out, where=~positive)
+        np.expm1(out, out=out, where=out <= 0)
         NumericFault.check(out, "elu")
         elu_out = out  # an identity layer's closure does not keep its output
 
@@ -357,12 +367,13 @@ def gat_layer_forward(params: GATLayerParams, x: np.ndarray, pairs: MessagePairs
         for h in range(len(head_backwards)):
             cols = slice(h * width, (h + 1) * width)
             # the head gathers rows of its slice, faster from a contiguous copy
-            if positive is None:
+            if elu_out is None:
                 g_head = np.ascontiguousarray(g[:, cols])
             else:
-                # times the ELU derivative: 1 at positive entries, out + 1 elsewhere
+                # times the ELU derivative: 1 at positive entries, out + 1
+                # elsewhere; expm1 keeps a non-positive entry non-positive
                 g_head = elu_out[:, cols] + 1.0
-                np.copyto(g_head, 1.0, where=positive[:, cols])
+                np.copyto(g_head, 1.0, where=elu_out[:, cols] > 0)
                 np.multiply(g[:, cols], g_head, out=g_head)
             g_x_head, g_w, g_a = head_backwards.pop(0)(g_head)
             grads += [g_w, g_a]

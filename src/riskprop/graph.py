@@ -200,10 +200,14 @@ def load_graph(directory: Path | str) -> HeteroGraph:
     _, flags, features = read_table(directory / "nodes.tsv", NODES, _NODE_CHECKS)
     names, u, v = read_table(directory / "edges.tsv", EDGES, _edge_checks(len(flags)))
     types = list(dict.fromkeys(names))  # type ids by first appearance
-    rows = [names == name for name in types]
+    edge_lists = {}
+    for k, name in enumerate(types):  # one type's row mask at a time
+        rows = names == name
+        edge_lists[k] = np.stack([u[rows], v[rows]], axis=1)
+    del names, u, v  # HeteroGraph's canonical copies need only the lists
     return HeteroGraph(
         node_features=features,
-        edge_lists={k: np.stack([u[r], v[r]], axis=1) for k, r in enumerate(rows)},
+        edge_lists=edge_lists,
         edge_type_names=types,
         issuer_flags=flags.astype(bool),
     )

@@ -40,12 +40,14 @@ no masking, no subgraphs.
 
 The graph never changes during training, so pretrain plans its terms
 once: a list of Terms, the full graph's first, then one per nonempty edge
-type by ascending type id. A Term holds a feature array, its message pairs
-in the jagged-diagonal layout the attention heads run on (see gat.py), and
-its edge type (None for the full graph). The full graph's term reads the
-union of all edge types; each type's term reads the rows of the nodes that
-type's edges touch, renumbered in ascending node id. Mask draws and loss
-terms read only those terms.
+type by ascending type id. A Term holds the graph's feature array, the ids
+of its rows, its message pairs in the jagged-diagonal layout the attention
+heads run on (see gat.py), and its edge type (None for the full graph). The
+full graph's term reads the union of all edge types and every row; each
+type's term reads the rows of the nodes that type's edges touch, renumbered
+in ascending node id. A type's term keeps only their ids and gathers the
+rows each time it runs, so a plan copies no feature row. Mask draws and
+loss terms read only those terms.
 """
 
 from __future__ import annotations
@@ -246,23 +248,33 @@ def apply_mask(x: np.ndarray, plan: MaskPlan, params: ModelParams) -> np.ndarray
 
 @dataclass(frozen=True)
 class Term:
-    """What one reconstruction term reads: node features, their message
-    pairs, and the edge type they come from (None for the full graph)."""
+    """What one reconstruction term reads: the graph's node features, the
+    ids of its rows among them in ascending order (None for all rows), their
+    message pairs, and the edge type they come from (None for the full
+    graph)."""
 
-    features: np.ndarray
+    node_features: np.ndarray
+    ids: np.ndarray | None
     pairs: MessagePairs
     edge_type: int | None
+
+    @property
+    def features(self) -> np.ndarray:
+        """The term's feature rows: the graph's own array for the full graph,
+        a fresh copy of the rows at ids for a subgraph."""
+        return self.node_features if self.ids is None else self.node_features[self.ids]
 
 
 def plan_graph(g: HeteroGraph) -> list[Term]:
     """The full graph's term, then one term per nonempty edge type by ascending type id."""
-    terms = [Term(g.node_features, build_message_pairs(g.union_edges(), g.num_nodes), None)]
+    x = g.node_features
+    terms = [Term(x, None, build_message_pairs(g.union_edges(), g.num_nodes), None)]
     for k in range(g.num_edge_types):
         edges = g.edge_lists[k]
         if edges.shape[0]:
             ids = sorted_unique(edges)
             pairs = build_message_pairs(np.searchsorted(ids, edges), ids.shape[0])
-            terms.append(Term(g.node_features[ids], pairs, k))
+            terms.append(Term(x, ids, pairs, k))
     return terms
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,9 @@ class PairConstructionError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class PropagationPair:
+class PropagationPair(NamedTuple):
+    """One labeled pair; a tuple, so it orders, hashes and compares as one."""
+
     source_id: int
     target_id: int
     label: int

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from riskprop import hgmae
+from riskprop.experiment import ExperimentConfig
 from riskprop.graph import HeteroGraph
 from riskprop.hgmae import ModelParams, TrainConfig, init_params
+from riskprop.synthetic import GenConfig
 
 # one line per acceptance criterion, printed after the run (see test_acceptance)
 ACCEPTANCE_LINES: list[str] = []
@@ -72,16 +75,24 @@ def no_child_left():
     assert_no_child_left()
 
 
-def traced_peak(fn):
-    """fn()'s result, and the tracemalloc peak in bytes while it ran above
-    what was traced as held when it was called."""
+def traced(fn):
+    """(fn()'s result, the tracemalloc peak in bytes while it ran, the bytes
+    traced as held when it returned), both above what was traced as held
+    when it was called."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - before
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - before, held - before
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(fn):
+    """fn()'s result, and the tracemalloc peak in bytes while it ran above
+    what was traced as held when it was called."""
+    return traced(fn)[:2]
 
 
 def record_fork_epochs(monkeypatch, mark) -> None:
@@ -94,6 +105,22 @@ def record_fork_epochs(monkeypatch, mark) -> None:
         return real_replica(terms, cfg)
 
     monkeypatch.setattr(hgmae, "_Replica", fork)
+
+
+WORLD_4K_NODES = 4000
+
+
+def world_4k_config(world_seed: int) -> GenConfig:
+    """The default world scaled to 4000 nodes at constant mean degree."""
+    gen = ExperimentConfig().gen
+    scale = gen.num_nodes / WORLD_4K_NODES
+    return dataclasses.replace(
+        gen,
+        num_nodes=WORLD_4K_NODES,
+        intra_edge_prob=tuple(p * scale for p in gen.intra_edge_prob),
+        inter_edge_prob=tuple(p * scale for p in gen.inter_edge_prob),
+        rng_seed=world_seed,
+    )
 
 
 def make_graph(n, edge_lists, d_in=4, issuers=None, seed=0):

@@ -46,7 +46,9 @@ from conftest import (
     fresh_params,
     make_graph,
     record_fork_epochs,
+    traced,
     traced_peak,
+    world_4k_config,
 )
 from oracles import dense_hgmae_loss
 
@@ -754,13 +756,14 @@ def test_pretrain_leaves_every_module_global_as_it_was():
 
 # tracemalloc peak of one eta = 1 step on the 1k world above what was held
 # before it, in the calling process, measured on x86-64 with numpy 2.4.6:
-# 4.2 MB, with the terms all in this process or half of them in a replica,
+# 3.3 MB, with the terms all in this process or half of them in a replica,
 # since a process runs one term at a time. Its heads keep their per-pair
-# arrays but not alpha, which the backward recomputes; the identity layers'
-# outputs are not kept; and each closure is dropped once it has run. Keeping
-# alpha and every output it took 5.4 MB, and before this layout of the
-# closures 7.9 MB. The bound leaves 10% of room.
-STEP_PEAK_1K_MB = 4.7
+# arrays but neither z nor alpha, which the backward recomputes; an ELU
+# layer keeps no mask; the identity layers' outputs are not kept; and each
+# closure is dropped once it has run. Keeping z and the ELU mask took
+# 4.2 MB, keeping alpha and every output as well 5.4 MB, and before this
+# layout of the closures 7.9 MB. The bound leaves 10% of room.
+STEP_PEAK_1K_MB = 3.7
 
 
 @pytest.mark.parametrize("processes", [1, 2])
@@ -781,14 +784,43 @@ def test_step_peak_memory_on_the_1k_world(processes):
     assert peak < STEP_PEAK_1K_MB * 2**20
 
 
+# tracemalloc figures on 4k world 2 in the calling process, above what was
+# held before the call, measured on x86-64 with numpy 2.4.6. plan_graph
+# holds 4.0 MB: a type's term keeps the ids of its rows (5.3 MB with a
+# copy of them). One eta = 1 pretrain epoch without a replica peaks at 17.3 MB,
+# in layer 1's backward jagged pass (22.3 MB with each head keeping z until
+# its backward, and its backward holding alpha during the transposed pass).
+# The bounds leave 10% of room.
+PLAN_HELD_4K_MB = 4.4
+EPOCH_PEAK_4K_MB = 19.0
+
+
+def test_plan_graph_holds_no_feature_rows_on_a_4k_world():
+    g = generate_graph(world_4k_config(2))
+    terms, _, held = traced(lambda: plan_graph(g))
+    assert len(terms) == 1 + g.num_edge_types
+    assert held <= PLAN_HELD_4K_MB * 2**20, f"plan_graph holds {held / 2**20:.2f} MB"
+
+
+def test_pretrain_epoch_peak_memory_on_a_4k_world():
+    g = generate_graph(world_4k_config(2))
+    cfg = dataclasses.replace(ExperimentConfig().pretrain, eta=1.0, epochs=1)
+    (_, history), peak = traced_peak(lambda: pretrain(g, cfg, lambda: False))
+    assert len(history) == 1
+    assert peak <= EPOCH_PEAK_4K_MB * 2**20, f"pretrain peaked at {peak / 2**20:.2f} MB"
+
+
 def poison_features(monkeypatch, edge_type):
-    """Make plan_graph's term for edge_type all NaN: a subgraph term holds its
-    own copy of its rows."""
+    """Make plan_graph's term for edge_type read all-NaN features: that term
+    alone gets a NaN copy of the graph's features, the others read the
+    graph's own."""
     real_plan_graph = hgmae.plan_graph
 
     def poisoned(g):
         terms = real_plan_graph(g)
-        next(t for t in terms if t.edge_type == edge_type).features[:] = np.nan
+        i = next(i for i, t in enumerate(terms) if t.edge_type == edge_type)
+        nan = np.full_like(terms[i].node_features, np.nan)
+        terms[i] = dataclasses.replace(terms[i], node_features=nan)
         return terms
 
     monkeypatch.setattr(hgmae, "plan_graph", poisoned)

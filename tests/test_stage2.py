@@ -30,7 +30,6 @@ import pytest
 from riskprop import classify
 from riskprop import pairs as pairs_mod
 from riskprop import synthetic
-from riskprop.experiment import ExperimentConfig
 from riskprop.graph import DefaultEvent, load_graph, save_graph
 from riskprop.pairs import (
     PropagationPair,
@@ -41,7 +40,7 @@ from riskprop.pairs import (
 )
 from riskprop.synthetic import GenConfig, generate_graph, simulate_cascade
 
-from conftest import make_graph, traced_peak
+from conftest import make_graph, traced_peak, world_4k_config
 from oracles import (
     bfs_distances,
     brute_force_candidate_pairs,
@@ -51,22 +50,9 @@ from oracles import (
 
 REFERENCE_PATH = Path(__file__).parent / "stage2_reference.json"
 TAIL_REFERENCE_PATH = Path(__file__).parent / "stage2_tail_reference.json"
-WORLD_4K_NODES = 4000
 WORLD_4K_SEEDS = (0, 1, 2)
 DEFAULT_WORLD_SEEDS = (0, 1, 2, 3, 4)
 PAIR_SEEDS = (0, 17)
-
-
-def world_4k_config(world_seed: int) -> GenConfig:
-    gen = ExperimentConfig().gen
-    scale = gen.num_nodes / WORLD_4K_NODES
-    return dataclasses.replace(
-        gen,
-        num_nodes=WORLD_4K_NODES,
-        intra_edge_prob=tuple(p * scale for p in gen.intra_edge_prob),
-        inter_edge_prob=tuple(p * scale for p in gen.inter_edge_prob),
-        rng_seed=world_seed,
-    )
 
 
 def _sha(parts) -> str:
