@@ -81,6 +81,8 @@ class HeteroGraph:
         if sorted(self.edge_lists) != list(range(len(self.edge_type_names))):
             raise ValueError("edge_lists keys must be dense 0..K-1 matching edge_type_names")
         for k, name in enumerate(self.edge_type_names):
+            if any(char in name for char in "\t\n\r"):  # edges.tsv could not hold it
+                raise ValueError(f"edge type name {name!r} holds a tab or a line break")
             edges = _canonical_edges(self.edge_lists[k], name)
             if edges.size and (edges.min() < 0 or edges.max() >= n):
                 bad = int(edges.max() if edges.max() >= n else edges.min())

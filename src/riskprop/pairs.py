@@ -7,10 +7,10 @@ ties and earlier defaults carry no directional evidence and stay white.
 White pairs are then uniformly downsampled to the black count, and the
 balanced set is split 80/20 stratified by label. Pairs stay aligned
 columns (CandidatePairs) from enumeration to the saved split; each step
-selects rows. The enumeration works in narrow types: bfs_hops' hop type,
-int32 node ids (int64 from 2**31 nodes) and int8 labels. build_pairs
+selects rows. The enumeration keeps its own narrow types: bfs_hops' hop
+type, int32 node ids (int64 from 2**31 nodes) and int8 labels. build_pairs
 downsamples on those and widens only the rows it keeps to int64, the type
-of every CandidatePairs the public functions return.
+of every CandidatePairs after it.
 
 The BFS is level-synchronous and multi-source: all sources advance one hop
 together, with one bit per source in each node's row of a packed frontier,
@@ -50,8 +50,8 @@ class PropagationPair(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class CandidatePairs:
-    """Pairs as aligned columns, int64 except in the narrow enumeration that
-    build_pairs reads. Iterating yields PropagationPair rows."""
+    """Pairs as aligned columns, int64 except in enumerate_candidate_pairs'
+    narrow result. Iterating yields PropagationPair rows."""
 
     source: np.ndarray
     target: np.ndarray
@@ -124,12 +124,11 @@ def _event_times(g: HeteroGraph, events: list[DefaultEvent]) -> dict[int, int]:
 
 
 def enumerate_candidate_pairs(
-    g: HeteroGraph, events: list[DefaultEvent], n_hops: int, *, narrow: bool = False
+    g: HeteroGraph, events: list[DefaultEvent], n_hops: int
 ) -> CandidatePairs:
     """All pre-balancing pairs, in (source, target) order; deterministic.
-    The columns are int64; with narrow=True they keep the enumeration's own
-    types: int32 node ids (int64 from 2**31 nodes), int8 labels and
-    bfs_hops' hop type."""
+    The columns keep the enumeration's own types: int32 node ids (int64
+    from 2**31 nodes), int8 labels and bfs_hops' hop type."""
     if n_hops < 1:
         raise PairConstructionError("n_hops must be >= 1")
     times = _event_times(g, events)
@@ -151,14 +150,7 @@ def enumerate_candidate_pairs(
         # the int64 indices and the hop matrix go before the label temporaries
         del rows, cols, hops
         parts.append((src, dst, (time_of[dst] > time_of[src]).astype(np.int8), hop))
-    pairs = CandidatePairs(*(np.concatenate(col) for col in zip(*parts)))
-    return pairs if narrow else _widen(pairs, slice(None))
-
-
-def _widen(pairs: CandidatePairs, rows) -> CandidatePairs:
-    """The given rows of pairs, with every column as int64."""
-    cols = (pairs.source, pairs.target, pairs.label, pairs.hop)
-    return CandidatePairs(*(col[rows].astype(np.int64) for col in cols))
+    return CandidatePairs(*(np.concatenate(col) for col in zip(*parts)))
 
 
 def build_pairs(
@@ -166,7 +158,7 @@ def build_pairs(
 ) -> CandidatePairs:
     """Candidate pairs with whites uniformly downsampled to the black count,
     in (source, target) order. Only the rows kept are widened to int64."""
-    candidates = enumerate_candidate_pairs(g, events, n_hops, narrow=True)
+    candidates = enumerate_candidate_pairs(g, events, n_hops)
     blacks = np.flatnonzero(candidates.label == 1)
     whites = np.flatnonzero(candidates.label == 0)
     if not blacks.size:
@@ -174,7 +166,9 @@ def build_pairs(
     if whites.size > blacks.size:
         rng = np.random.default_rng(seed)
         whites = whites[rng.choice(whites.size, size=blacks.size, replace=False)]
-    return _widen(candidates, np.sort(np.concatenate([blacks, whites])))
+    rows = np.sort(np.concatenate([blacks, whites]))
+    cols = (candidates.source, candidates.target, candidates.label, candidates.hop)
+    return CandidatePairs(*(col[rows].astype(np.int64) for col in cols))
 
 
 def split_pairs(pairs: CandidatePairs, train_frac: float, seed: int) -> PairDatasetSplit:

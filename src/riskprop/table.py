@@ -1,17 +1,25 @@
 """The artifact codecs: the tab-separated table, the key/value record and
 the model file.
 
+Every codec here splits a file into lines at "\n", after Python's
+universal-newline reading has turned "\r\n" and "\r" into "\n"; every writer
+ends each line with "\n". Any other character, "\x0c" or "\u2028" too, may
+stand in a cell or a value.
+
 A table is one header line of column names, then one line per row. A schema
 is a tuple of `(name, kind)` columns, kind int, float or str, and at most one
 `Block`: float columns prefix0 .. prefix{d-1}, with d taken from the data on
 write and from the header on read. Floats are written with %.17g, so a round
 trip is bit-identical.
 
-A table streams in chunks of rows of at most _CHUNK_CELLS cells: writing
-formats and writes one chunk at a time, and reading reads, splits and
-converts one chunk of lines at a time, so no more than one chunk's cells are
-Python objects at once. A str column keeps one object per distinct value.
-A 0-byte file fails as empty. Each chunk's column is converted whole with
+A table streams in chunks: writing formats and writes rows of at most
+_CHUNK_CELLS cells at a time, and reading reads _CHUNK_CELLS characters at a
+time and splits and converts the whole lines they end as one chunk, carrying
+the cut-off last line into the next read. So no more than one chunk's cells
+are Python objects at once. A str column keeps one object per distinct
+value. A 0-byte file fails as empty, and a file whose last line, the header
+included, has no line break fails as cut short, naming that line, before any
+row is checked. Each chunk's column is converted whole with
 Python's int() and float() semantics, cell by cell only if that fails; a
 column holding an int past int64 is Python ints. The masks of bad rows are
 joined across chunks, and the caller's row checks are masks over whole
@@ -38,11 +46,10 @@ import sys
 import tempfile
 from dataclasses import fields, is_dataclass
 from functools import partial, reduce
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import (
-    Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, get_args, get_origin,
-    get_type_hints,
+    Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_origin, get_type_hints,
 )
 
 import numpy as np
@@ -77,8 +84,6 @@ _DTYPES = {int: np.int64, float: np.float64}
 # synthetic._PAIR_CHUNK bounds the generator's draws; read_table also reads
 # this many characters at a time
 _CHUNK_CELLS = 1 << 14
-# where str.splitlines breaks a line; universal newlines leave no "\r"
-_BREAKS = ("\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 _intern = np.frompyfunc(sys.intern, 1, 1)
 
 
@@ -110,10 +115,6 @@ def _layout(schema: Sequence, width: int) -> tuple[list[str], list[tuple]]:
     return names, spans
 
 
-def _chunk_rows(ncols: int) -> int:
-    return max(1, _CHUNK_CELLS // max(1, ncols))
-
-
 def write_table(path: Path | str, schema: Sequence, columns: Sequence) -> None:
     """Atomically write a table from one column per schema entry (a [rows, d]
     array for the block), formatting it a chunk of rows at a time."""
@@ -123,7 +124,7 @@ def write_table(path: Path | str, schema: Sequence, columns: Sequence) -> None:
     for _, kind, span in spans:
         formats[span] = _FORMATS[kind]
     row = "\t".join(formats) + "\n"
-    num_rows, step = len(columns[0]), _chunk_rows(len(names))
+    num_rows, step = len(columns[0]), max(1, _CHUNK_CELLS // max(1, len(names)))
 
     def chunks():
         yield "\t".join(names) + "\n"
@@ -138,32 +139,6 @@ def write_table(path: Path | str, schema: Sequence, columns: Sequence) -> None:
     atomic_write_text(path, chunks())
 
 
-def _read_lines(f) -> Iterator[list[str]]:
-    """The lines of text file f, split as f.read().splitlines() splits them,
-    in one list per _CHUNK_CELLS characters read: a line the read cuts short
-    is carried into the next list."""
-    tail = ""
-    while piece := f.read(_CHUNK_CELLS):
-        lines = (tail + piece).splitlines()
-        tail = "" if piece.endswith(_BREAKS) else lines.pop()
-        yield lines
-    if tail:
-        yield [tail]
-
-
-def _batches(pieces: Iterable[list[str]], rows: int) -> Iterator[list[str]]:
-    """The lines of `pieces` in lists of `rows` lines, then one list of the
-    rest, which may be empty."""
-    pending: list[str] = []
-    for lines in pieces:
-        pending += lines
-        if len(pending) >= rows:
-            cut = len(pending) - len(pending) % rows
-            yield from (pending[lo : lo + rows] for lo in range(0, cut, rows))
-            del pending[:cut]
-    yield pending
-
-
 def read_table(path: Path | str, schema: Sequence, checks: Sequence[Check] = ()) -> list:
     """The columns in schema order: int64 and float64 arrays, object arrays
     of str, and a [rows, d] float64 array for the block."""
@@ -171,22 +146,25 @@ def read_table(path: Path | str, schema: Sequence, checks: Sequence[Check] = ())
     if not path.exists():
         raise FileNotFoundError(f"table file not found: {path}")
     with path.open() as f:
-        pieces = filter(None, _read_lines(f))
-        first = next(pieces, None)
-        if first is None:  # a 0-byte file
+        head = f.readline()
+        if not head:  # a 0-byte file
             raise GraphFormatError(f"{path}:1: empty file")
-        header = first[0].split("\t")
+        if not head.endswith("\n"):
+            raise GraphFormatError(f"{path}:1: no line break at the end; the file is cut short")
+        header = head[:-1].split("\t")
         names, spans = _layout(schema, len(header) - len(schema) + 1)
         if header != names:
-            raise GraphFormatError(f"{path}:1: bad header {first[0]!r}")
-        ncols, rows = len(names), _chunk_rows(len(names))
+            raise GraphFormatError(f"{path}:1: bad header {head[:-1]!r}")
+        ncols = len(names)
         # per chunk: the ragged-line mask, and each column's values and mask of bad cells
         ragged: list[np.ndarray] = []
         parts: list[list[np.ndarray]] = [[] for _ in schema]
         bad_parts: list[list[np.ndarray]] = [[] for _ in schema]
         kept: dict[int, list[str]] = {}  # a chunk's first row -> its lines, if a fault showed
-        start = 0
-        for lines in _batches(chain([first[1:]], pieces), rows):
+        start, tail, piece = 0, "", None
+        while piece != "":  # a chunk per read, the empty one at the end too, so one at least
+            piece = f.read(_CHUNK_CELLS)
+            *lines, tail = (tail + piece).split("\n")
             tabs = list(map(str.count, lines, repeat("\t")))
             ragged.append(np.zeros(len(lines), dtype=bool))
             body = lines
@@ -207,9 +185,14 @@ def read_table(path: Path | str, schema: Sequence, checks: Sequence[Check] = ())
                 if cells.dtype == object or bad[-1].any():
                     kept[start] = lines
             start += len(lines)
+        if tail:
+            raise GraphFormatError(
+                f"{path}:{start + 2}: no line break at the end; the file is cut short"
+            )
 
     def line(i):  # body row i's text, from the chunk kept for its fault
-        return kept[i - i % rows][i % rows]
+        first = max(s for s in kept if s <= i)
+        return kept[first][i - first]
 
     def width(i):
         return line(i).count("\t") + 1
@@ -354,7 +337,7 @@ def read_record(path: Path | str, cls, removed: Mapping[str, str] = {}):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    numbered = enumerate(path.read_text().splitlines(), start=1)
+    numbered = enumerate(path.read_text().split("\n"), start=1)
     lines = [(n, text) for n, line in numbered if (text := line.split("#", 1)[0]).strip()]
     entries, problems = read_entries(path, lines, "=", record_fields(cls), removed)
     record = build_record(path, cls, entries, problems)
@@ -441,8 +424,8 @@ def read_model_file(path: Path | str, tag: str, echo_kinds: Mapping[str, type]) 
     """Check the tag, then the checksum over the data lines, then that the
     echo holds exactly the keys of `echo_kinds`, each parsed by its kind."""
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != f"# {tag}":
+    lines = path.read_text().removesuffix("\n").split("\n")
+    if lines[0] != f"# {tag}":
         raise CheckpointError(f"{path}: not a {tag} file")
     # the numbered lines after the tag: echo, manifest and checksum by prefix, the rest data
     sections: dict[str, list[tuple[int, str]]] = {"# config": [], "# tensor": [], "# checksum": []}

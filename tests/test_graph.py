@@ -70,6 +70,15 @@ def test_non_finite_features_rejected():
         HeteroGraph(feats, {0: np.array([[0, 1]])}, ["r"], np.zeros(2, dtype=bool))
 
 
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "\r\n"])
+def test_edge_type_name_holding_a_tab_or_line_break_rejected(name):
+    # edges.tsv splits a column at a tab, and reads "\r" and "\r\n" as "\n"
+    edges = {0: np.array([[0, 1]]), 1: np.array([[0, 1]])}
+    with pytest.raises(ValueError) as err:
+        HeteroGraph(np.zeros((2, 1)), edges, ["ok", name], np.zeros(2, dtype=bool))
+    assert str(err.value) == f"edge type name {name!r} holds a tab or a line break"
+
+
 def test_union_edges_collapses_multi_type_duplicates():
     g = make_graph(4, {0: [(0, 1), (1, 2)], 1: [(0, 1), (2, 3)]})
     assert g.union_edges().tolist() == [[0, 1], [1, 2], [2, 3]]
@@ -185,14 +194,16 @@ def test_graph_roundtrip_bit_identical(tmp_path):
 
 
 def test_edge_type_names_with_format_characters_roundtrip(tmp_path):
-    names = ["50% owned", "%d {0} %%s"]
-    edges = {0: np.array([[0, 1], [1, 2]]), 1: np.array([[0, 2]])}
-    g = HeteroGraph(np.zeros((3, 1)), edges, names, np.zeros(3, dtype=bool))
+    # % and str.format characters, and line breaks of str.splitlines that
+    # are not "\n": a line ends only at "\n"
+    names = ["50% owned", "%d {0} %%s", "a\x0cb", "p\x85q", "x\u2028y"]
+    edges = {k: np.array([[0, 1], [1, 2]] if k == 0 else [[0, k]]) for k in range(5)}
+    g = HeteroGraph(np.zeros((5, 1)), edges, names, np.zeros(5, dtype=bool))
     save_graph(g, tmp_path)
-    assert (tmp_path / "edges.tsv").read_text().splitlines()[1] == "50% owned\t0\t1"
+    assert (tmp_path / "edges.tsv").read_text().split("\n")[1] == "50% owned\t0\t1"
     g2 = load_graph(tmp_path)
     assert g2.edge_type_names == names
-    for k in range(2):
+    for k in range(5):
         np.testing.assert_array_equal(g2.edge_lists[k], g.edge_lists[k])
 
 

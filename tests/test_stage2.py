@@ -249,9 +249,8 @@ def test_hops_beyond_int8_match_the_oracles():
     for row, s in zip(hops, sources.tolist()):
         assert {v: int(d) for v, d in enumerate(row) if d >= 0} == bfs_distances(nbrs, s, n_hops)
     got = enumerate_candidate_pairs(g, events, n_hops)
-    for col in ("source", "target", "label", "hop"):
-        assert getattr(got, col).dtype == np.int64
-    assert got.hop.max() > 127
+    assert [got.source.dtype, got.target.dtype, got.label.dtype] == [np.int32, np.int32, np.int8]
+    assert got.hop.dtype == np.int16 and got.hop.max() > 127
     want = brute_force_candidate_pairs(g, events, n_hops)
     assert list(got) == [PropagationPair(*t) for t in want]
 
@@ -266,7 +265,7 @@ def test_multi_chunk_enumeration_matches_one_chunk(monkeypatch):
     chunked = enumerate_candidate_pairs(g, events, 3)
     chunked_kept = build_pairs(g, events, 3, seed=4)
     for col in ("source", "target", "label", "hop"):
-        assert getattr(whole, col).dtype == np.int64
+        assert getattr(whole, col).dtype == getattr(chunked, col).dtype
         assert np.array_equal(getattr(whole, col), getattr(chunked, col)), col
         assert getattr(chunked_kept, col).dtype == np.int64
         assert np.array_equal(getattr(whole_kept, col), getattr(chunked_kept, col)), col
@@ -284,16 +283,19 @@ def test_build_pairs_traced_peak_on_a_4k_world():
 
 
 def test_graph_save_and_load_traced_peaks_on_a_4k_world(tmp_path):
-    # 4k world 2: 4,000 node rows and 37,222 edge rows. Streamed in chunks
-    # of 2**14 cells, save_graph peaked at 1.7 MB and load_graph at 4.2 MB
-    # (x86-64, numpy 2.4.6); holding each whole table as Python objects,
-    # 6.8 and 12.4 MB. The bounds leave about 20% of room.
+    # 4k world 2: 4,000 node rows and 37,222 edge rows. Written in chunks of
+    # 2**14 cells, and read in chunks of the lines that 2**14 characters end
+    # (about 680 edge lines), save_graph peaked at 1.7 MB and load_graph at
+    # 2.45 MB (x86-64, numpy 2.4.6). Read in chunks of 2**14 cells (5,461
+    # edge lines), load_graph peaked at 4.2 MB; holding each whole table as
+    # Python objects, save_graph and load_graph peaked at 6.8 and 12.4 MB.
+    # The bounds leave about 20% of room.
     g = generate_graph(world_4k_config(2))
     _, save_peak = traced_peak(lambda: save_graph(g, tmp_path))
     loaded, load_peak = traced_peak(lambda: load_graph(tmp_path))
     assert np.array_equal(loaded.node_features, g.node_features)
     assert save_peak <= 2.1e6, f"save_graph peaked at {save_peak / 1e6:.1f} MB"
-    assert load_peak <= 5.0e6, f"load_graph peaked at {load_peak / 1e6:.1f} MB"
+    assert load_peak <= 3.0e6, f"load_graph peaked at {load_peak / 1e6:.2f} MB"
 
 
 def test_source_with_no_issuer_in_reach_adds_no_pairs():

@@ -226,7 +226,8 @@ def test_loader_fault_is_graph_format_error_naming_line(tmp_path, table, lineno,
 
 
 def chunk_rows(monkeypatch, rows: int, ncols: int) -> None:
-    """Make the codec stream `rows` rows of `ncols` cells per chunk."""
+    """Make the codec write `rows` rows of `ncols` cells per chunk, and read
+    `rows * ncols` characters at a time."""
     monkeypatch.setattr(table_mod, "_CHUNK_CELLS", rows * ncols)
 
 
@@ -350,34 +351,14 @@ _LATER_LOADER_FAULTS = [
 def test_loader_fault_in_a_later_chunk_names_its_line(
     tmp_path, monkeypatch, table_name, lineno, text, reason
 ):
-    """One row per chunk and one character per read, so every fault below
-    the header lies in the second chunk."""
+    """One character per read, so each line below the header ends its own
+    chunk, and a fault on line 3 lies past the first."""
     monkeypatch.setattr(table_mod, "_CHUNK_CELLS", 1)
     assert_loader_fault(tmp_path, table_name, lineno, text, reason)
 
 
-# every line break str.splitlines knows, "\r\n" and "\r" as universal
-# newlines translate them, and texts that end without a break
-_BREAKS = ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-_BREAK_TEXTS = [
-    "".join(f"l{i}{brk}" for i, brk in enumerate(_BREAKS)),
-    "a\r\n\r\n\rb\r",
-    "\n\nc\u2028\u2029\x85",
-    "no break at the end\x0bend",
-    "",
-    "\r",
-]
-
-
-@pytest.mark.parametrize("size", [1, 2, 3, 5, 1 << 14])
-def test_read_lines_split_as_read_text_splitlines(tmp_path, monkeypatch, size):
-    monkeypatch.setattr(table_mod, "_CHUNK_CELLS", size)
-    path = tmp_path / "t.txt"
-    for text in _BREAK_TEXTS:
-        path.write_text(text, newline="")
-        with path.open() as f:
-            got = [line for lines in table_mod._read_lines(f) for line in lines]
-        assert got == path.read_text().splitlines(), text
+# the line breaks universal newlines read as "\n"
+_BREAKS = ["\n", "\r\n", "\r"]
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -396,6 +377,22 @@ def test_table_lines_may_end_in_any_break(tmp_path, monkeypatch, rows):
     names, counts, scores, block = read_table(path, SCHEMA)
     assert names.tolist() == columns[0] and counts.tolist() == columns[1]
     assert scores.tolist() == columns[2] and block.tobytes() == columns[3].tobytes()
+
+
+@pytest.mark.parametrize("table", ["nodes", "edges", "events", "pairs", "task", "emb"])
+def test_table_cut_short_names_its_last_line(tmp_path, table):
+    """A table cut inside any line, the header included, or just before its
+    last line break fails naming the line it ends in."""
+    path, load = _write_artifacts(tmp_path)[table]
+    text = path.read_text()
+    ends = [i + 1 for i, char in enumerate(text) if char == "\n"]
+    for lineno, (lo, end) in enumerate(zip([0, *ends], ends), start=1):
+        for cut in sorted({lo + 1, (lo + end) // 2, end - 1}):
+            path.write_text(text[:cut])
+            with pytest.raises(GraphFormatError) as err:
+                load()
+            want = f"{path}:{lineno}: no line break at the end; the file is cut short"
+            assert str(err.value) == want, (cut, text[:cut])
 
 
 def _write_model_files(tmp_path):
