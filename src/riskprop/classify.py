@@ -77,6 +77,10 @@ class ClassifierModel:
     feat_std: np.ndarray
 
     def scores(self, X: np.ndarray) -> np.ndarray:
+        if X.shape[1] != self.weights.size:
+            raise ValueError(
+                f"classifier takes {self.weights.size} features per pair, got {X.shape[1]}"
+            )
         Xs = (X - self.feat_mean) / self.feat_std
         return _sigmoid(Xs @ self.weights + self.bias)
 

@@ -290,8 +290,13 @@ def run_evaluate(exp: ExperimentConfig, out_dir: Path, seeds: tuple[int, ...]) -
         sdir = seed_dir(out_dir, seed)
         split = pairs_mod.load_pairs(sdir / "pairs.tsv")
         for cond in CONDITIONS:
-            model = classify.load_classifier(sdir / f"classifier_{cond}.tsv")
-            m = classify.evaluate(model, split.test, _fusion_fn(sdir, cond))
+            path = sdir / f"classifier_{cond}.tsv"
+            model = classify.load_classifier(path)
+            fusion_fn = _fusion_fn(sdir, cond)  # its loaders name their own files
+            try:
+                m = classify.evaluate(model, split.test, fusion_fn)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
             rows.append(ResultRow(cond, seed, m["micro_f1"], m["accuracy"], m["auc"]))
     results = ConditionResults(rows=rows)
     write_table(out_dir / "results.tsv", RESULTS, list(zip(*_results_rows(results))))

@@ -598,19 +598,10 @@ class EpochStats:
     zero_norm_rows: int
 
 
-# A direct call on a graph whose full term has at least this many message
-# pairs forks a replica when it may use two CPUs. Measured on a 2-core VM
-# with one BLAS thread, eta = 1, ms per epoch alone and with a replica from
-# epoch 1, 3 rounds: 14.8-17.5 and 10.9-15.8 at n = 200 (3,736 pairs),
-# 56-79 and 35-46 at 1k (19,368 pairs), 252-326 and 168-186 at 4k (78,594
-# pairs). The replica pays off below the cut too; the cut keeps short direct
-# calls on small graphs, such as a benchmark's 2-epoch warm-up, in one
-# process. run_pretrain hands its spare CPUs to runs of any size.
-REPLICA_MIN_PAIRS = 10_000
-
-
 def pretrain(
-    g: HeteroGraph, cfg: TrainConfig, spare_cpu: Callable[[], bool] | None = None
+    g: HeteroGraph,
+    cfg: TrainConfig,
+    spare_cpu: Callable[[], bool] = lambda: len(os.sched_getaffinity(0)) > 1,
 ) -> tuple[ModelParams, list[EpochStats]]:
     """Adam over hgmae_step for cfg.epochs. Each epoch's EpochStats holds
     its step's loss parts, taken before the update, and zero-norm rows.
@@ -621,21 +612,14 @@ def pretrain(
     parameters and mask plans this process sends it each step. This process
     alone draws the masks and takes the Adam steps, so the bits do not
     depend on whether or when the replica starts. The CPU is the caller's
-    again once pretrain returns. By default a graph whose full term has at
-    least REPLICA_MIN_PAIRS message pairs gets one at the first epoch if
-    this process may use two CPUs, and any other graph never. The replica
-    has been reaped when pretrain returns or raises.
+    again once pretrain returns. By default spare_cpu() asks whether this
+    process may use two CPUs, so a direct call forks at the first epoch or
+    never. The replica has been reaped when pretrain returns or raises.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     params = init_params(g.d_in, cfg, rng)
     state = AdamState.for_params(params.named_arrays(), lr=cfg.lr)
     terms = plan_graph(g)
-    if spare_cpu is None:
-        spare = (
-            terms[0].pairs.nbr.shape[0] >= REPLICA_MIN_PAIRS
-            and len(os.sched_getaffinity(0)) > 1
-        )
-        spare_cpu = lambda: spare  # noqa: E731
     splits = cfg.eta != 0.0 and len(terms) > 1
     history: list[EpochStats] = []
     replica = None

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .graph import DefaultEvent, HeteroGraph
+from .graph import DefaultEvent, HeteroGraph, _repeats
 from .table import Check, read_table, write_table
 
 # sources per BFS chunk are capped so a chunk's [sources, num_nodes] hop
@@ -202,8 +202,18 @@ def split_pairs(pairs: CandidatePairs, train_frac: float, seed: int) -> PairData
     )
 
 
+def _repeated_pairs(c: dict) -> np.ndarray:
+    """True at each row whose (source_id, target_id) an earlier row holds.
+    Each column is numbered on its own: np.unique's axis=0 form cannot sort
+    the Python ints that a column with a value past int64 holds."""
+    source, target = (np.unique(c[k], return_inverse=True)[1] for k in ("source_id", "target_id"))
+    return _repeats(source * len(target) + target)
+
+
 PAIRS = (("source_id", int), ("target_id", int), ("hop", int), ("label", int), ("split", str))
 _PAIR_CHECKS = (
+    Check("source_id", lambda c: c["source_id"] < 0, "negative source_id {source_id}"),
+    Check("target_id", lambda c: c["target_id"] < 0, "negative target_id {target_id}"),
     Check("target_id", lambda c: c["source_id"] == c["target_id"],
           "pair from node {source_id} to itself"),
     Check("hop", lambda c: c["hop"] < 1, "hop must be >= 1; got {hop}"),
@@ -212,6 +222,8 @@ _PAIR_CHECKS = (
     Check(
         "split", lambda c: (c["split"] != "train") & (c["split"] != "test"), "bad split {split!r}"
     ),
+    # a whole row's fault, named after every cell's
+    Check("split", _repeated_pairs, "repeated pair from node {source_id} to node {target_id}"),
 )
 
 

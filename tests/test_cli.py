@@ -108,6 +108,25 @@ def test_embed_with_a_checkpoint_of_another_width_names_it(tmp_path):
     )
 
 
+def test_evaluate_with_a_classifier_of_another_width_names_it(tmp_path):
+    """Embeddings re-made 16 wide after the classifiers were trained on 8:
+    the hgmae classifier takes 2 * (4 + 8) features per pair, the fused
+    pairs have 2 * (4 + 16)."""
+    out = tmp_path / "reembedded"
+    wide = tmp_path / "wide.config"
+    wide.write_text(SMOKE.read_text().replace("pretrain.d_emb=8", "pretrain.d_emb=16"))
+    stages = [(stage, SMOKE) for stage in ("generate", "pretrain", "embed", "pairs", "train")]
+    for stage, config in stages + [("pretrain", wide), ("embed", wide)]:
+        run_cli(stage, "--config", str(config), "--out", str(out), "--seed", "0", "--quiet")
+    proc = run_cli(
+        "evaluate", "--config", str(wide), "--out", str(out), "--seed", "0", "--quiet",
+        check=False,
+    )
+    assert proc.returncode == 1
+    classifier = out / "seed_0" / "classifier_hgmae.tsv"
+    assert proc.stderr == f"error: {classifier}: classifier takes 24 features per pair, got 40\n"
+
+
 def test_stage_without_artifacts_fails_cleanly(tmp_path):
     proc = run_cli(
         "pretrain", "--config", str(SMOKE), "--out", str(tmp_path / "empty"), "--quiet",

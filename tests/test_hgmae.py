@@ -498,8 +498,9 @@ def test_pretrain_bit_identical_to_recorded_reference(eta):
 # order on five times the receivers. At n = 1000, OpenBLAS splits the weight
 # gradient's matmul by thread count and the embeddings move in the last bit,
 # so the digests are computed in a child process with BLAS on one thread.
-# The world is above hgmae.REPLICA_MIN_PAIRS, so the child, on two usable
-# CPUs, forks a replica. Re-record only for a change meant to move these bits:
+# Like every direct pretrain call with two terms per step, the child forks a
+# replica at epoch 1 when it may use two CPUs. Re-record only for a change
+# meant to move these bits:
 #     PYTHONPATH=src:tests python -c "import test_hgmae; test_hgmae.record_1k('<commit>')"
 REFERENCE_1K_PATH = Path(__file__).parent / "pretrain_1k_reference.json"
 WORLD_1K_NODES = 1000
@@ -719,16 +720,43 @@ def test_replica_holds_no_state(monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("world", ["default", "1k"])
 @pytest.mark.parametrize(
-    "cpus, world, forks", [({0, 1}, "1k", True), ({0}, "1k", False), ({0, 1}, "default", False)]
+    "cpus, eta, forks", [({0}, 1.0, []), ({0, 1}, 1.0, [1]), ({0, 1}, 0.0, [])]
 )
-def test_direct_call_forks_on_a_large_graph_with_two_cpus(monkeypatch, cpus, world, forks):
+def test_direct_call_forks_at_epoch_1_when_two_cpus_are_usable(
+    monkeypatch, world, cpus, eta, forks
+):
+    """Whatever the graph's size: on one usable CPU never, on two at the
+    first epoch and only then, and never with eta = 0, whose steps have one
+    term."""
     g = world_1k() if world == "1k" else default_world()
     forked = []
     record_fork_epochs(monkeypatch, forked.append)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    pretrain(g, dataclasses.replace(ExperimentConfig().pretrain, epochs=1))
-    assert forked == ([1] if forks else [])
+    pretrain(g, dataclasses.replace(ExperimentConfig().pretrain, epochs=2, eta=eta))
+    assert forked == forks
+
+
+def test_one_edge_type_gives_the_same_bits_alone_and_with_a_replica(tiny_cfg):
+    """One nonempty edge type of two makes two terms per step, so the
+    replica's share is the only subgraph term: the parameter and embedding
+    bytes and the loss reprs are those of a run alone."""
+    ring = [(i, (i + 1) % 12) for i in range(12)]
+    g = make_graph(12, {0: ring, 1: np.zeros((0, 2))}, d_in=6, issuers=[0, 3, 6, 9], seed=3)
+    terms = plan_graph(g)
+    assert [t.edge_type for t in terms] == [None, 0]
+    assert hgmae._shares(terms) == ([0], [1])
+    runs = []
+    for start in (None, 1):
+        forked = []
+        with pytest.MonkeyPatch.context() as mp:
+            record_fork_epochs(mp, forked.append)
+            params, history = pretrain(g, tiny_cfg, spare_cpu_at(start))
+        assert forked == ([] if start is None else [1])
+        params_bytes = [a.tobytes() for a in params.named_arrays().values()]
+        runs.append((params_bytes, run_digests(g, params, history)))
+    assert runs[1] == runs[0]
 
 
 def module_globals() -> dict[str, dict[str, str]]:

@@ -197,6 +197,14 @@ _LOADER_FAULTS = [
     ("nodes", 3, "1\t0\tnan\t1", "non-finite feature value for node 1"),
     ("events", 3, "-3\t0", "negative node_id -3"),
     ("events", 3, "3\t0", "event references unknown node id 3"),
+    # ids no node has, and a pair listed twice, in one split or in both;
+    # line 2 is the train pair 0 -> 1
+    ("pairs", 3, "-2\t1\t1\t0\ttrain", "negative source_id -2"),
+    ("pairs", 3, "2\t-1\t1\t0\ttrain", "negative target_id -1"),
+    ("pairs", 3, "0\t1\t2\t1\ttrain", "repeated pair from node 0 to node 1"),
+    ("pairs", 4, "0\t1\t1\t0\ttest", "repeated pair from node 0 to node 1"),
+    # a column past int64 holds Python ints, which the repeat check also sorts
+    ("pairs", 3, "99999999999999999999\t1\t1\t0\ttrain", "bad source_id '99999999999999999999'"),
 ]
 
 
